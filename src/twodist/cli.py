@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 from typing import Optional
 
@@ -29,22 +30,26 @@ def _load_graph(args) -> Graph:
     if args.g6 is not None:
         return parse_graph6(args.g6)
     with open(args.edges, "r", encoding="utf-8") as fh:
-        return parse_edge_list(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise GraphFormatError(f"{args.edges}: not UTF-8 text ({exc.reason})")
+    return parse_edge_list(text)
 
 
-def _tolerances(args) -> dict:
-    return {
-        "tol_eig": args.tol_eig,
-        "tol_psd": args.tol_psd,
-        "tol_residual": args.tol_residual,
-    }
+def _tolerance(text: str) -> float:
+    """argparse type for a finite, positive tolerance."""
+    value = float(text)
+    if not (math.isfinite(value) and value > 0.0):
+        raise argparse.ArgumentTypeError(f"must be finite and positive, got {text!r}")
+    return value
 
 
 def _report_document(g: Graph, args) -> dict:
     report = reps.analyze_graph(g, tol=args.tol_eig)
     doc = {"tool": "twodist", "version": __version__,
            "input_graph6": encode_graph6(g),
-           "tolerances": _tolerances(args)}
+           "tolerances": {"tol_eig": args.tol_eig}}
     doc.update(report.to_dict())
     return doc
 
@@ -117,11 +122,10 @@ def cmd_embed(args) -> int:
                 print(f"error: EDM at the {side} endpoint is not spherical",
                       file=sys.stderr)
                 return EXIT_INFEASIBLE
-            d, config = reps.euclidean_representation(g, beta, cls)
-            info = edm.spherical_info(d)
+            d, config = reps.euclidean_representation(g, beta, cls, ps)
             alpha = 1.0
             sidecar = {"mode": "spherical", "side": side, "alpha": alpha, "beta": beta,
-                       "radius": info.radius if info else None}
+                       "radius": reps._witness_radius(d, config.points)}
         elif args.mode == "jspherical":
             js = reps.j_spherical(g, cls)
             config = js.config
@@ -135,6 +139,9 @@ def cmd_embed(args) -> int:
             edm.NotSphericalError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
+    except edm.InternalConsistencyError as exc:
+        print(f"internal consistency diagnostic: {exc}", file=sys.stderr)
+        return EXIT_DIAGNOSTIC
     report = oracle.verify_two_distance(config, g, alpha, beta)
     if not report.passed:
         print(f"error: configuration failed two-distance verification "
@@ -171,15 +178,11 @@ def build_parser() -> argparse.ArgumentParser:
         src = p.add_mutually_exclusive_group(required=True)
         src.add_argument("--edges", help="path to an edge-list file")
         src.add_argument("--g6", help="inline graph6 string")
-        p.add_argument("--tol-eig", type=float, default=linalg.EIG_TOL,
-                       help="eigenvalue clustering tolerance")
-        p.add_argument("--tol-psd", type=float, default=linalg.EIG_TOL,
-                       help="PSD/rank decision tolerance")
-        p.add_argument("--tol-residual", type=float, default=linalg.RESIDUAL_TOL,
-                       help="solve/factorization residual tolerance")
 
     p_an = sub.add_parser("analyze", help="full representation report as JSON")
     add_common(p_an)
+    p_an.add_argument("--tol-eig", type=_tolerance, default=linalg.EIG_TOL,
+                      help="relative eigenvalue clustering tolerance (finite, > 0)")
     p_an.add_argument("--pretty", action="store_true", help="indent the JSON output")
     p_an.set_defaults(func=cmd_analyze)
 

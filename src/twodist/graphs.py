@@ -1,13 +1,16 @@
 """Simple undirected graphs: parsing, complementation and classification.
 
-Graphs are immutable and labeled 0..n-1. The classification recognizes the
-four structured families that admit special treatment downstream: complete,
-null, cluster (disjoint union of cliques) and complete multipartite.
+A graph on nodes 0..n-1 is a read-only n x n boolean adjacency matrix, so the
+complement, the float adjacency and the classification are array operations.
+The classification recognizes the four structured families that admit
+special treatment downstream: complete, null, cluster (disjoint union of
+cliques) and complete multipartite.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations
 from typing import Iterable, Optional, Sequence
 
@@ -24,56 +27,80 @@ class GraphFormatError(ValueError):
     """Malformed edge-list or graph6 input."""
 
 
-@dataclass(frozen=True)
+def _check_order(n: int) -> None:
+    if n < 1:
+        raise GraphFormatError(f"node count must be positive, got {n}")
+
+
+@dataclass(frozen=True, eq=False)
 class Graph:
-    """Simple graph on nodes 0..n-1 with a frozen set of undirected edges."""
+    """Simple graph on nodes 0..n-1.
+
+    ``adj`` is a read-only n x n boolean adjacency matrix: symmetric with a
+    zero diagonal. The constructor validates it and stores a read-only copy.
+    Graphs compare and hash by value.
+    """
 
     n: int
-    edges: frozenset
+    adj: np.ndarray
 
     def __post_init__(self):
-        if self.n < 1:
-            raise GraphFormatError(f"node count must be positive, got {self.n}")
-        for u, v in self.edges:
-            if not (0 <= u < v < self.n):
-                raise GraphFormatError(f"invalid edge ({u}, {v}) for n={self.n}")
+        _check_order(self.n)
+        adj = np.array(self.adj, dtype=bool)
+        if adj.shape != (self.n, self.n):
+            raise GraphFormatError(f"adjacency of shape {adj.shape} for n={self.n}")
+        if adj.diagonal().any() or (adj != adj.T).any():
+            raise GraphFormatError("adjacency must be symmetric with a zero diagonal")
+        adj.flags.writeable = False
+        object.__setattr__(self, "adj", adj)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Graph):
+            return NotImplemented
+        return self.n == other.n and np.array_equal(self.adj, other.adj)
+
+    def __hash__(self) -> int:
+        return hash((self.n, np.packbits(self.adj).tobytes()))
 
     @staticmethod
     def from_edges(n: int, pairs: Iterable) -> "Graph":
-        """Build a graph, normalizing and deduplicating edge pairs."""
-        norm = set()
-        for u, v in pairs:
-            u, v = int(u), int(v)
+        """Build a graph from node pairs; duplicates and orientation are ignored."""
+        _check_order(n)
+        p = np.asarray(list(pairs), dtype=np.int64).reshape(-1, 2)
+        bad = (p[:, 0] == p[:, 1]) | np.any((p < 0) | (p >= n), axis=1)
+        if bad.any():
+            u, v = p[np.argmax(bad)]
             if u == v:
                 raise GraphFormatError(f"loop edge ({u}, {u}) not allowed")
-            if not (0 <= u < n and 0 <= v < n):
-                raise GraphFormatError(f"node id out of range in edge ({u}, {v}), n={n}")
-            norm.add((min(u, v), max(u, v)))
-        return Graph(n, frozenset(norm))
+            raise GraphFormatError(f"node id out of range in edge ({u}, {v}), n={n}")
+        adj = np.zeros((n, n), dtype=bool)
+        adj[p[:, 0], p[:, 1]] = True
+        adj[p[:, 1], p[:, 0]] = True
+        return Graph(n, adj)
+
+    @property
+    def edges(self) -> frozenset:
+        """The edges as (u, v) pairs with u < v."""
+        iu, ju = np.nonzero(np.triu(self.adj))
+        return frozenset(zip(iu.tolist(), ju.tolist()))
 
     @property
     def num_edges(self) -> int:
-        return len(self.edges)
+        return int(np.count_nonzero(self.adj)) // 2
 
     def has_edge(self, u: int, v: int) -> bool:
-        return (min(u, v), max(u, v)) in self.edges
+        return bool(self.adj[u, v])
 
     def neighbors(self, u: int) -> list:
-        return sorted(v for v in range(self.n) if v != u and self.has_edge(u, v))
+        return np.flatnonzero(self.adj[u]).tolist()
 
     def degrees(self) -> list:
-        deg = [0] * self.n
-        for u, v in self.edges:
-            deg[u] += 1
-            deg[v] += 1
-        return deg
+        return np.count_nonzero(self.adj, axis=1).tolist()
 
     def is_regular(self) -> Optional[int]:
         """Common degree if the graph is regular, else None."""
-        deg = self.degrees()
-        if all(d == deg[0] for d in deg):
-            return deg[0]
-        return None
+        deg = np.count_nonzero(self.adj, axis=1)
+        return int(deg[0]) if np.all(deg == deg[0]) else None
 
 
 @dataclass(frozen=True)
@@ -150,108 +177,85 @@ def parse_graph6(text: str) -> Graph:
         raise GraphFormatError("truncated graph6 bit stream")
     if len(body) > nbytes:
         raise GraphFormatError("trailing characters after graph6 bit stream")
-    bits = []
-    for ch in body:
-        val = ord(ch) - 63
-        bits.extend((val >> shift) & 1 for shift in range(5, -1, -1))
-    pairs = []
-    idx = 0
-    for j in range(1, n):
-        for i in range(j):
-            if bits[idx]:
-                pairs.append((i, j))
-            idx += 1
-    return Graph.from_edges(n, pairs)
+    vals = np.frombuffer(body.encode("ascii"), dtype=np.uint8) - 63
+    bits = np.unpackbits(vals[:, None], axis=1)[:, 2:].ravel()[:nbits].astype(bool)
+    adj = np.zeros((n, n), dtype=bool)
+    jj, ii = _graph6_order(n)
+    adj[ii[bits], jj[bits]] = True
+    return Graph(n, adj | adj.T)
+
+
+def _read_only(*arrays) -> tuple:
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
+
+
+@lru_cache(maxsize=64)
+def _graph6_order(n: int) -> tuple:
+    """(j, i) index arrays of the pairs i < j in graph6 bit order: column by
+    column through the upper triangle. Cached and read-only."""
+    return _read_only(*np.tril_indices(n, k=-1))
+
+
+@lru_cache(maxsize=64)
+def triu_pairs(n: int) -> tuple:
+    """(u, v) index arrays of the pairs u < v in combinations(range(n), 2)
+    order, which is also the edge-bitmask order. Cached and read-only."""
+    return _read_only(*np.triu_indices(n, k=1))
 
 
 def encode_graph6(g: Graph) -> str:
     """Encode a graph as a short-form graph6 string."""
     if g.n > 62:
         raise GraphFormatError("graph6 short form limited to n <= 62")
-    bits = []
-    for j in range(1, g.n):
-        for i in range(j):
-            bits.append(1 if g.has_edge(i, j) else 0)
-    while len(bits) % 6 != 0:
-        bits.append(0)
-    out = [chr(g.n + 63)]
-    for k in range(0, len(bits), 6):
-        val = 0
-        for b in bits[k:k + 6]:
-            val = (val << 1) | b
-        out.append(chr(val + 63))
-    return "".join(out)
+    jj, ii = _graph6_order(g.n)
+    bits = g.adj[ii, jj]
+    bits = np.concatenate([bits, np.zeros(-bits.size % 6, dtype=bool)]).reshape(-1, 6)
+    vals = bits @ np.array([32, 16, 8, 4, 2, 1]) + 63
+    return chr(g.n + 63) + vals.astype(np.uint8).tobytes().decode("ascii")
 
 
 def complement(g: Graph) -> Graph:
     """Graph with an edge exactly where g has none."""
-    pairs = [(u, v) for u, v in combinations(range(g.n), 2) if not g.has_edge(u, v)]
-    return Graph.from_edges(g.n, pairs)
+    abar = ~g.adj
+    np.fill_diagonal(abar, False)
+    return Graph(g.n, abar)
 
 
 def adjacency_matrix(g: Graph) -> np.ndarray:
-    """Symmetric 0/1 adjacency matrix with zero diagonal."""
-    a = np.zeros((g.n, g.n))
-    for u, v in g.edges:
-        a[u, v] = 1.0
-        a[v, u] = 1.0
-    return a
+    """Symmetric 0/1 adjacency matrix with zero diagonal, as floats."""
+    return g.adj.astype(float)
 
 
-def _adjacency_sets(g: Graph) -> list:
-    adj = [set() for _ in range(g.n)]
-    for u, v in g.edges:
-        adj[u].add(v)
-        adj[v].add(u)
-    return adj
+def _clique_sizes(closed: np.ndarray) -> Optional[tuple]:
+    """Clique sizes, largest first, if ``closed`` (an adjacency matrix with a
+    true diagonal) is a disjoint union of cliques, else None.
 
-
-def _is_p3_free(g: Graph) -> bool:
-    # Induced P3 = a node with two non-adjacent neighbors; O(n^3) triple scan.
-    adj = _adjacency_sets(g)
-    for center in range(g.n):
-        nb = sorted(adj[center])
-        for u, v in combinations(nb, 2):
-            if v not in adj[u]:
-                return False
-    return True
-
-
-def _component_sizes(g: Graph) -> list:
-    adj = _adjacency_sets(g)
-    seen = [False] * g.n
-    sizes = []
-    for start in range(g.n):
-        if seen[start]:
-            continue
-        stack = [start]
-        seen[start] = True
-        count = 0
-        while stack:
-            u = stack.pop()
-            count += 1
-            for v in adj[u]:
-                if not seen[v]:
-                    seen[v] = True
-                    stack.append(v)
-        sizes.append(count)
-    return sorted(sizes, reverse=True)
+    A node's label is the first node of its closed neighbourhood. Equal labels
+    mean adjacency exactly when adjacency is an equivalence relation, and the
+    classes are then the cliques.
+    """
+    label = closed.argmax(axis=1)
+    if not np.array_equal(label[:, None] == label[None, :], closed):
+        return None
+    sizes = np.bincount(label)
+    return tuple(sorted(sizes[sizes > 0].tolist(), reverse=True))
 
 
 def classify(g: Graph) -> GraphClass:
     """Classify g into the most specific of the five structural tags."""
-    full = g.n * (g.n - 1) // 2
-    is_cl = _is_p3_free(g)
-    gbar = complement(g)
-    is_mp = _is_p3_free(gbar)
-    if g.num_edges == full:
-        return GraphClass(TAG_COMPLETE, (g.n,), True, True)
-    if g.num_edges == 0:
-        return GraphClass(TAG_NULL, tuple([1] * g.n), True, True)
-    if is_cl:
-        return GraphClass(TAG_CLUSTER, tuple(_component_sizes(g)), True, is_mp)
-    if is_mp:
-        return GraphClass(TAG_MULTIPARTITE, tuple(_component_sizes(gbar)), False, True)
+    cliques = _clique_sizes(g.adj | np.eye(g.n, dtype=bool))
+    # ~adj is the complement's adjacency with a true diagonal
+    parts = _clique_sizes(~g.adj)
+    if cliques == (g.n,):
+        return GraphClass(TAG_COMPLETE, cliques, True, True)
+    if parts == (g.n,):
+        return GraphClass(TAG_NULL, cliques, True, True)
+    if cliques is not None:
+        return GraphClass(TAG_CLUSTER, cliques, True, parts is not None)
+    if parts is not None:
+        return GraphClass(TAG_MULTIPARTITE, parts, False, True)
     return GraphClass(TAG_GENERAL, None, False, False)
 
 
@@ -291,16 +295,14 @@ def complete_multipartite_graph(sizes: Sequence[int]) -> Graph:
 
 def from_mask(n: int, mask: int) -> Graph:
     """Graph from an edge bitmask over combinations(range(n), 2) order."""
-    pairs = []
-    for k, (u, v) in enumerate(combinations(range(n), 2)):
-        if (mask >> k) & 1:
-            pairs.append((u, v))
-    return Graph.from_edges(n, pairs)
+    iu, ju = triu_pairs(n)
+    raw = np.frombuffer(mask.to_bytes((iu.size + 7) // 8, "little"), dtype=np.uint8)
+    bits = np.unpackbits(raw, bitorder="little")[:iu.size].astype(bool)
+    adj = np.zeros((n, n), dtype=bool)
+    adj[iu[bits], ju[bits]] = True
+    return Graph(n, adj | adj.T)
 
 
 def to_mask(g: Graph) -> int:
-    mask = 0
-    for k, (u, v) in enumerate(combinations(range(g.n), 2)):
-        if g.has_edge(u, v):
-            mask |= 1 << k
-    return mask
+    iu, ju = triu_pairs(g.n)
+    return int.from_bytes(np.packbits(g.adj[iu, ju], bitorder="little").tobytes(), "little")

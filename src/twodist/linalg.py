@@ -2,8 +2,8 @@
 PSD/rank, pseudoinverse and Gram-factorization decisions built on top of it.
 
 Multiplicity counting drives every dimension formula downstream, so eigenvalues
-are clustered into groups under a relative tolerance and each group exposes a
-genuinely orthonormal basis.
+are clustered into groups under a relative tolerance; each group's basis is the
+matching block of LAPACK's orthonormal eigenvector columns.
 """
 
 from __future__ import annotations
@@ -72,22 +72,12 @@ class Spectrum:
         return out
 
 
-def _mgs(cols: np.ndarray) -> np.ndarray:
-    """Modified Gram-Schmidt re-orthonormalization of full-rank columns."""
-    q = cols.astype(float).copy()
-    for j in range(q.shape[1]):
-        for i in range(j):
-            q[:, j] -= (q[:, i] @ q[:, j]) * q[:, i]
-        nrm = np.linalg.norm(q[:, j])
-        q[:, j] /= nrm
-    return q
-
-
 def eigh(m: np.ndarray, tol: float = EIG_TOL) -> Spectrum:
     """Clustered spectral decomposition of a symmetric matrix.
 
     Eigenvalues within ``tol * max(1, max|lambda|)`` of each other are merged
-    into one group whose basis is re-orthonormalized.
+    into one group, whose value is their mean and whose basis is their
+    eigenvector columns.
     """
     m = np.asarray(m, dtype=float)
     if not np.all(np.isfinite(m)):
@@ -98,16 +88,12 @@ def eigh(m: np.ndarray, tol: float = EIG_TOL) -> Spectrum:
     sym = 0.5 * (m + m.T)
     w, q = np.linalg.eigh(sym)
     w, q = w[::-1], q[:, ::-1]  # descending
-    scale = max(1.0, float(np.max(np.abs(w))))
-    gap = tol * scale
-    groups = []
-    start = 0
-    for i in range(1, n + 1):
-        if i == n or w[i - 1] - w[i] > gap:
-            block = q[:, start:i]
-            groups.append(SpectralGroup(float(np.mean(w[start:i])), i - start, _mgs(block)))
-            start = i
-    return Spectrum(tuple(groups), tol)
+    gap = tol * max(1.0, float(np.max(np.abs(w))))
+    starts = np.r_[0, np.flatnonzero(w[:-1] - w[1:] > gap) + 1]
+    ends = np.r_[starts[1:], n]
+    means = np.add.reduceat(w, starts) / (ends - starts)
+    return Spectrum(tuple(SpectralGroup(mean, hi - lo, q[:, lo:hi]) for mean, lo, hi
+                          in zip(means.tolist(), starts.tolist(), ends.tolist())), tol)
 
 
 def psd_rank(m: np.ndarray, tol: float = EIG_TOL) -> Tuple[bool, int]:

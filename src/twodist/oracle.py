@@ -14,7 +14,6 @@ import math
 import os
 import time
 from dataclasses import dataclass, field
-from functools import lru_cache
 from multiprocessing import Pool
 from typing import Dict, List, Optional, Tuple
 
@@ -23,16 +22,11 @@ import numpy as np
 from . import edm, representations as reps
 from .edm import Configuration
 from .graphs import (Graph, adjacency_matrix, classify, complement,
-                     encode_graph6, from_mask)
+                     encode_graph6, from_mask, triu_pairs)
 
 T_BISECT_TOL = 1e-12
 # Whenever an upper root exists, mu_min <= -4/3, so t2 <= 4; bracket with slack.
 T_MAX = 40.0
-
-
-@lru_cache(maxsize=64)
-def _triu_pairs(n: int) -> Tuple[np.ndarray, np.ndarray]:
-    return np.triu_indices(n, k=1)
 
 
 @dataclass(frozen=True)
@@ -48,9 +42,8 @@ def verify_two_distance(config: Configuration, g: Graph, alpha: float, beta: flo
     if config.n != g.n:
         raise ValueError(f"configuration has {config.n} rows, graph has {g.n} nodes")
     sq = config.squared_distances()
-    iu, ju = _triu_pairs(g.n)
-    adj = reps._adjacency_pair(g)[0]
-    targets = np.where(adj[iu, ju] > 0.5, alpha, beta)
+    iu, ju = triu_pairs(g.n)
+    targets = np.where(g.adj[iu, ju], alpha, beta)
     values = sq[iu, ju]
     max_dev = float(np.abs(values - targets).max())
     values = np.sort(values)

@@ -10,13 +10,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import List, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
 from . import edm, linalg
-from .centering import VBasis, build_v, projected_gram
+from .centering import VBasis, build_v, project_adjacency
 from .edm import Configuration
 from .graphs import Graph, GraphClass, adjacency_matrix, classify, complement
 
@@ -106,46 +105,15 @@ class JSpherical:
     delta: float
     beta: float  # second squared distance 2 + 2*delta
     dim_j: int
-    d: np.ndarray
     config: Configuration
 
 
-def _orthonormal_range(m: np.ndarray, rtol: float = 1e-8) -> np.ndarray:
-    """Orthonormal basis of the column space of m, rank decided by SVD."""
-    if m.shape[1] == 0:
-        return m
-    u, s, _ = np.linalg.svd(m, full_matrices=False)
-    # columns enter as unit vectors, so surviving singular values are O(1)
-    return u[:, s > rtol]
-
-
 def projected_spectrum(g: Graph, tol: float = linalg.EIG_TOL) -> ProjectedSpectrum:
-    """Clustered spectrum of V.T @ A @ V.
-
-    For regular graphs the spectrum of A is used directly (dropping one copy of
-    the degree, whose eigenvector is the all-ones direction), which keeps the
-    eigenvalues at full accuracy.
-    """
+    """Clustered spectrum of V.T @ A @ V, with the basis V used."""
     if g.n < 2:
         raise DegenerateGraphError("projected spectrum needs n >= 2")
-    a = adjacency_matrix(g)
     v = build_v(g.n)
-    k = g.is_regular()
-    if k is not None:
-        spec = linalg.eigh(a, tol)
-        e = np.ones(g.n)
-        groups: List[Tuple[float, np.ndarray]] = []
-        for i, grp in enumerate(spec.groups):
-            q = grp.basis
-            if i == 0:
-                # top group holds the degree eigenvalue and the e direction
-                q = _orthonormal_range(q - np.outer(e, (e @ q) / g.n))
-                if q.shape[1] == 0:
-                    continue
-            groups.append((grp.value, v.columns.T @ q))
-        return ProjectedSpectrum(g.n, tuple(groups), v)
-    m = v.columns.T @ a @ v.columns
-    spec = linalg.eigh(0.5 * (m + m.T), tol)
+    spec = linalg.eigh(project_adjacency(adjacency_matrix(g), v), tol)
     return ProjectedSpectrum(g.n, tuple((grp.value, grp.basis) for grp in spec.groups), v)
 
 
@@ -213,14 +181,9 @@ def endpoint_sphericity(g: Graph, side: str, ps: Optional[ProjectedSpectrum] = N
     raise ValueError(f"unknown side {side!r}")
 
 
-@lru_cache(maxsize=64)
 def _adjacency_pair(g: Graph) -> Tuple[np.ndarray, np.ndarray]:
-    """(A, Abar), cached and read-only; sweeps hit the same graph repeatedly."""
-    a = adjacency_matrix(g)
-    abar = adjacency_matrix(complement(g))
-    a.flags.writeable = False
-    abar.flags.writeable = False
-    return a, abar
+    """(A, Abar) as float matrices."""
+    return adjacency_matrix(g), adjacency_matrix(complement(g))
 
 
 def _edm_at(g: Graph, beta: float) -> np.ndarray:
@@ -249,8 +212,13 @@ def dim_spherical(g: Graph, cls: Optional[GraphClass] = None,
         r, beta = min(candidates, key=lambda t: t[0])
     else:
         r, beta = g.n - 1, _interior_beta(cls, beta_l, beta_u)
+    return r, beta, _radius_at(g, beta, cls, ps)
+
+
+def _radius_at(g: Graph, beta: float, cls: GraphClass, ps: ProjectedSpectrum) -> float:
+    """Circumradius of the representation at a beta whose EDM is spherical."""
     d, config = euclidean_representation(g, beta, cls, ps)
-    return r, beta, _witness_radius(d, config.points)
+    return _witness_radius(d, config.points)
 
 
 def _witness_radius(d: np.ndarray, p: np.ndarray, tol: float = 1e-7) -> float:
@@ -296,14 +264,18 @@ def j_spherical(g: Graph, cls: Optional[GraphClass] = None,
     _require_nondegenerate(g, cls)
     abar = adjacency_matrix(complement(g))
     spec = linalg.eigh(abar, tol)
-    lam1 = spec.max_value
-    mult = spec.groups[0].multiplicity
-    delta = 1.0 / lam1
-    dim_j = g.n - mult
-    b = np.eye(g.n) - delta * abar
-    points = linalg.gram_factor(b, dim_j, tol)
-    d = 2.0 * (np.ones((g.n, g.n)) - np.eye(g.n)) + 2.0 * delta * abar
-    return JSpherical(delta, 2.0 + 2.0 * delta, dim_j, d,
+    top = spec.groups[0]
+    resid = float(np.max(np.abs(abar @ top.basis - top.value * top.basis)))
+    if top.value <= 0.0 or resid > linalg.RESIDUAL_TOL * math.sqrt(g.n):
+        raise edm.InternalConsistencyError(
+            f"top eigenvalue group of the complement ({top.value:.6g}, residual "
+            f"{resid:.3e}) is not one positive eigenvalue")
+    delta = 1.0 / top.value
+    # The Gram matrix I - delta*Abar shares Abar's eigenvectors; its eigenvalue
+    # 1 - delta*lambda vanishes on the top group only.
+    points = np.hstack([grp.basis * math.sqrt(1.0 - delta * grp.value)
+                        for grp in reversed(spec.groups[1:])])
+    return JSpherical(delta, 2.0 + 2.0 * delta, g.n - top.multiplicity,
                       Configuration(points, edm.CENTERING_CIRCUMCENTER))
 
 
@@ -402,25 +374,34 @@ class ReprReport:
 
 
 def analyze_graph(g: Graph, tol: float = linalg.EIG_TOL) -> ReprReport:
-    """Full representation report for one graph."""
+    """Full representation report for one graph.
+
+    Raises edm.InternalConsistencyError when the answers contradict each
+    other or the class tag, as when ``tol`` merges distinct eigenvalues.
+    """
     cls = classify(g)
     lb_e, lb_s = lower_bounds(max(g.n, 2))
     if cls.is_degenerate:
         return ReprReport(g.n, cls, True, *([None] * 17), lb_e, lb_s)
     ps = projected_spectrum(g, tol)
+    # mu_max = 0 exactly for complete multipartite graphs and mu_min = -1
+    # exactly for cluster graphs; a clustering that breaks this is a fault
+    if (ps.mu_max > 1e-9) == cls.is_multipartite or (ps.mu_min < -1.0 - 1e-9) == cls.is_cluster:
+        raise edm.InternalConsistencyError(
+            f"projected spectrum (mu_min={ps.mu_min:.6g}, mu_max={ps.mu_max:.6g}) "
+            f"contradicts the class {cls.tag!r}")
     beta_l, beta_u = beta_endpoints(ps, cls)
     r_e, beta_e = dim_euclidean(g, cls, ps)
     spherical_at_l = endpoint_sphericity(g, SIDE_LOWER, ps) if beta_l is not None else None
     spherical_at_u = endpoint_sphericity(g, SIDE_UPPER, ps) if beta_u is not None else None
-    rho_l = rho_u = None
-    if spherical_at_l:
-        info = edm.spherical_info(_edm_at(g, beta_l), tol)
-        rho_l = info.radius if info is not None else None
-    if spherical_at_u:
-        info = edm.spherical_info(_edm_at(g, beta_u), tol)
-        rho_u = info.radius if info is not None else None
+    rho_l = _radius_at(g, beta_l, cls, ps) if spherical_at_l else None
+    rho_u = _radius_at(g, beta_u, cls, ps) if spherical_at_u else None
     r_s, beta_s, _rho_s = dim_spherical(g, cls, ps)
     js = j_spherical(g, cls, tol)
+    if not lb_e - 1e-9 <= r_e <= r_s <= js.dim_j:
+        raise edm.InternalConsistencyError(
+            f"dimensions break lower_bound_e <= dim_e <= dim_s <= dim_j: "
+            f"{lb_e:.4f}, {r_e}, {r_s}, {js.dim_j}")
     return ReprReport(
         n=g.n, graph_class=cls, degenerate=False,
         mu_min=ps.mu_min, mu_max=ps.mu_max, m_min=ps.m_min, m_max=ps.m_max,

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from twodist import cli, oracle
+from twodist import cli, edm, oracle, representations as reps
 from twodist.edm import Configuration
 from twodist.graphs import cycle_graph, encode_graph6, parse_graph6
 
@@ -49,6 +49,42 @@ class TestAnalyze:
     def test_missing_file_exits_2(self, capsys):
         code, _, _ = run(["analyze", "--edges", "/nonexistent/g.txt"], capsys)
         assert code == 2
+
+    def test_non_utf8_file_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "bad.txt"
+        path.write_bytes(b"3\n0 1\n\xff\xfe\n")
+        code, _, err = run(["analyze", "--edges", str(path)], capsys)
+        assert code == 2 and "UTF-8" in err
+
+    def test_tolerances_block(self, capsys):
+        code, out, _ = run(["analyze", "--g6", "DUW", "--tol-eig", "1e-8"], capsys)
+        assert code == 0
+        assert json.loads(out)["tolerances"] == {"tol_eig": 1e-8}
+
+    @pytest.mark.parametrize("argv", [
+        ["analyze", "--g6", "Dug", "--tol-eig", "nan"],
+        ["analyze", "--g6", "Dug", "--tol-eig", "-1"],
+        ["analyze", "--g6", "Dug", "--tol-psd", "1e3"],
+        ["analyze", "--g6", "Dug", "--tol-residual", "5"],
+        ["embed", "--g6", "Dug", "--mode", "jspherical", "--out", "x.csv", "--tol-eig", "1e-9"],
+    ])
+    def test_bad_arguments_exit_2(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+        assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("g6,tol,fragment", [
+        ("Dug", "0.5", "lower_bound_e <= dim_e"),
+        ("DUW", "0.9", "top eigenvalue group of the complement"),
+        ("Dug", "5", "contradicts the class"),
+    ])
+    def test_inconsistent_answers_exit_3(self, g6, tol, fragment, capsys):
+        # a clustering tolerance this coarse merges distinct eigenvalues; each
+        # case trips a different check of the analysis
+        code, out, err = run(["analyze", "--g6", g6, "--tol-eig", tol], capsys)
+        assert code == 3 and out == ""
+        assert "internal consistency" in err and fragment in err
 
 
 class TestEmbed:
@@ -104,6 +140,16 @@ class TestEmbed:
                             "spherical", "--side", "upper",
                             "--out", str(tmp_path / "x.csv")], capsys)
         assert code == 4 and "not spherical" in err
+
+    def test_internal_consistency_exits_3(self, tmp_path, capsys, bow_tie, monkeypatch):
+        def fail(*args, **kwargs):
+            raise edm.InternalConsistencyError("forced")
+        monkeypatch.setattr(reps, "_witness_radius", fail)
+        out = tmp_path / "x.csv"
+        code, _, err = run(["embed", "--g6", encode_graph6(bow_tie), "--mode", "spherical",
+                            "--side", "lower", "--out", str(out)], capsys)
+        assert code == 3 and "internal consistency" in err
+        assert not out.exists()
 
     def test_degenerate_exits_4(self, tmp_path, capsys):
         code, _, _ = run(["embed", "--g6", "D~{", "--mode", "jspherical",

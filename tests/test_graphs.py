@@ -1,3 +1,5 @@
+from itertools import combinations
+
 import networkx as nx
 import numpy as np
 import pytest
@@ -43,6 +45,30 @@ class TestGraphBasics:
         for _ in range(20):
             g = random_graph(rng, int(rng.integers(2, 9)))
             assert complement(complement(g)) == g
+
+    def test_value_equality_and_hash(self, bow_tie):
+        same = Graph.from_edges(5, [(4, 0), (2, 0), (0, 3), (3, 1), (1, 0), (2, 4), (1, 3)])
+        assert same == bow_tie and hash(same) == hash(bow_tie)
+        assert parse_graph6(encode_graph6(bow_tie)) == bow_tie
+        assert len({bow_tie, same, complement(bow_tie)}) == 2
+        assert bow_tie != complement(bow_tie)
+        assert Graph.from_edges(4, []) != Graph.from_edges(5, [])
+        assert bow_tie.edges == {(0, 1), (1, 3), (0, 3), (0, 2), (2, 4), (0, 4)}
+
+    def test_adjacency_read_only(self, bow_tie):
+        assert bow_tie.adj.dtype == bool and bow_tie.adj.shape == (5, 5)
+        with pytest.raises(ValueError):
+            bow_tie.adj[1, 2] = True
+        a = np.zeros((3, 3), dtype=bool)
+        g = Graph(3, a)
+        a[0, 1] = a[1, 0] = True  # the graph keeps its own copy
+        assert g.num_edges == 0
+
+    @pytest.mark.parametrize("adj", [np.eye(3, dtype=bool), np.triu(np.ones((3, 3), bool), 1),
+                                     np.zeros((3, 4), dtype=bool)])
+    def test_rejects_invalid_adjacency(self, adj):
+        with pytest.raises(GraphFormatError):
+            Graph(3, adj)
 
     def test_adjacency_matrix(self, bow_tie):
         a = adjacency_matrix(bow_tie)
@@ -129,6 +155,30 @@ class TestClassify:
         cls = classify(Graph.from_edges(4, [(0, 1), (0, 2), (0, 3)]))
         assert cls.tag == "complete_multipartite"
         assert cls.partition == (3, 1)
+
+    def test_matches_induced_p3_reference(self):
+        # reference: a graph is a cluster graph exactly when no node has two
+        # non-adjacent neighbours (no induced P3); parts are its components
+        def p3_free(g):
+            return not any(not g.has_edge(u, v)
+                           for c in range(g.n) for u, v in combinations(g.neighbors(c), 2))
+
+        def parts(g):
+            h = nx.Graph(list(g.edges))
+            h.add_nodes_from(range(g.n))
+            return tuple(sorted((len(c) for c in nx.connected_components(h)), reverse=True))
+
+        for n in range(1, 6):
+            for mask in range(1 << (n * (n - 1) // 2)):
+                g = from_mask(n, mask)
+                gbar = complement(g)
+                cls = classify(g)
+                assert cls.is_cluster == p3_free(g)
+                assert cls.is_multipartite == p3_free(gbar)
+                if cls.tag == "cluster":
+                    assert cls.partition == parts(g)
+                if cls.tag == "complete_multipartite":
+                    assert cls.partition == parts(gbar)
 
     def test_duality_exhaustive_small(self):
         # cluster and complete multipartite swap under complementation

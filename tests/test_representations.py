@@ -1,4 +1,5 @@
 import math
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -12,6 +13,20 @@ from twodist.graphs import (Graph, adjacency_matrix, classify, cluster_graph,
 from twodist.oracle import verify_two_distance
 
 S5 = math.sqrt(5.0)
+
+
+def paley_graph(q):
+    """Paley graph P(q), prime q = 1 (mod 4): i ~ j iff i - j is a nonzero square mod q."""
+    squares = {x * x % q for x in range(1, q)}
+    return Graph.from_edges(q, [(i, j) for i, j in combinations(range(q), 2)
+                                if (j - i) % q in squares])
+
+
+def petersen_graph():
+    """Kneser graph K(5, 2): 2-subsets of a 5-set, adjacent when disjoint."""
+    subsets = list(combinations(range(5), 2))
+    return Graph.from_edges(10, [(i, j) for i, j in combinations(range(10), 2)
+                                 if not set(subsets[i]) & set(subsets[j])])
 
 
 def brute_force_dim_e(g, samples=400):
@@ -51,7 +66,8 @@ class TestProjectedSpectrum:
         assert ps.mu_min == pytest.approx(-1.4, abs=1e-12)
 
     def test_regular_path_matches_dense_path(self, rng):
-        # the regular-graph shortcut must agree with the direct projection
+        # regular graphs: the clustered groups match the raw projected
+        # eigenvalues and their bases are orthonormal
         regular = [cycle_graph(n) for n in range(4, 9)]
         regular.append(Graph.from_edges(6, [(0, 1), (2, 3), (4, 5)]))  # 3K2
         regular.append(complement(cycle_graph(7)))
@@ -241,6 +257,20 @@ class TestJSpherical:
         assert not reps.same_second_distance(cluster_graph([2, 2, 2]), cycle_graph(5))
 
 
+class TestClosedFormFamilies:
+    @pytest.mark.parametrize("q", [13, 29, 101])
+    def test_paley(self, q):
+        # strongly regular with A-eigenvalues (q-1)/2 (x1) and (-1 +- sqrt q)/2
+        # (x (q-1)/2 each), so V.T A V keeps the two restricted eigenvalues
+        # (Brouwer & Haemers, Spectra of Graphs, 2012)
+        rep = reps.analyze_graph(paley_graph(q))
+        half = (q - 1) // 2
+        assert rep.mu_max == pytest.approx((-1 + math.sqrt(q)) / 2, abs=1e-9)
+        assert rep.mu_min == pytest.approx((-1 - math.sqrt(q)) / 2, abs=1e-9)
+        assert rep.m_min == rep.m_max == rep.dim_e == rep.dim_s == half
+        assert rep.dim_j == q - 1
+
+
 class TestAnalyzeGraph:
     def test_degenerate_report(self):
         rep = reps.analyze_graph(complete_graph(4))
@@ -255,6 +285,34 @@ class TestAnalyzeGraph:
         assert doc["spherical_at_l"] and doc["spherical_at_u"]
         assert doc["rho_l"] ** 2 == pytest.approx(2 / (5 + S5))
         assert doc["rho_u"] ** 2 == pytest.approx(2 / (5 - S5))
+
+    @pytest.mark.parametrize("name", ["gnp", "c9", "paley13"])
+    def test_two_decompositions_per_analysis(self, name, rng, monkeypatch):
+        if name == "gnp":
+            upper = np.triu(rng.random((12, 12)) < 0.5, k=1)
+            g = Graph(12, upper | upper.T)
+            assert classify(g).tag == "general"
+        else:
+            g = cycle_graph(9) if name == "c9" else paley_graph(13)
+        calls = []
+        for fn in ("eigh", "eigvalsh", "svd", "lstsq"):
+            orig = getattr(np.linalg, fn)
+
+            def counted(*args, _fn=fn, _orig=orig, **kwargs):
+                calls.append(_fn)
+                return _orig(*args, **kwargs)
+            monkeypatch.setattr(np.linalg, fn, counted)
+        reps.analyze_graph(g)
+        assert calls == ["eigh", "eigh"]
+
+    @pytest.mark.parametrize("g", [cycle_graph(9), petersen_graph(), paley_graph(13)],
+                             ids=["c9", "petersen", "paley13"])
+    def test_endpoint_radii_match_spherical_info(self, g):
+        rep = reps.analyze_graph(g)
+        assert rep.spherical_at_l and rep.spherical_at_u
+        for beta, rho in ((rep.beta_l, rep.rho_l), (rep.beta_u, rep.rho_u)):
+            info = edm.spherical_info(reps._edm_at(g, beta))
+            assert rho == pytest.approx(info.radius, abs=1e-9)
 
     def test_lower_bounds_hold(self):
         rep = reps.analyze_graph(cycle_graph(6))
