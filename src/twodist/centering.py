@@ -1,8 +1,8 @@
-"""Orthonormal bases of the all-ones complement and matrix projection onto it.
+"""Orthonormal basis of the all-ones complement and matrix projection onto it.
 
-The dense scheme works for every n >= 2; the block scheme (n >= 4) splits the
-basis into a 3-node block and an (n-3)-node block and exists mainly for
-cross-validation, since any two valid bases give identical projected spectra.
+Any orthonormal basis V of the hyperplane orthogonal to the all-ones vector
+gives the same projected spectra; the one used here is a first row of
+-1/sqrt(n) over an identity-plus-constant block, built in closed form.
 """
 
 from __future__ import annotations
@@ -12,9 +12,6 @@ from functools import lru_cache
 
 import numpy as np
 
-SCHEME_DENSE = "dense"
-SCHEME_BLOCK = "block"
-
 
 @dataclass(frozen=True)
 class VBasis:
@@ -22,47 +19,21 @@ class VBasis:
 
     n: int
     columns: np.ndarray
-    scheme: str
-
-
-def _dense_columns(n: int) -> np.ndarray:
-    y = -1.0 / np.sqrt(n)
-    x = -1.0 / (n + np.sqrt(n))
-    top = np.full((1, n - 1), y)
-    bottom = np.eye(n - 1) + x * np.ones((n - 1, n - 1))
-    return np.vstack([top, bottom])
 
 
 @lru_cache(maxsize=128)
-def build_v(n: int, scheme: str = SCHEME_DENSE) -> VBasis:
+def build_v(n: int) -> VBasis:
     """Orthonormal basis of the hyperplane orthogonal to the all-ones vector.
 
-    Cached per (n, scheme); the returned columns are marked read-only.
+    Cached per n; the returned columns are marked read-only.
     """
-    v = _build_v(n, scheme)
-    v.columns.flags.writeable = False
-    return v
-
-
-def _build_v(n: int, scheme: str) -> VBasis:
-    if scheme == SCHEME_DENSE:
-        if n < 2:
-            raise ValueError(f"dense scheme requires n >= 2, got {n}")
-        return VBasis(n, _dense_columns(n), scheme)
-    if scheme == SCHEME_BLOCK:
-        if n < 4:
-            raise ValueError(f"block scheme requires n >= 4, got {n}")
-        v3 = _dense_columns(3)
-        vrest = _dense_columns(n - 3) if n - 3 >= 2 else np.zeros((n - 3, 0))
-        a = np.sqrt((n - 3) / (3.0 * n))
-        b = -np.sqrt(3.0 / (n * (n - 3)))
-        cols = np.zeros((n, n - 1))
-        cols[:3, :2] = v3
-        cols[3:, 2:n - 2] = vrest
-        cols[:3, n - 2] = a
-        cols[3:, n - 2] = b
-        return VBasis(n, cols, scheme)
-    raise ValueError(f"unknown scheme {scheme!r}")
+    if n < 2:
+        raise ValueError(f"basis requires n >= 2, got {n}")
+    y = -1.0 / np.sqrt(n)
+    x = -1.0 / (n + np.sqrt(n))
+    columns = np.vstack([np.full((1, n - 1), y), np.eye(n - 1) + x * np.ones((n - 1, n - 1))])
+    columns.flags.writeable = False
+    return VBasis(n, columns)
 
 
 def projected_gram(d: np.ndarray, v: VBasis) -> np.ndarray:

@@ -1,8 +1,8 @@
 """Command-line front end: analyze graphs, emit coordinate files, run sweeps.
 
 Exit codes: 0 success, 2 parse/usage failure, 3 internal consistency
-diagnostic, 4 infeasible request (bad beta, degenerate graph, non-spherical
-endpoint).
+diagnostic (including a sweep that finds violations), 4 infeasible request
+(bad beta, degenerate graph, non-spherical endpoint).
 """
 
 from __future__ import annotations
@@ -42,6 +42,14 @@ def _tolerance(text: str) -> float:
     value = float(text)
     if not (math.isfinite(value) and value > 0.0):
         raise argparse.ArgumentTypeError(f"must be finite and positive, got {text!r}")
+    return value
+
+
+def _finite(text: str) -> float:
+    """argparse type for a finite number."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
     return value
 
 
@@ -104,9 +112,13 @@ def cmd_embed(args) -> int:
             if args.beta is None:
                 print("error: --beta required for euclidean mode", file=sys.stderr)
                 return EXIT_PARSE
-            d, config = reps.euclidean_representation(g, args.beta, cls)
+            if args.beta <= 0.0 or args.beta == 1.0:
+                print("error: beta must be positive and differ from the first "
+                      "squared distance 1", file=sys.stderr)
+                return EXIT_INFEASIBLE
+            config = reps.euclidean_representation(g, args.beta, cls)
             alpha, beta = 1.0, args.beta
-            info = edm.spherical_info(d)
+            info = edm.spherical_info(reps._edm_at(g, beta))
             sidecar = {"mode": "euclidean", "alpha": alpha, "beta": beta,
                        "radius": info.radius if info else None}
         elif args.mode == "spherical":
@@ -122,10 +134,10 @@ def cmd_embed(args) -> int:
                 print(f"error: EDM at the {side} endpoint is not spherical",
                       file=sys.stderr)
                 return EXIT_INFEASIBLE
-            d, config = reps.euclidean_representation(g, beta, cls, ps)
+            config = reps.euclidean_representation(g, beta, cls, ps)
             alpha = 1.0
             sidecar = {"mode": "spherical", "side": side, "alpha": alpha, "beta": beta,
-                       "radius": reps._witness_radius(d, config.points)}
+                       "radius": reps._witness_radius(config.points)}
         elif args.mode == "jspherical":
             js = reps.j_spherical(g, cls)
             config = js.config
@@ -135,8 +147,7 @@ def cmd_embed(args) -> int:
         else:
             print(f"error: unknown mode {args.mode!r}", file=sys.stderr)
             return EXIT_PARSE
-    except (reps.InfeasibleBetaError, reps.DegenerateGraphError, reps.EndpointError,
-            edm.NotSphericalError) as exc:
+    except (reps.InfeasibleBetaError, reps.DegenerateGraphError, reps.EndpointError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
     except edm.InternalConsistencyError as exc:
@@ -164,7 +175,7 @@ def cmd_sweep(args) -> int:
             fh.write(text + "\n")
     else:
         print(text)
-    return EXIT_OK if summary.ok else 1
+    return EXIT_OK if summary.ok else EXIT_DIAGNOSTIC
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -190,7 +201,8 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p_em)
     p_em.add_argument("--mode", required=True,
                       choices=["euclidean", "spherical", "jspherical"])
-    p_em.add_argument("--beta", type=float, help="second squared distance (euclidean mode)")
+    p_em.add_argument("--beta", type=_finite,
+                      help="second squared distance, positive and not 1 (euclidean mode)")
     p_em.add_argument("--side", choices=["lower", "upper"],
                       help="feasibility endpoint (spherical mode)")
     p_em.add_argument("--out", required=True, help="output CSV path")

@@ -2,9 +2,12 @@
 matrices and sphericity.
 
 A zero-diagonal symmetric matrix is an EDM of embedding dimension r exactly
-when its projected Gram matrix is PSD of rank r. Sphericity is decided by the
-rank test rank(D) == r + 1, with the Gale-matrix annihilation test and the
-sign of e.T @ w run as cross-checks.
+when its projected Gram matrix is PSD of rank r; configurations are recovered
+about the centroid from that spectrum. Sphericity is decided by the rank test
+rank(D) == r + 1, with the Gale-matrix annihilation test and the sign of
+e.T @ w run as cross-checks. The analysis builds its configurations and radii
+from the projected spectrum instead; the functions here are the independent
+references that the sweep and the tests check it against.
 """
 
 from __future__ import annotations
@@ -26,16 +29,12 @@ class NotEdmError(ValueError):
     """Input matrix is not a Euclidean distance matrix."""
 
 
-class NotSphericalError(ValueError):
-    """Operation requires a spherical EDM."""
-
-
 class FullDimensionError(ValueError):
     """Gale matrix requested for an EDM of embedding dimension n-1."""
 
 
 class InternalConsistencyError(RuntimeError):
-    """The three sphericity characterizations disagree beyond tolerance."""
+    """The program's own answers contradict each other beyond tolerance."""
 
 
 @dataclass(frozen=True)
@@ -121,32 +120,14 @@ def _centroid_points(v: VBasis, x_spectrum: Spectrum, tol: float) -> np.ndarray:
     return v.columns @ np.hstack(cols)
 
 
-def recover_configuration(d: np.ndarray, centering: str = CENTERING_CENTROID,
-                          tol: float = linalg.EIG_TOL) -> Configuration:
-    """Recover an n x r point configuration whose squared distances equal d."""
+def recover_configuration(d: np.ndarray, tol: float = linalg.EIG_TOL) -> Configuration:
+    """Recover a centroid-centered n x r configuration whose squared distances equal d."""
     d = _validate_hollow(d)
-    n = d.shape[0]
     chk = is_edm(d, tol)
     if not chk.is_edm:
         raise NotEdmError(f"not an EDM: min projected eigenvalue {chk.x_spectrum.min_value:.3e}")
-    r = chk.embedding_dim
-    if centering == CENTERING_CENTROID:
-        v = build_v(n)
-        return Configuration(_centroid_points(v, chk.x_spectrum, tol), centering)
-    if centering == CENTERING_CIRCUMCENTER:
-        w = linalg.solve_in_colspace(d, np.ones(n))
-        ew = float(np.ones(n) @ w)
-        if ew <= 1e-9 * max(1.0, float(np.linalg.norm(w))):
-            raise NotSphericalError(f"circumcenter recovery needs e.T w > 0, got {ew:.3e}")
-        if abs(2.0 * ew - 1.0) <= 1e-8:
-            # unit radius: the Gram matrix simplifies to E - D/2
-            b = np.ones((n, n)) - 0.5 * d
-        else:
-            s = w / ew
-            left = np.eye(n) - np.outer(np.ones(n), s)
-            b = -0.5 * (left @ d @ left.T)
-        return Configuration(linalg.gram_factor(b, r, tol), centering)
-    raise ValueError(f"unknown centering {centering!r}")
+    return Configuration(_centroid_points(build_v(d.shape[0]), chk.x_spectrum, tol),
+                         CENTERING_CENTROID)
 
 
 def gale_matrix(d: np.ndarray, tol: float = linalg.EIG_TOL) -> GaleMatrix:
@@ -212,16 +193,3 @@ def spherical_info(d: np.ndarray, tol: float = linalg.EIG_TOL) -> Optional[Spher
     rhs = 0.5 * (diag_b - diag_b.mean())
     center, *_ = np.linalg.lstsq(p, rhs, rcond=None)
     return SphereInfo(radius, center, w, ew)
-
-
-def is_regular_edm(d: np.ndarray, tol: float = linalg.RESIDUAL_TOL) -> Optional[float]:
-    """Radius if d has e as an eigenvector (centroid == circumcenter), else None."""
-    d = _validate_hollow(d)
-    n = d.shape[0]
-    de = d @ np.ones(n)
-    mean = float(de.mean())
-    scale = max(1.0, float(np.max(np.abs(d))))
-    if np.max(np.abs(de - mean)) > tol * scale * n:
-        return None
-    ede = float(np.ones(n) @ de)
-    return float(np.sqrt(ede / (2.0 * n * n)))

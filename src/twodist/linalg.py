@@ -1,30 +1,27 @@
 """Dense symmetric eigendecomposition with eigenvalue clustering, plus the
-PSD/rank, pseudoinverse and Gram-factorization decisions built on top of it.
+PSD/rank and pseudoinverse decisions built on top of it.
 
 Multiplicity counting drives every dimension formula downstream, so eigenvalues
 are clustered into groups under a relative tolerance; each group's basis is the
-matching block of LAPACK's orthonormal eigenvector columns.
+matching block of LAPACK's orthonormal eigenvector columns, and its spread
+records how far the merged eigenvalues lie from the group value.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
 #: Default relative tolerance for eigenvalue clustering and rank decisions.
 EIG_TOL = 1e-9
-#: Default relative residual tolerance for solves and factorizations.
+#: Default relative residual tolerance for solves and eigenvector residuals.
 RESIDUAL_TOL = 1e-8
 
 
 class NotFiniteError(ValueError):
     """Matrix contains NaN or infinite entries."""
-
-
-class NotPsdError(ValueError):
-    """Matrix fails a positive-semidefiniteness requirement."""
 
 
 class NotInColumnSpaceError(ValueError):
@@ -36,6 +33,9 @@ class SpectralGroup:
     value: float
     multiplicity: int
     basis: np.ndarray  # order x multiplicity, orthonormal columns
+    #: Largest |eigenvalue - value| over the merged eigenvalues: the 2-norm
+    #: residual of each basis column as an eigenvector for ``value``.
+    spread: float
 
 
 @dataclass(frozen=True)
@@ -76,8 +76,9 @@ def eigh(m: np.ndarray, tol: float = EIG_TOL) -> Spectrum:
     """Clustered spectral decomposition of a symmetric matrix.
 
     Eigenvalues within ``tol * max(1, max|lambda|)`` of each other are merged
-    into one group, whose value is their mean and whose basis is their
-    eigenvector columns.
+    into one group, whose value is their mean, whose basis is their
+    eigenvector columns and whose spread is their largest distance from the
+    mean.
     """
     m = np.asarray(m, dtype=float)
     if not np.all(np.isfinite(m)):
@@ -92,8 +93,10 @@ def eigh(m: np.ndarray, tol: float = EIG_TOL) -> Spectrum:
     starts = np.r_[0, np.flatnonzero(w[:-1] - w[1:] > gap) + 1]
     ends = np.r_[starts[1:], n]
     means = np.add.reduceat(w, starts) / (ends - starts)
-    return Spectrum(tuple(SpectralGroup(mean, hi - lo, q[:, lo:hi]) for mean, lo, hi
-                          in zip(means.tolist(), starts.tolist(), ends.tolist())), tol)
+    spreads = np.maximum.reduceat(np.abs(w - np.repeat(means, ends - starts)), starts)
+    return Spectrum(tuple(SpectralGroup(mean, hi - lo, q[:, lo:hi], spread)
+                          for mean, lo, hi, spread in zip(means.tolist(), starts.tolist(),
+                                                          ends.tolist(), spreads.tolist())), tol)
 
 
 def psd_rank(m: np.ndarray, tol: float = EIG_TOL) -> Tuple[bool, int]:
@@ -125,23 +128,3 @@ def solve_in_colspace(d: np.ndarray, b: np.ndarray, rtol: float = RESIDUAL_TOL) 
     if np.linalg.norm(d @ w - b) > rtol * max(1.0, bnorm):
         raise NotInColumnSpaceError("right-hand side not in column space")
     return w
-
-
-def gram_factor(b: np.ndarray, rank: int, tol: float = EIG_TOL) -> np.ndarray:
-    """Factor a PSD matrix b as P @ P.T with P of shape n x rank.
-
-    Columns are ordered by decreasing eigenvalue.
-    """
-    b = 0.5 * (np.asarray(b, dtype=float) + np.asarray(b, dtype=float).T)
-    n = b.shape[0]
-    w, q = np.linalg.eigh(b)
-    w, q = w[::-1], q[:, ::-1]
-    scale = max(1.0, float(np.max(np.abs(w)))) if w.size else 1.0
-    if w.size and w.min() < -tol * scale:
-        raise NotPsdError(f"matrix not PSD: min eigenvalue {w.min():.3e}")
-    p = q[:, :rank] * np.sqrt(np.clip(w[:rank], 0.0, None))
-    bmax = max(1.0, float(np.max(np.abs(b)))) if n else 1.0
-    resid = float(np.max(np.abs(p @ p.T - b))) if n else 0.0
-    if resid > RESIDUAL_TOL * bmax:
-        raise NotPsdError(f"rank {rank} factorization residual {resid:.3e} too large")
-    return p

@@ -64,50 +64,16 @@ def _bordered_parts(a: np.ndarray, abar: np.ndarray) -> Tuple[np.ndarray, np.nda
     return -(f @ a @ f.T), -(f @ abar @ f.T)
 
 
-def _refine_sign_change(m0: np.ndarray, m1: np.ndarray, lo: float, hi: float,
-                        neg_side: str) -> float:
-    """Narrow a bracket of lambda_min's sign change to T_BISECT_TOL width.
-
-    ``neg_side`` says on which end lambda_min(M0 + t M1) is negative. Sections
-    are evaluated in one stacked eigvalsh call per iteration.
-    """
-    sections = 16
-    while hi - lo > T_BISECT_TOL:
-        ts = np.linspace(lo, hi, sections + 1)[1:-1]
-        mats = m0[None, :, :] + ts[:, None, None] * m1[None, :, :]
-        mins = np.linalg.eigvalsh(mats)[:, 0]
-        grid = np.concatenate([[lo], ts, [hi]])
-        neg = np.concatenate([[neg_side == "lo"], mins < 0.0, [neg_side == "hi"]])
-        # first index where the sign flips relative to the lo end
-        flip = int(np.argmax(neg != neg[0]))
-        lo, hi = grid[flip - 1], grid[flip]
-    return 0.5 * (lo + hi)
-
-
 def discriminating_roots(g: Graph) -> Tuple[Optional[float], Optional[float]]:
     """Roots of the discriminating polynomial adjacent to t = 1.
 
     Returns (t1, t2): the largest root in (0, 1) and the smallest root above 1,
-    located by sign-tracked section search on the smallest eigenvalue of the
+    located by bisection on the sign of the smallest eigenvalue of the
     bordered Gram matrix.
     """
-    cls = classify(g)
-    if cls.is_degenerate:
+    if classify(g).is_degenerate:
         raise reps.DegenerateGraphError("discriminating polynomial needs a non-degenerate graph")
-    a = adjacency_matrix(g)
-    abar = adjacency_matrix(complement(g))
-    m0, m1 = _bordered_parts(a, abar)
-
-    def lam_min(t: float) -> float:
-        return float(np.linalg.eigvalsh(m0 + t * m1)[0])
-
-    t1 = None
-    if lam_min(1e-8) < 0.0:
-        t1 = _refine_sign_change(m0, m1, 1e-8, 1.0, "lo")
-    t2 = None
-    if lam_min(T_MAX) < 0.0:
-        t2 = _refine_sign_change(m0, m1, 1.0, T_MAX, "hi")
-    return t1, t2
+    return discriminating_roots_batch([g])[0]
 
 
 def _batched_bisect(m0: np.ndarray, m1: np.ndarray, lo0: float, hi0: float,
@@ -210,51 +176,35 @@ def _fill_root_fields(rec: dict, t1: Optional[float], t2: Optional[float]) -> No
                               ((t2 is None) == (beta_u is None))
 
 
-def _graph_record(g: Graph, with_roots: bool = True) -> dict:
+def _graph_record(g: Graph) -> dict:
     """Per-graph facts needed by the sweep's checks; plain picklable values.
 
-    With ``with_roots=False`` the discriminating-polynomial fields are left
-    out so the caller can fill them via the batched root finder.
+    The answers are the report ``analyze_graph`` returns, taken from the same
+    pass. The discriminating-polynomial fields are filled in afterwards by
+    the batched root finder.
     """
-    g6 = encode_graph6(g)
-    cls = classify(g)
-    rec: dict = {"g6": g6, "n": g.n, "tag": cls.tag,
-                 "is_cluster": cls.is_cluster, "is_multipartite": cls.is_multipartite,
-                 "degenerate": cls.is_degenerate, "errors": []}
-    if cls.is_degenerate:
-        return rec
+    rec: dict = {"g6": encode_graph6(g), "n": g.n, "degenerate": False, "errors": []}
     try:
-        ps = reps.projected_spectrum(g)
-        rec["mu_min"], rec["mu_max"] = ps.mu_min, ps.mu_max
-        rec["m_min"], rec["m_max"] = ps.m_min, ps.m_max
-        beta_l, beta_u = reps.beta_endpoints(ps, cls)
-        rec["beta_l"], rec["beta_u"] = beta_l, beta_u
-        rec["dim_e"], _ = reps.dim_euclidean(g, cls, ps)
-        rec["sph_l"] = reps.endpoint_sphericity(g, reps.SIDE_LOWER, ps) if beta_l is not None else None
-        rec["sph_u"] = reps.endpoint_sphericity(g, reps.SIDE_UPPER, ps) if beta_u is not None else None
-        r_s, beta_s, rho_s = reps.dim_spherical(g, cls, ps)
-        rec["dim_s"], rec["beta_s"], rec["rho_s"] = r_s, beta_s, rho_s
-        js = reps.j_spherical(g, cls)
-        rec["dim_j"], rec["delta"] = js.dim_j, js.delta
+        run = reps._analyze(g)
+        rep = run.report
+        rec.update(rep.to_dict())
+        if rep.degenerate:
+            return rec
 
-        if with_roots:
-            _fill_root_fields(rec, *discriminating_roots(g))
-
-        # Constructive checks: Euclidean endpoints + interior, spherical
-        # witness, J-spherical unit rows and distance multiset.
+        # Constructive checks: Euclidean configurations at each endpoint and
+        # at the interior beta (the spherical witness is one of these), the
+        # J-spherical configuration's unit rows and distance multiset.
         config_dev = 0.0
         config_ok = True
-        betas = [b for b in (beta_l, beta_u) if b is not None]
-        betas.append(reps._interior_beta(cls, beta_l, beta_u))
+        betas = [b for b in (rep.beta_l, rep.beta_u) if b is not None]
+        betas.append(reps._interior_beta(rep.beta_l, rep.beta_u))
         for beta in betas:
-            _, config = reps.euclidean_representation(g, beta, cls, ps)
-            rep = verify_two_distance(config, g, 1.0, beta)
-            config_dev = max(config_dev, rep.max_deviation)
-            config_ok = config_ok and rep.passed
-        _, sph_config = reps.euclidean_representation(g, beta_s, cls, ps)
-        rep = verify_two_distance(sph_config, g, 1.0, beta_s)
-        config_dev = max(config_dev, rep.max_deviation)
-        config_ok = config_ok and rep.passed
+            config = run.configs.get(beta) or \
+                reps.euclidean_representation(g, beta, rep.graph_class, run.ps)
+            vrep = verify_two_distance(config, g, 1.0, beta)
+            config_dev = max(config_dev, vrep.max_deviation)
+            config_ok = config_ok and vrep.passed
+        js = run.js
         jrep = verify_two_distance(js.config, g, 2.0, 2.0 + 2.0 * js.delta)
         config_dev = max(config_dev, jrep.max_deviation)
         row_norm_err = float(np.max(np.abs(np.sum(js.config.points ** 2, axis=1) - 1.0)))
@@ -262,17 +212,13 @@ def _graph_record(g: Graph, with_roots: bool = True) -> dict:
         rec["config_ok"] = bool(config_ok and jrep.passed)
         rec["j_row_norm_err"] = row_norm_err
 
-        # Radius consistency at a spherical upper endpoint: closed form vs the
-        # Dw = e radius vs the center-based radius.
-        if rec["sph_u"]:
-            rho2_closed = reps.radius_at_beta_u_closed_form(g, ps)
-            d_u = reps._edm_at(g, beta_u)
-            info = edm.spherical_info(d_u)
+        # Radius consistency at a spherical upper endpoint: the reported
+        # radius vs the closed form vs the Dw = e radius.
+        if rep.spherical_at_u:
+            rho2_closed = reps.radius_at_beta_u_closed_form(g, run.ps)
+            info = edm.spherical_info(reps._edm_at(g, rep.beta_u))
             rho2_w = info.radius ** 2 if info is not None else math.nan
-            e = np.ones(g.n)
-            ede = float(e @ d_u @ e)
-            rho2_center = float(info.center @ info.center) + ede / (2.0 * g.n ** 2)
-            rec["radius_err"] = max(abs(rho2_closed - rho2_w), abs(rho2_center - rho2_w))
+            rec["radius_err"] = max(abs(rho2_closed - rho2_w), abs(rep.rho_u ** 2 - rho2_w))
         else:
             rec["radius_err"] = None
     except Exception as exc:  # findings, not crashes: surface in the summary
@@ -282,7 +228,7 @@ def _graph_record(g: Graph, with_roots: bool = True) -> dict:
 
 def _record_from_mask(args: Tuple[int, int]) -> Tuple[int, int, dict]:
     n, mask = args
-    return n, mask, _graph_record(from_mask(n, mask), with_roots=False)
+    return n, mask, _graph_record(from_mask(n, mask))
 
 
 def _check_records(summary: SweepSummary, rec: dict, comp: dict, tol: float = 1e-7) -> None:
@@ -294,7 +240,7 @@ def _check_records(summary: SweepSummary, rec: dict, comp: dict, tol: float = 1e
         return
     if rec["degenerate"]:
         # complete <-> null under complementation
-        ok = comp["degenerate"] and comp["tag"] != rec["tag"] if rec["n"] > 1 else True
+        ok = comp["degenerate"] and comp["class"] != rec["class"] if rec["n"] > 1 else True
         summary.record("degenerate_complement", ok, g6)
         return
     if comp["errors"]:
@@ -322,8 +268,9 @@ def _check_records(summary: SweepSummary, rec: dict, comp: dict, tol: float = 1e
                        mu_err <= 1e-9 and comp["m_min"] == rec["m_max"]
                        and comp["m_max"] == rec["m_min"],
                        g6, f"err={mu_err:.2e}", error=mu_err)
-        if rec["sph_l"] is not None and comp["sph_u"] is not None:
-            summary.record("endpoint_sphericity_duality", rec["sph_l"] == comp["sph_u"], g6)
+        if rec["spherical_at_l"] is not None and comp["spherical_at_u"] is not None:
+            summary.record("endpoint_sphericity_duality",
+                           rec["spherical_at_l"] == comp["spherical_at_u"], g6)
     summary.record("dispoly_roots_exist", rec["root_presence_ok"], g6)
     summary.record("dispoly_roots_match", rec["root_err"] <= tol, g6,
                    f"err={rec['root_err']:.2e}", error=rec["root_err"])
@@ -363,22 +310,21 @@ def invariant_sweep(n_max: int, sample_7_8: int = 0, seed: int = 0,
                 records[(n, mask)] = rec
     else:
         for n, mask in tasks:
-            records[(n, mask)] = _graph_record(from_mask(n, mask), with_roots=False)
+            records[(n, mask)] = _graph_record(from_mask(n, mask))
 
     sample_recs = []
     for g in sampled:
-        sample_recs.append((g, _graph_record(g, with_roots=False),
-                            _graph_record(complement(g), with_roots=False)))
+        sample_recs.append((g, _graph_record(g), _graph_record(complement(g))))
 
     # Batched discriminating-root pass over everything at once.
     need: List[Tuple[dict, Graph]] = []
     for (n, mask), rec in records.items():
-        if not rec["degenerate"] and not rec["errors"]:
+        if not rec["errors"] and not rec["degenerate"]:
             need.append((rec, from_mask(n, mask)))
     for g, rec, comp in sample_recs:
-        if not rec["degenerate"] and not rec["errors"]:
+        if not rec["errors"] and not rec["degenerate"]:
             need.append((rec, g))
-        if not comp["degenerate"] and not comp["errors"]:
+        if not comp["errors"] and not comp["degenerate"]:
             need.append((comp, complement(g)))
     roots = discriminating_roots_batch([g for _, g in need])
     for (rec, _), (t1, t2) in zip(need, roots):

@@ -9,7 +9,7 @@ eigenvalue of the complement adjacency determines the J-spherical data.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Optional, Tuple
 
 import numpy as np
@@ -109,12 +109,27 @@ class JSpherical:
 
 
 def projected_spectrum(g: Graph, tol: float = linalg.EIG_TOL) -> ProjectedSpectrum:
-    """Clustered spectrum of V.T @ A @ V, with the basis V used."""
+    """Clustered spectrum of V.T @ A @ V, with the basis V used.
+
+    Raises edm.InternalConsistencyError when the top or bottom group merges
+    distinct eigenvalues, since its multiplicity is a dimension drop.
+    """
     if g.n < 2:
         raise DegenerateGraphError("projected spectrum needs n >= 2")
     v = build_v(g.n)
     spec = linalg.eigh(project_adjacency(adjacency_matrix(g), v), tol)
+    for grp in (spec.groups[0], spec.groups[-1]):
+        if _merges_eigenvalues(grp, g.n):
+            raise edm.InternalConsistencyError(
+                f"extreme eigenvalue group of V.T A V ({grp.value:.6g}, multiplicity "
+                f"{grp.multiplicity}) merges eigenvalues {grp.spread:.3e} apart")
     return ProjectedSpectrum(g.n, tuple((grp.value, grp.basis) for grp in spec.groups), v)
+
+
+def _merges_eigenvalues(grp: linalg.SpectralGroup, n: int) -> bool:
+    """Whether a clustered group holds eigenvalues farther from its value than
+    the residual tolerance allows, so its multiplicity counts distinct ones."""
+    return grp.spread > linalg.RESIDUAL_TOL * math.sqrt(n)
 
 
 def _require_nondegenerate(g: Graph, cls: Optional[GraphClass]) -> GraphClass:
@@ -191,10 +206,52 @@ def _edm_at(g: Graph, beta: float) -> np.ndarray:
     return a + beta * abar
 
 
-def _interior_beta(cls: GraphClass, beta_l: Optional[float], beta_u: Optional[float]) -> float:
+def _interior_beta(beta_l: Optional[float], beta_u: Optional[float]) -> float:
     if beta_l is not None:
         return 0.5 * (beta_l + 1.0)
     return 0.5 * (1.0 + beta_u)
+
+
+@dataclass(frozen=True)
+class _Endpoint:
+    """One feasibility endpoint. Every field is None where the endpoint does
+    not exist; config and rho are None where its EDM is not spherical."""
+
+    beta: Optional[float] = None
+    dim: Optional[int] = None
+    spherical: Optional[bool] = None
+    config: Optional[Configuration] = None
+    rho: Optional[float] = None
+
+
+def _endpoints(g: Graph, cls: GraphClass, ps: ProjectedSpectrum) -> Tuple[_Endpoint, _Endpoint]:
+    """The lower and upper endpoints, each tested for sphericity once; the
+    configuration and its circumradius are built only where it is spherical."""
+    out = []
+    for side, beta, mult in zip((SIDE_LOWER, SIDE_UPPER), beta_endpoints(ps, cls),
+                                (ps.m_max, ps.m_min)):
+        if beta is None:
+            out.append(_Endpoint())
+        elif not endpoint_sphericity(g, side, ps):
+            out.append(_Endpoint(beta, g.n - 1 - mult, False))
+        else:
+            config = euclidean_representation(g, beta, cls, ps)
+            out.append(_Endpoint(beta, g.n - 1 - mult, True, config,
+                                 _witness_radius(config.points)))
+    return out[0], out[1]
+
+
+def _spherical_witness(g: Graph, cls: GraphClass, ps: ProjectedSpectrum,
+                       ends: Tuple[_Endpoint, _Endpoint]) -> Tuple[int, float, Configuration, float]:
+    """dim_S with its witness beta, configuration and circumradius: the
+    spherical endpoint of least dimension, else an interior beta in n - 1."""
+    spherical = [e for e in ends if e.spherical]
+    if spherical:
+        best = min(spherical, key=lambda e: e.dim)
+        return best.dim, best.beta, best.config, best.rho
+    beta = _interior_beta(ends[0].beta, ends[1].beta)
+    config = euclidean_representation(g, beta, cls, ps)
+    return g.n - 1, beta, config, _witness_radius(config.points)
 
 
 def dim_spherical(g: Graph, cls: Optional[GraphClass] = None,
@@ -202,42 +259,26 @@ def dim_spherical(g: Graph, cls: Optional[GraphClass] = None,
     """Minimal spherical dimension, witness beta and the witness radius."""
     cls = _require_nondegenerate(g, cls)
     ps = ps if ps is not None else projected_spectrum(g)
-    beta_l, beta_u = beta_endpoints(ps, cls)
-    candidates = []
-    if not cls.is_multipartite and endpoint_sphericity(g, SIDE_LOWER, ps):
-        candidates.append((g.n - 1 - ps.m_max, beta_l))
-    if not cls.is_cluster and endpoint_sphericity(g, SIDE_UPPER, ps):
-        candidates.append((g.n - 1 - ps.m_min, beta_u))
-    if candidates:
-        r, beta = min(candidates, key=lambda t: t[0])
-    else:
-        r, beta = g.n - 1, _interior_beta(cls, beta_l, beta_u)
-    return r, beta, _radius_at(g, beta, cls, ps)
+    r, beta, _, rho = _spherical_witness(g, cls, ps, _endpoints(g, cls, ps))
+    return r, beta, rho
 
 
-def _radius_at(g: Graph, beta: float, cls: GraphClass, ps: ProjectedSpectrum) -> float:
-    """Circumradius of the representation at a beta whose EDM is spherical."""
-    d, config = euclidean_representation(g, beta, cls, ps)
-    return _witness_radius(d, config.points)
-
-
-def _witness_radius(d: np.ndarray, p: np.ndarray, tol: float = 1e-7) -> float:
+def _witness_radius(p: np.ndarray) -> float:
     """Circumradius of a centroid-centered spherical configuration.
 
     The columns of p are orthogonal (eigenvector directions scaled by
     sqrt(eigenvalue)), so the center equation P c = (diag(B) - mean)/2 solves
-    by a diagonal system; rho^2 = |c|^2 + e.T D e / (2 n^2).
+    by a diagonal system; the rows sum to zero, so rho^2 = |c|^2 + mean |p_i|^2.
     """
-    n = p.shape[0]
     diag_b = np.einsum("ij,ij->i", p, p)
     rhs = 0.5 * (diag_b - diag_b.mean())
     lam = np.einsum("ij,ij->j", p, p)
     c = (p.T @ rhs) / lam
     resid = float(np.max(np.abs(p @ c - rhs)))
-    if resid > tol * max(1.0, float(diag_b.max())):
+    if resid > 1e-7 * max(1.0, float(diag_b.max())):
         raise edm.InternalConsistencyError(
             f"witness EDM unexpectedly non-spherical: center residual {resid:.3e}")
-    return math.sqrt(float(c @ c) + float(d.sum()) / (2.0 * n * n))
+    return math.sqrt(float(c @ c) + float(diag_b.mean()))
 
 
 def radius_at_beta_u_closed_form(g: Graph, ps: Optional[ProjectedSpectrum] = None) -> float:
@@ -265,11 +306,10 @@ def j_spherical(g: Graph, cls: Optional[GraphClass] = None,
     abar = adjacency_matrix(complement(g))
     spec = linalg.eigh(abar, tol)
     top = spec.groups[0]
-    resid = float(np.max(np.abs(abar @ top.basis - top.value * top.basis)))
-    if top.value <= 0.0 or resid > linalg.RESIDUAL_TOL * math.sqrt(g.n):
+    if top.value <= 0.0 or _merges_eigenvalues(top, g.n):
         raise edm.InternalConsistencyError(
-            f"top eigenvalue group of the complement ({top.value:.6g}, residual "
-            f"{resid:.3e}) is not one positive eigenvalue")
+            f"top eigenvalue group of the complement ({top.value:.6g}, spread "
+            f"{top.spread:.3e}) is not one positive eigenvalue")
     delta = 1.0 / top.value
     # The Gram matrix I - delta*Abar shares Abar's eigenvectors; its eigenvalue
     # 1 - delta*lambda vanishes on the top group only.
@@ -288,11 +328,10 @@ def same_second_distance(g1: Graph, g2: Graph, tol: float = 1e-9) -> bool:
 
 def euclidean_representation(g: Graph, beta: float, cls: Optional[GraphClass] = None,
                              ps: Optional[ProjectedSpectrum] = None,
-                             tol: float = linalg.EIG_TOL) -> Tuple[np.ndarray, Configuration]:
-    """EDM A + beta*Abar and a centroid-centered realizing configuration."""
+                             tol: float = linalg.EIG_TOL) -> Configuration:
+    """A centroid-centered configuration realizing the EDM A + beta*Abar."""
     _require_nondegenerate(g, cls)
     ps = ps if ps is not None else projected_spectrum(g)
-    d = _edm_at(g, beta)
     # X(beta) = (beta I + (beta - 1) V.T A V)/2 shares the eigenvectors of
     # V.T A V, so its spectrum comes straight from the projected spectrum.
     pairs = [(0.5 * (beta + (beta - 1.0) * mu), basis) for mu, basis in ps.groups]
@@ -304,7 +343,7 @@ def euclidean_representation(g: Graph, beta: float, cls: Optional[GraphClass] = 
     pairs.sort(key=lambda t: -t[0])
     cols = [basis * math.sqrt(val) for val, basis in pairs if val > tol * scale]
     points = ps.v.columns @ np.hstack(cols) if cols else np.zeros((g.n, 0))
-    return d, Configuration(points, edm.CENTERING_CENTROID)
+    return Configuration(points, edm.CENTERING_CENTROID)
 
 
 def lower_bounds(n: int) -> Tuple[float, float]:
@@ -344,33 +383,61 @@ class ReprReport:
     lower_bound_s: float
 
     def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "class": self.graph_class.tag,
-            "partition": list(self.graph_class.partition) if self.graph_class.partition else None,
-            "is_cluster": self.graph_class.is_cluster,
-            "is_multipartite": self.graph_class.is_multipartite,
-            "degenerate": self.degenerate,
-            "mu_min": self.mu_min,
-            "mu_max": self.mu_max,
-            "m_min": self.m_min,
-            "m_max": self.m_max,
-            "beta_l": self.beta_l,
-            "beta_u": self.beta_u,
-            "dim_e": self.dim_e,
-            "dim_e_witness_beta": self.dim_e_witness_beta,
-            "dim_s": self.dim_s,
-            "dim_s_witness_beta": self.dim_s_witness_beta,
-            "spherical_at_l": self.spherical_at_l,
-            "spherical_at_u": self.spherical_at_u,
-            "rho_l": self.rho_l,
-            "rho_u": self.rho_u,
-            "delta": self.delta,
-            "beta_j": self.beta_j,
-            "dim_j": self.dim_j,
-            "lower_bound_e": self.lower_bound_e,
-            "lower_bound_s": self.lower_bound_s,
-        }
+        """The report as JSON-ready values, the class spelled out, in field order."""
+        cls = self.graph_class
+        doc = {"n": self.n, "class": cls.tag,
+               "partition": list(cls.partition) if cls.partition else None,
+               "is_cluster": cls.is_cluster, "is_multipartite": cls.is_multipartite}
+        doc.update((f.name, getattr(self, f.name)) for f in fields(self)[2:])
+        return doc
+
+
+@dataclass(frozen=True)
+class _Analysis:
+    """One pass over a graph: the report plus the spectrum, the configurations
+    built on the way (keyed by beta) and the J-spherical data behind it."""
+
+    report: ReprReport
+    ps: Optional[ProjectedSpectrum] = None
+    configs: Optional[dict] = None
+    js: Optional[JSpherical] = None
+
+
+def _analyze(g: Graph, tol: float = linalg.EIG_TOL) -> _Analysis:
+    """The pass behind ``analyze_graph``; the sweep checks the same pass."""
+    cls = classify(g)
+    lb_e, lb_s = lower_bounds(max(g.n, 2))
+    if cls.is_degenerate:
+        return _Analysis(ReprReport(g.n, cls, True, *([None] * 17), lb_e, lb_s))
+    ps = projected_spectrum(g, tol)
+    # mu_max = 0 exactly for complete multipartite graphs and mu_min = -1
+    # exactly for cluster graphs; a clustering that breaks this is a fault
+    if (ps.mu_max > 1e-9) == cls.is_multipartite or (ps.mu_min < -1.0 - 1e-9) == cls.is_cluster:
+        raise edm.InternalConsistencyError(
+            f"projected spectrum (mu_min={ps.mu_min:.6g}, mu_max={ps.mu_max:.6g}) "
+            f"contradicts the class {cls.tag!r}")
+    r_e, beta_e = dim_euclidean(g, cls, ps)
+    lower, upper = ends = _endpoints(g, cls, ps)
+    r_s, beta_s, witness, _ = _spherical_witness(g, cls, ps, ends)
+    js = j_spherical(g, cls, tol)
+    if not lb_e - 1e-9 <= r_e <= r_s <= js.dim_j:
+        raise edm.InternalConsistencyError(
+            f"dimensions break lower_bound_e <= dim_e <= dim_s <= dim_j: "
+            f"{lb_e:.4f}, {r_e}, {r_s}, {js.dim_j}")
+    report = ReprReport(
+        n=g.n, graph_class=cls, degenerate=False,
+        mu_min=ps.mu_min, mu_max=ps.mu_max, m_min=ps.m_min, m_max=ps.m_max,
+        beta_l=lower.beta, beta_u=upper.beta,
+        dim_e=r_e, dim_e_witness_beta=beta_e,
+        dim_s=r_s, dim_s_witness_beta=beta_s,
+        spherical_at_l=lower.spherical, spherical_at_u=upper.spherical,
+        rho_l=lower.rho, rho_u=upper.rho,
+        delta=js.delta, beta_j=js.beta, dim_j=js.dim_j,
+        lower_bound_e=lb_e, lower_bound_s=lb_s,
+    )
+    configs = {e.beta: e.config for e in ends if e.spherical}
+    configs[beta_s] = witness
+    return _Analysis(report, ps, configs, js)
 
 
 def analyze_graph(g: Graph, tol: float = linalg.EIG_TOL) -> ReprReport:
@@ -379,37 +446,4 @@ def analyze_graph(g: Graph, tol: float = linalg.EIG_TOL) -> ReprReport:
     Raises edm.InternalConsistencyError when the answers contradict each
     other or the class tag, as when ``tol`` merges distinct eigenvalues.
     """
-    cls = classify(g)
-    lb_e, lb_s = lower_bounds(max(g.n, 2))
-    if cls.is_degenerate:
-        return ReprReport(g.n, cls, True, *([None] * 17), lb_e, lb_s)
-    ps = projected_spectrum(g, tol)
-    # mu_max = 0 exactly for complete multipartite graphs and mu_min = -1
-    # exactly for cluster graphs; a clustering that breaks this is a fault
-    if (ps.mu_max > 1e-9) == cls.is_multipartite or (ps.mu_min < -1.0 - 1e-9) == cls.is_cluster:
-        raise edm.InternalConsistencyError(
-            f"projected spectrum (mu_min={ps.mu_min:.6g}, mu_max={ps.mu_max:.6g}) "
-            f"contradicts the class {cls.tag!r}")
-    beta_l, beta_u = beta_endpoints(ps, cls)
-    r_e, beta_e = dim_euclidean(g, cls, ps)
-    spherical_at_l = endpoint_sphericity(g, SIDE_LOWER, ps) if beta_l is not None else None
-    spherical_at_u = endpoint_sphericity(g, SIDE_UPPER, ps) if beta_u is not None else None
-    rho_l = _radius_at(g, beta_l, cls, ps) if spherical_at_l else None
-    rho_u = _radius_at(g, beta_u, cls, ps) if spherical_at_u else None
-    r_s, beta_s, _rho_s = dim_spherical(g, cls, ps)
-    js = j_spherical(g, cls, tol)
-    if not lb_e - 1e-9 <= r_e <= r_s <= js.dim_j:
-        raise edm.InternalConsistencyError(
-            f"dimensions break lower_bound_e <= dim_e <= dim_s <= dim_j: "
-            f"{lb_e:.4f}, {r_e}, {r_s}, {js.dim_j}")
-    return ReprReport(
-        n=g.n, graph_class=cls, degenerate=False,
-        mu_min=ps.mu_min, mu_max=ps.mu_max, m_min=ps.m_min, m_max=ps.m_max,
-        beta_l=beta_l, beta_u=beta_u,
-        dim_e=r_e, dim_e_witness_beta=beta_e,
-        dim_s=r_s, dim_s_witness_beta=beta_s,
-        spherical_at_l=spherical_at_l, spherical_at_u=spherical_at_u,
-        rho_l=rho_l, rho_u=rho_u,
-        delta=js.delta, beta_j=js.beta, dim_j=js.dim_j,
-        lower_bound_e=lb_e, lower_bound_s=lb_s,
-    )
+    return _analyze(g, tol).report

@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
 
-from twodist.centering import (SCHEME_BLOCK, SCHEME_DENSE, build_v,
-                               project_adjacency, projected_gram)
+from twodist.centering import build_v, project_adjacency, projected_gram
 from twodist.graphs import adjacency_matrix, cycle_graph, from_mask
 
 
@@ -12,10 +11,9 @@ def random_adjacency(rng, n):
 
 
 class TestBasis:
-    @pytest.mark.parametrize("scheme,n_lo", [(SCHEME_DENSE, 2), (SCHEME_BLOCK, 4)])
-    def test_orthonormal_and_perp_to_ones(self, scheme, n_lo):
-        for n in range(n_lo, 13):
-            v = build_v(n, scheme)
+    def test_orthonormal_and_perp_to_ones(self):
+        for n in range(2, 13):
+            v = build_v(n)
             cols = v.columns
             assert cols.shape == (n, n - 1)
             assert np.allclose(cols.T @ cols, np.eye(n - 1), atol=1e-12)
@@ -23,11 +21,7 @@ class TestBasis:
 
     def test_minimum_sizes(self):
         with pytest.raises(ValueError):
-            build_v(1, SCHEME_DENSE)
-        with pytest.raises(ValueError):
-            build_v(3, SCHEME_BLOCK)
-        with pytest.raises(ValueError):
-            build_v(5, "diagonal")
+            build_v(1)
 
     def test_cached_columns_read_only(self):
         v = build_v(5)
@@ -37,28 +31,23 @@ class TestBasis:
 
     def test_dense_entries(self):
         # first row -1/sqrt(n), identity-plus-constant below
-        v = build_v(4, SCHEME_DENSE).columns
+        v = build_v(4).columns
         assert np.allclose(v[0], -0.5)
         x = -1.0 / (4 + 2.0)
         assert v[1, 0] == pytest.approx(1.0 + x)
         assert v[2, 0] == pytest.approx(x)
 
-    def test_block_last_column_values(self):
-        n = 6
-        v = build_v(n, SCHEME_BLOCK).columns
-        a = np.sqrt((n - 3) / (3.0 * n))
-        b = -np.sqrt(3.0 / (n * (n - 3)))
-        assert np.allclose(v[:3, -1], a)
-        assert np.allclose(v[3:, -1], b)
-
 
 class TestProjection:
     def test_schemes_give_same_spectrum(self, rng):
+        # any orthonormal basis of the complement of e gives the same spectrum;
+        # the reference is a QR basis of [e, random columns]
         for n in range(4, 13):
             for _ in range(10):
                 a = random_adjacency(rng, n)
-                s1 = np.linalg.eigvalsh(project_adjacency(a, build_v(n, SCHEME_DENSE)))
-                s2 = np.linalg.eigvalsh(project_adjacency(a, build_v(n, SCHEME_BLOCK)))
+                q, _ = np.linalg.qr(np.column_stack([np.ones(n), rng.standard_normal((n, n - 1))]))
+                s1 = np.linalg.eigvalsh(project_adjacency(a, build_v(n)))
+                s2 = np.linalg.eigvalsh(q[:, 1:].T @ a @ q[:, 1:])
                 assert np.allclose(s1, s2, atol=1e-9)
 
     def test_trace_identity(self, rng):

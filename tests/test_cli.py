@@ -67,6 +67,8 @@ class TestAnalyze:
         ["analyze", "--g6", "Dug", "--tol-psd", "1e3"],
         ["analyze", "--g6", "Dug", "--tol-residual", "5"],
         ["embed", "--g6", "Dug", "--mode", "jspherical", "--out", "x.csv", "--tol-eig", "1e-9"],
+        ["embed", "--g6", "Dug", "--mode", "euclidean", "--out", "x.csv", "--beta", "nan"],
+        ["embed", "--g6", "Dug", "--mode", "euclidean", "--out", "x.csv", "--beta", "inf"],
     ])
     def test_bad_arguments_exit_2(self, argv, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -75,13 +77,16 @@ class TestAnalyze:
         assert "error" in capsys.readouterr().err
 
     @pytest.mark.parametrize("g6,tol,fragment", [
-        ("Dug", "0.5", "lower_bound_e <= dim_e"),
+        ("Dug", "0.5", "extreme eigenvalue group of V.T A V"),
         ("DUW", "0.9", "top eigenvalue group of the complement"),
-        ("Dug", "5", "contradicts the class"),
+        ("Dug", "5", "extreme eigenvalue group of V.T A V"),
+        ("Eft?", "0.1", "extreme eigenvalue group of V.T A V"),
+        ("HG?@aQ?", "1e-2", "extreme eigenvalue group of V.T A V"),
     ])
     def test_inconsistent_answers_exit_3(self, g6, tol, fragment, capsys):
-        # a clustering tolerance this coarse merges distinct eigenvalues; each
-        # case trips a different check of the analysis
+        # a clustering tolerance this coarse merges distinct eigenvalues into
+        # an extreme group, which would otherwise give a wrong dim_e (3 for 4
+        # on Eft?, 6 for 7 on HG?@aQ?)
         code, out, err = run(["analyze", "--g6", g6, "--tol-eig", tol], capsys)
         assert code == 3 and out == ""
         assert "internal consistency" in err and fragment in err
@@ -135,6 +140,13 @@ class TestEmbed:
                           "--out", str(tmp_path / "x.csv")], capsys)
         assert code == 4
 
+    @pytest.mark.parametrize("beta", ["1", "1.0", "0", "-2"])
+    def test_excluded_beta_exits_4(self, beta, tmp_path, capsys):
+        # beta = alpha = 1 and beta <= 0 are outside the representations sought
+        code, _, err = run(["embed", "--g6", "Cr", "--mode", "euclidean", "--beta", beta,
+                            "--out", str(tmp_path / "x.csv")], capsys)
+        assert code == 4 and "beta must be positive" in err
+
     def test_nonspherical_endpoint_exits_4(self, tmp_path, capsys, bow_tie):
         code, _, err = run(["embed", "--g6", encode_graph6(bow_tie), "--mode",
                             "spherical", "--side", "upper",
@@ -170,6 +182,14 @@ class TestSweep:
         code, out, _ = run(["sweep", "--n", "3"], capsys)
         assert code == 0
         assert json.loads(out)["graphs_checked"] == 10
+
+    def test_violations_exit_3(self, capsys, monkeypatch):
+        summary = oracle.SweepSummary()
+        summary.record("dim_chain", False, "Ch", "forced")
+        monkeypatch.setattr(oracle, "invariant_sweep", lambda *args, **kwargs: summary)
+        code, out, _ = run(["sweep", "--n", "3"], capsys)
+        assert code == 3
+        assert json.loads(out)["violation_count"] == 1
 
     def test_rejects_big_n(self, capsys):
         code, _, err = run(["sweep", "--n", "9"], capsys)

@@ -54,34 +54,9 @@ class TestRecoverConfiguration:
             assert np.allclose(config.squared_distances(), d, atol=1e-8 * max(1.0, d.max()))
             assert np.allclose(config.points.sum(axis=0), 0.0, atol=1e-8)
 
-    def test_circumcenter_round_trip(self, rng):
-        # points on a sphere of random radius, recovered about the center
-        for _ in range(20):
-            n, dim = 6, 3
-            raw = rng.standard_normal((n, dim))
-            pts = 2.5 * raw / np.linalg.norm(raw, axis=1, keepdims=True)
-            d = edm_from_points(pts)
-            config = edm.recover_configuration(d, edm.CENTERING_CIRCUMCENTER)
-            assert np.allclose(config.squared_distances(), d, atol=1e-7)
-            norms = np.linalg.norm(config.points, axis=1)
-            assert np.allclose(norms, 2.5, atol=1e-7)
-
-    def test_circumcenter_unit_radius_branch(self, rng):
-        raw = rng.standard_normal((5, 4))
-        pts = raw / np.linalg.norm(raw, axis=1, keepdims=True)
-        d = edm_from_points(pts)
-        config = edm.recover_configuration(d, edm.CENTERING_CIRCUMCENTER)
-        assert np.allclose(np.linalg.norm(config.points, axis=1), 1.0, atol=1e-8)
-
     def test_rejects_non_edm(self):
         with pytest.raises(edm.NotEdmError):
             edm.recover_configuration(adjacency_matrix(cycle_graph(5)))
-
-    def test_circumcenter_rejects_nonspherical(self):
-        # three distinct collinear points lie on no sphere
-        d = edm_from_points(np.array([[0.0], [1.0], [2.0]]))
-        with pytest.raises(edm.NotSphericalError):
-            edm.recover_configuration(d, edm.CENTERING_CIRCUMCENTER)
 
 
 class TestGaleMatrix:
@@ -149,16 +124,3 @@ class TestSphericalInfo:
         config = edm.recover_configuration(d)
         dist = np.linalg.norm(config.points - info.center, axis=1)
         assert np.allclose(dist, info.radius, atol=1e-8)
-
-
-class TestRegularEdm:
-    def test_cycle_is_regular(self):
-        d = reps._edm_at(cycle_graph(5), 2.0)
-        rho = edm.is_regular_edm(d)
-        assert rho is not None
-        info = edm.spherical_info(d)
-        assert rho == pytest.approx(info.radius, abs=1e-10)
-
-    def test_generic_edm_is_not(self, rng):
-        d = random_edm(rng, 6, 3)
-        assert edm.is_regular_edm(d) is None

@@ -93,29 +93,3 @@ class TestPinvAndSolve:
         m = np.diag([1.0, 1.0, 0.0])
         with pytest.raises(linalg.NotInColumnSpaceError):
             linalg.solve_in_colspace(m, np.array([1.0, 0.0, 1.0]))
-
-
-class TestGramFactor:
-    def test_round_trip(self, rng):
-        for _ in range(50):
-            n = int(rng.integers(2, 12))
-            rank = int(rng.integers(1, n + 1))
-            b = random_psd(rng, n, rank)
-            _, r = linalg.psd_rank(b)
-            p = linalg.gram_factor(b, r)
-            assert p.shape == (n, r)
-            assert np.allclose(p @ p.T, b, atol=1e-8 * max(1.0, b.max()))
-
-    def test_columns_by_decreasing_eigenvalue(self):
-        p = linalg.gram_factor(np.diag([1.0, 4.0]), 2)
-        norms = np.sum(p * p, axis=0)
-        assert norms == pytest.approx([4.0, 1.0])
-
-    def test_rejects_indefinite(self):
-        with pytest.raises(linalg.NotPsdError):
-            linalg.gram_factor(np.diag([1.0, -1.0]), 1)
-
-    def test_rejects_underestimated_rank(self, rng):
-        b = random_psd(rng, 6, 4)
-        with pytest.raises(linalg.NotPsdError):
-            linalg.gram_factor(b, 2)

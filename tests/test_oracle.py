@@ -41,7 +41,7 @@ class TestVerifyTwoDistance:
         assert rep.passed
 
     def test_corrupted_configuration_fails(self, bow_tie):
-        _, config = reps.euclidean_representation(bow_tie, 2.0)
+        config = reps.euclidean_representation(bow_tie, 2.0)
         pts = config.points.copy()
         pts[0, 0] += 1e-3
         rep = oracle.verify_two_distance(Configuration(pts, "centroid"), bow_tie, 1.0, 2.0)
@@ -113,7 +113,7 @@ class TestMinimalRankSearch:
                 beta = float(rng.uniform(0.05, 6.0))
                 if not fs.contains(beta) or abs(beta - 1.0) < 1e-6:
                     continue
-                _, config = reps.euclidean_representation(g, beta)
+                config = reps.euclidean_representation(g, beta)
                 assert config.dim >= r
 
 
@@ -137,6 +137,15 @@ class TestInvariantSweep:
         assert doc["violation_count"] == 0
         assert doc["graphs_checked"] == summary.graphs_checked
         assert doc["first_counterexample"] is None
+
+    def test_radius_consistency_checks_reported_radius(self, monkeypatch):
+        # the reported rho_u comes from _witness_radius; the sweep must see a
+        # relative error of 1e-6 in it
+        real = reps._witness_radius
+        monkeypatch.setattr(reps, "_witness_radius", lambda *args: real(*args) * (1 + 1e-6))
+        summary = oracle.invariant_sweep(4, workers=1)
+        checks = {v["check"] for v in summary.violations}
+        assert checks == {"radius_consistency"}
 
     def test_rejects_large_n(self):
         with pytest.raises(ValueError):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from itertools import combinations
 
@@ -159,9 +160,9 @@ class TestDimEuclidean:
 class TestEuclideanRepresentation:
     def test_configs_verify(self, bow_tie):
         for beta in (0.5, 2.0, 3.5):
-            d, config = reps.euclidean_representation(bow_tie, beta)
+            config = reps.euclidean_representation(bow_tie, beta)
             assert verify_two_distance(config, bow_tie, 1.0, beta).passed
-            assert np.allclose(config.squared_distances(), d, atol=1e-9)
+            assert np.allclose(config.squared_distances(), reps._edm_at(bow_tie, beta), atol=1e-9)
 
     def test_infeasible_beta_raises(self, bow_tie):
         with pytest.raises(reps.InfeasibleBetaError) as exc:
@@ -173,8 +174,8 @@ class TestEuclideanRepresentation:
         g = cycle_graph(5)
         ps = reps.projected_spectrum(g)
         beta_l, beta_u = reps.beta_endpoints(ps, classify(g))
-        _, at_end = reps.euclidean_representation(g, beta_l)
-        _, inside = reps.euclidean_representation(g, 1.5)
+        at_end = reps.euclidean_representation(g, beta_l)
+        inside = reps.euclidean_representation(g, 1.5)
         assert at_end.dim == 2 and inside.dim == 4
 
 
@@ -313,6 +314,41 @@ class TestAnalyzeGraph:
         for beta, rho in ((rep.beta_l, rep.rho_l), (rep.beta_u, rep.rho_u)):
             info = edm.spherical_info(reps._edm_at(g, beta))
             assert rho == pytest.approx(info.radius, abs=1e-9)
+
+    @pytest.mark.parametrize("name,tests,configs", [
+        ("c9", 2, 2),       # both endpoints spherical
+        ("bow_tie", 2, 1),  # only the lower endpoint spherical
+        ("p3_k1", 2, 1),    # neither spherical: one interior witness
+    ])
+    def test_one_computation_per_endpoint(self, name, tests, configs, bow_tie, monkeypatch):
+        g = {"c9": cycle_graph(9), "bow_tie": bow_tie,
+             "p3_k1": Graph.from_edges(4, [(0, 1), (0, 2)])}[name]
+        calls = []
+        for fn in ("endpoint_sphericity", "euclidean_representation", "_edm_at"):
+            orig = getattr(reps, fn)
+
+            def counted(*args, _fn=fn, _orig=orig, **kwargs):
+                calls.append(_fn)
+                return _orig(*args, **kwargs)
+            monkeypatch.setattr(reps, fn, counted)
+        rep = reps.analyze_graph(g)
+        ends = [s for s in (rep.spherical_at_l, rep.spherical_at_u) if s is not None]
+        assert calls.count("endpoint_sphericity") == len(ends) == tests
+        assert calls.count("euclidean_representation") == max(1, sum(ends)) == configs
+        assert "_edm_at" not in calls
+
+    def test_class_contradiction_raises(self, monkeypatch):
+        # C5's mu_min < -1 contradicts a cluster tag
+        monkeypatch.setattr(reps, "classify", lambda g: classify(cluster_graph([2, 3])))
+        with pytest.raises(edm.InternalConsistencyError, match="contradicts the class"):
+            reps.analyze_graph(cycle_graph(5))
+
+    def test_dimension_chain_break_raises(self, monkeypatch):
+        real = reps.j_spherical
+        monkeypatch.setattr(reps, "j_spherical",
+                            lambda *args: dataclasses.replace(real(*args), dim_j=1))
+        with pytest.raises(edm.InternalConsistencyError, match="lower_bound_e <= dim_e"):
+            reps.analyze_graph(cycle_graph(5))
 
     def test_lower_bounds_hold(self):
         rep = reps.analyze_graph(cycle_graph(6))
