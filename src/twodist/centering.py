@@ -3,6 +3,11 @@
 Any orthonormal basis V of the hyperplane orthogonal to the all-ones vector
 gives the same projected spectra; the one used here is a first row of
 -1/sqrt(n) over an identity-plus-constant block, built in closed form.
+
+That V is a row selection plus a rank-one term, V = E + u 1.T with E = [0; I]
+and u = [y; x 1], so products with it take O(n^2) work instead of a dense
+O(n^3) product. Every function here accepts a stack of matrices or vectors
+along leading axes.
 """
 
 from __future__ import annotations
@@ -15,42 +20,68 @@ import numpy as np
 
 @dataclass(frozen=True)
 class VBasis:
-    """n x (n-1) matrix with orthonormal columns spanning the complement of e."""
+    """n x (n-1) matrix with orthonormal columns spanning the complement of e.
+
+    ``u`` is the rank-one part: ``columns = [0; I] + u 1.T``.
+    """
 
     n: int
     columns: np.ndarray
+    u: np.ndarray
 
 
 @lru_cache(maxsize=128)
 def build_v(n: int) -> VBasis:
     """Orthonormal basis of the hyperplane orthogonal to the all-ones vector.
 
-    Cached per n; the returned columns are marked read-only.
+    Cached per n; the returned arrays are marked read-only.
     """
     if n < 2:
         raise ValueError(f"basis requires n >= 2, got {n}")
     y = -1.0 / np.sqrt(n)
     x = -1.0 / (n + np.sqrt(n))
     columns = np.vstack([np.full((1, n - 1), y), np.eye(n - 1) + x * np.ones((n - 1, n - 1))])
+    u = np.r_[y, np.full(n - 1, x)]
     columns.flags.writeable = False
-    return VBasis(n, columns)
+    u.flags.writeable = False
+    return VBasis(n, columns, u)
 
 
-def projected_gram(d: np.ndarray, v: VBasis) -> np.ndarray:
-    """Projected Gram matrix -1/2 V.T @ d @ V of a zero-diagonal matrix d."""
-    d = np.asarray(d, dtype=float)
-    if d.shape != (v.n, v.n):
-        raise ValueError(f"order mismatch: matrix {d.shape}, basis n={v.n}")
-    if np.max(np.abs(np.diag(d))) > 0:
-        raise ValueError("matrix has nonzero diagonal")
-    x = -0.5 * (v.columns.T @ d @ v.columns)
-    return 0.5 * (x + x.T)
+def _check_shape(m: np.ndarray, v: VBasis) -> None:
+    if m.shape[-2:] != (v.n, v.n):
+        raise ValueError(f"order mismatch: matrix {m.shape}, basis n={v.n}")
+
+
+def lift(x: np.ndarray, v: VBasis) -> np.ndarray:
+    """V @ x for x of shape (..., n-1, r): rows [y 1.T x; x + x_const 1 (1.T x)]."""
+    colsum = x.sum(axis=-2, keepdims=True)
+    return np.concatenate([v.u[0] * colsum, x + v.u[1] * colsum], axis=-2)
+
+
+def restrict(y: np.ndarray, v: VBasis) -> np.ndarray:
+    """V.T @ y for a vector stack y of shape (..., n): y[1:] + (u . y)."""
+    return y[..., 1:] + (y @ v.u)[..., None]
 
 
 def project_adjacency(a: np.ndarray, v: VBasis) -> np.ndarray:
-    """V.T @ a @ V for an adjacency matrix a."""
+    """V.T @ a @ V for a symmetric matrix (stack) a, symmetrized first.
+
+    With s = (a u)[1:] and c = u.T a u this is a[1:, 1:] + s 1.T + 1 s.T + c J,
+    exactly symmetric.
+    """
     a = np.asarray(a, dtype=float)
-    if a.shape != (v.n, v.n):
-        raise ValueError(f"order mismatch: matrix {a.shape}, basis n={v.n}")
-    m = v.columns.T @ a @ v.columns
-    return 0.5 * (m + m.T)
+    _check_shape(a, v)
+    a = 0.5 * (a + a.swapaxes(-1, -2))
+    au = a @ v.u
+    s = au[..., 1:]
+    c = au @ v.u
+    return a[..., 1:, 1:] + (s[..., :, None] + s[..., None, :]) + c[..., None, None]
+
+
+def projected_gram(d: np.ndarray, v: VBasis) -> np.ndarray:
+    """Projected Gram matrix -1/2 V.T @ d @ V of a zero-diagonal matrix (stack) d."""
+    d = np.asarray(d, dtype=float)
+    _check_shape(d, v)
+    if np.max(np.abs(np.diagonal(d, axis1=-2, axis2=-1))) > 0:
+        raise ValueError("matrix has nonzero diagonal")
+    return -0.5 * project_adjacency(d, v)

@@ -122,22 +122,26 @@ def cmd_embed(args) -> int:
             sidecar = {"mode": "euclidean", "alpha": alpha, "beta": beta,
                        "radius": info.radius if info else None}
         elif args.mode == "spherical":
-            ps = reps.projected_spectrum(g)
-            beta_l, beta_u = reps.beta_endpoints(ps, cls)
+            # the analysis pass answers every question here, as for analyze
+            st = reps._analyze_single(g)
             side = args.side or "lower"
-            beta = beta_l if side == "lower" else beta_u
-            if beta is None:
+            beta, spherical, radius = {
+                "lower": (st.beta_l, st.spherical_at_l, st.rho_l),
+                "upper": (st.beta_u, st.spherical_at_u, st.rho_u)}[side]
+            beta, radius = float(beta[0]), float(radius[0])
+            if math.isnan(beta):
                 print(f"error: {side} endpoint does not exist for this graph",
                       file=sys.stderr)
                 return EXIT_INFEASIBLE
-            if not reps.endpoint_sphericity(g, side, ps):
+            if not spherical[0]:
                 print(f"error: EDM at the {side} endpoint is not spherical",
                       file=sys.stderr)
                 return EXIT_INFEASIBLE
-            config = reps.euclidean_representation(g, beta, cls, ps)
+            points = st.configuration(side[0])[0]
+            config = edm.Configuration(points[:, points.any(axis=0)], edm.CENTERING_CENTROID)
             alpha = 1.0
             sidecar = {"mode": "spherical", "side": side, "alpha": alpha, "beta": beta,
-                       "radius": reps._witness_radius(config.points)}
+                       "radius": radius}
         elif args.mode == "jspherical":
             js = reps.j_spherical(g, cls)
             config = js.config

@@ -18,7 +18,7 @@ from typing import Optional
 import numpy as np
 
 from . import linalg
-from .centering import VBasis, build_v, projected_gram
+from .centering import VBasis, build_v, lift, projected_gram
 from .linalg import Spectrum
 
 CENTERING_CENTROID = "centroid"
@@ -100,10 +100,9 @@ def is_edm(d: np.ndarray, tol: float = linalg.EIG_TOL) -> EdmCheck:
     v = build_v(n)
     x = projected_gram(d, v)
     spec = linalg.eigh(x, tol)
-    scale = max(1.0, float(np.max(np.abs(spec.flat()))))
-    psd = spec.min_value >= -tol * scale
-    rank = int(sum(g.multiplicity for g in spec.groups if g.value > tol * scale))
-    return EdmCheck(bool(psd), rank if psd else 0, spec)
+    neg, pos = linalg.sign_masks(spec.flat(), tol)
+    psd = not neg.any()
+    return EdmCheck(psd, int(np.count_nonzero(pos)) if psd else 0, spec)
 
 
 def _centroid_points(v: VBasis, x_spectrum: Spectrum, tol: float) -> np.ndarray:
@@ -117,7 +116,7 @@ def _centroid_points(v: VBasis, x_spectrum: Spectrum, tol: float) -> np.ndarray:
     cols = [g.basis * np.sqrt(g.value) for g in x_spectrum.groups if g.value > tol * scale]
     if not cols:
         return np.zeros((v.n, 0))
-    return v.columns @ np.hstack(cols)
+    return lift(np.hstack(cols), v)
 
 
 def recover_configuration(d: np.ndarray, tol: float = linalg.EIG_TOL) -> Configuration:
@@ -143,53 +142,83 @@ def gale_matrix(d: np.ndarray, tol: float = linalg.EIG_TOL) -> GaleMatrix:
     spec = chk.x_spectrum
     scale = max(1.0, float(np.max(np.abs(spec.flat()))))
     null_cols = [g.basis for g in spec.groups if abs(g.value) <= tol * scale]
-    u = np.hstack(null_cols)
-    return GaleMatrix(v.columns @ u)
+    return GaleMatrix(lift(np.hstack(null_cols), v))
 
 
-def _rank_of(d: np.ndarray, tol: float) -> int:
-    w = np.linalg.eigvalsh(d)
-    scale = max(1.0, float(np.max(np.abs(w))))
-    return int(np.count_nonzero(np.abs(w) > tol * scale))
+@dataclass(frozen=True)
+class SphereStack:
+    """``spherical_info``'s decisions for a stack of matrices, one entry each:
+    the Dw = e radius (NaN where not spherical), w, e.T w, and the error the
+    single-matrix query raises, or None."""
+
+    radius: np.ndarray
+    w: np.ndarray
+    ew: np.ndarray
+    errors: np.ndarray
+    gram: tuple  # eigenvalues (k, n-1) and eigenvectors of the projected Gram
+
+
+def sphere_stack(d: np.ndarray, tol: float = linalg.EIG_TOL) -> SphereStack:
+    """Sphericity of a (k, n, n) stack of hollow symmetric matrices.
+
+    The EDM test and embedding dimension r come from the projected Gram; w
+    solves Dw = e by the pseudoinverse of D, whose trace against D gives
+    rank(D); the EDM is spherical when r = n - 1 or rank(D) = r + 1. The
+    Gale matrix Z (V times the projected Gram's null space) and the sign of
+    e.T w cross-check the rank test: only clear contradictions are errors.
+    """
+    d = 0.5 * (d + d.swapaxes(-1, -2))
+    k, n = d.shape[0], d.shape[-1]
+    v = build_v(n)
+    xw, xu = np.linalg.eigh(projected_gram(d, v))
+    neg, pos = linalg.sign_masks(xw, tol)
+    r = np.count_nonzero(pos, axis=-1)
+    d_pinv = linalg.pinv(d, tol)
+    w = d_pinv.sum(axis=-1)
+    ew = w.sum(axis=-1)
+    # D pinv(D) projects onto the range of D, so its trace is rank(D)
+    rank_d = np.rint(np.einsum("kij,kji->k", d, d_pinv))
+    full = r == n - 1
+    spherical = full | (rank_d == r + 1)
+    z = lift((~neg & ~pos)[:, None, :] * xu, v)
+    dz = np.abs(d @ z).max(axis=(-2, -1))
+    scale = np.maximum(1.0, np.abs(d).max(axis=(-2, -1)))
+    faults = (
+        (neg.any(axis=-1), lambda i: NotEdmError("sphericity query requires an EDM")),
+        (~linalg.in_colspace(d, np.ones((k, n)), w),
+         lambda i: linalg.NotInColumnSpaceError("right-hand side not in column space")),
+        (~full & spherical & ((dz > 1e-5 * scale) | (ew < 1e-9)),
+         lambda i: InternalConsistencyError(
+             f"rank test says spherical but ||DZ||={dz[i]:.3e}, e.T w={ew[i]:.3e}")),
+        (~full & ~spherical & (dz < 1e-9 * scale) & (ew > 1e-9),
+         lambda i: InternalConsistencyError(
+             f"rank test says non-spherical but ||DZ||={dz[i]:.3e}, e.T w={ew[i]:.3e}")),
+    )
+    errors = np.full(k, None, dtype=object)
+    present = d.any(axis=(-2, -1))  # the zero matrix is no sphere, and no fault
+    for mask, fault in faults:
+        for i in np.flatnonzero(mask & present & (errors == None)):  # noqa: E711
+            errors[i] = fault(i)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        radius = np.where(spherical & present & (errors == None), np.sqrt(0.5 / ew), np.nan)  # noqa: E711
+    return SphereStack(radius, w, ew, errors, (xw, xu))
 
 
 def spherical_info(d: np.ndarray, tol: float = linalg.EIG_TOL) -> Optional[SphereInfo]:
     """Radius, center and the Dw = e solution of a spherical EDM, else None."""
     d = _validate_hollow(d)
-    n = d.shape[0]
-    if not np.any(d):
+    st = sphere_stack(d[None], tol)
+    if st.errors[0] is not None:
+        raise st.errors[0]
+    if np.isnan(st.radius[0]):
         return None
-    chk = is_edm(d, tol)
-    if not chk.is_edm:
-        raise NotEdmError("sphericity query requires an EDM")
-    r = chk.embedding_dim
-    v = build_v(n)
-    w = linalg.solve_in_colspace(d, np.ones(n))
-    ew = float(np.ones(n) @ w)
-    if r == n - 1:
-        spherical = True
-    else:
-        spherical = _rank_of(d, tol) == r + 1
-        # Cross-checks: Gale annihilation and the sign of e.T w. Only clear
-        # contradictions raise; borderline values are left to the rank test.
-        xscale = max(1.0, float(np.max(np.abs(chk.x_spectrum.flat()))))
-        u = np.hstack([g.basis for g in chk.x_spectrum.groups
-                       if abs(g.value) <= tol * xscale])
-        z = v.columns @ u
-        dz = float(np.max(np.abs(d @ z)))
-        scale = max(1.0, float(np.max(np.abs(d))))
-        if spherical and (dz > 1e-5 * scale or ew < 1e-9):
-            raise InternalConsistencyError(
-                f"rank test says spherical but ||DZ||={dz:.3e}, e.T w={ew:.3e}")
-        if not spherical and dz < 1e-9 * scale and ew > 1e-9:
-            raise InternalConsistencyError(
-                f"rank test says non-spherical but ||DZ||={dz:.3e}, e.T w={ew:.3e}")
-    if not spherical:
-        return None
-    radius = float(np.sqrt(1.0 / (2.0 * ew)))
-    # Center in the centroid frame: solve P a = 1/2 (I - E/n) diag(P P^T).
-    p = _centroid_points(v, chk.x_spectrum, tol)
+    # Center in the frame of recover_configuration: solve
+    # P a = 1/2 (I - E/n) diag(P P^T), P = V U sqrt(L) from the projected Gram
+    # U L U.T, columns by decreasing eigenvalue.
+    xw, xu = st.gram[0][0, ::-1], st.gram[1][0, :, ::-1]
+    keep = xw > tol * max(1.0, float(np.abs(xw).max()))
+    p = lift(xu[:, keep] * np.sqrt(xw[keep]), build_v(d.shape[0]))
     diag_b = np.sum(p * p, axis=1)
     rhs = 0.5 * (diag_b - diag_b.mean())
     center, *_ = np.linalg.lstsq(p, rhs, rcond=None)
-    return SphereInfo(radius, center, w, ew)
+    return SphereInfo(float(st.radius[0]), center, st.w[0], float(st.ew[0]))

@@ -216,11 +216,15 @@ def encode_graph6(g: Graph) -> str:
     return chr(g.n + 63) + vals.astype(np.uint8).tobytes().decode("ascii")
 
 
+def complement_adjacency(adj: np.ndarray) -> np.ndarray:
+    """The complement of a boolean adjacency matrix, or of a stack of them:
+    ~A with the diagonal cleared."""
+    return ~adj & ~np.eye(adj.shape[-1], dtype=bool)
+
+
 def complement(g: Graph) -> Graph:
     """Graph with an edge exactly where g has none."""
-    abar = ~g.adj
-    np.fill_diagonal(abar, False)
-    return Graph(g.n, abar)
+    return Graph(g.n, complement_adjacency(g.adj))
 
 
 def adjacency_matrix(g: Graph) -> np.ndarray:
@@ -228,35 +232,64 @@ def adjacency_matrix(g: Graph) -> np.ndarray:
     return g.adj.astype(float)
 
 
-def _clique_sizes(closed: np.ndarray) -> Optional[tuple]:
-    """Clique sizes, largest first, if ``closed`` (an adjacency matrix with a
-    true diagonal) is a disjoint union of cliques, else None.
+def _clique_labels(closed: np.ndarray) -> tuple:
+    """(labels, ok) for a stack of adjacency matrices with a true diagonal:
+    each node's label is the first node of its closed neighbourhood, and ``ok``
+    says per matrix whether equal labels mean adjacency, which holds exactly
+    when adjacency is an equivalence relation, the classes being the cliques."""
+    label = closed.argmax(axis=-1)
+    ok = (closed == (label[..., :, None] == label[..., None, :])).all(axis=(-2, -1))
+    return label, ok
 
-    A node's label is the first node of its closed neighbourhood. Equal labels
-    mean adjacency exactly when adjacency is an equivalence relation, and the
-    classes are then the cliques.
+
+@dataclass(frozen=True)
+class ClassStack:
+    """The classification of a (k, n, n) stack of graphs, one entry per graph.
+
+    ``is_cluster`` and ``is_multipartite`` are the two membership flags;
+    ``tag`` is the most specific tag, and the labels give the partitions.
     """
-    label = closed.argmax(axis=1)
-    if not np.array_equal(label[:, None] == label[None, :], closed):
-        return None
-    sizes = np.bincount(label)
-    return tuple(sorted(sizes[sizes > 0].tolist(), reverse=True))
+
+    tag: np.ndarray
+    is_cluster: np.ndarray
+    is_multipartite: np.ndarray
+    clique_label: np.ndarray
+    part_label: np.ndarray
+
+    @property
+    def degenerate(self) -> np.ndarray:
+        return (self.tag == TAG_COMPLETE) | (self.tag == TAG_NULL)
+
+    def row(self, i: int) -> GraphClass:
+        """The GraphClass of graph i, with its partition."""
+        if self.is_cluster[i]:
+            label = self.clique_label[i]
+        elif self.is_multipartite[i]:
+            label = self.part_label[i]
+        else:
+            return GraphClass(str(self.tag[i]), None, False, False)
+        sizes = np.bincount(label)
+        return GraphClass(str(self.tag[i]), tuple(sorted(sizes[sizes > 0].tolist(), reverse=True)),
+                          bool(self.is_cluster[i]), bool(self.is_multipartite[i]))
+
+
+def class_stack(adj: np.ndarray) -> ClassStack:
+    """Classify every graph of a (k, n, n) boolean adjacency stack by one
+    clique-label test on A + I (cluster) and on ~A (complete multipartite)."""
+    n = adj.shape[-1]
+    clique_label, cluster = _clique_labels(adj | np.eye(n, dtype=bool))
+    # ~adj is the complement's adjacency with a true diagonal
+    part_label, multipartite = _clique_labels(~adj)
+    edges = np.count_nonzero(adj, axis=(-2, -1))
+    tag = np.where(edges == n * (n - 1), TAG_COMPLETE, np.where(
+        edges == 0, TAG_NULL, np.where(cluster, TAG_CLUSTER, np.where(
+            multipartite, TAG_MULTIPARTITE, TAG_GENERAL))))
+    return ClassStack(tag, cluster, multipartite, clique_label, part_label)
 
 
 def classify(g: Graph) -> GraphClass:
     """Classify g into the most specific of the five structural tags."""
-    cliques = _clique_sizes(g.adj | np.eye(g.n, dtype=bool))
-    # ~adj is the complement's adjacency with a true diagonal
-    parts = _clique_sizes(~g.adj)
-    if cliques == (g.n,):
-        return GraphClass(TAG_COMPLETE, cliques, True, True)
-    if parts == (g.n,):
-        return GraphClass(TAG_NULL, cliques, True, True)
-    if cliques is not None:
-        return GraphClass(TAG_CLUSTER, cliques, True, parts is not None)
-    if parts is not None:
-        return GraphClass(TAG_MULTIPARTITE, parts, False, True)
-    return GraphClass(TAG_GENERAL, None, False, False)
+    return class_stack(g.adj[None]).row(0)
 
 
 # Common constructions, used heavily by the test-suite and the sweep driver.

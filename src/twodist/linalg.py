@@ -72,6 +72,44 @@ class Spectrum:
         return out
 
 
+def cluster_gap(w: np.ndarray, tol: float) -> np.ndarray:
+    """Largest gap between neighbouring eigenvalues of one group, per sorted
+    spectrum along the last axis: ``tol * max(1, max|lambda|)``."""
+    return tol * np.maximum(1.0, np.maximum(np.abs(w[..., 0]), np.abs(w[..., -1])))
+
+
+@dataclass(frozen=True)
+class ExtremeGroups:
+    """The bottom and top groups of a stack of ascending spectra under the
+    clustering rule of ``eigh``: masks over the eigenvalue axis,
+    multiplicities, group means and spreads, one entry per spectrum."""
+
+    bottom_mask: np.ndarray
+    top_mask: np.ndarray
+    m_bottom: np.ndarray
+    m_top: np.ndarray
+    bottom: np.ndarray
+    top: np.ndarray
+    bottom_spread: np.ndarray
+    top_spread: np.ndarray
+
+
+def extreme_groups(w: np.ndarray, tol: float = EIG_TOL) -> ExtremeGroups:
+    """ExtremeGroups of ascending spectra w of shape (..., m), m >= 1."""
+    m = w.shape[-1]
+    idx = np.arange(m)
+    # brk[..., j] = j + 1 where w[j + 1] - w[j] exceeds the gap, else 0
+    brk = (w[..., 1:] - w[..., :-1] > cluster_gap(w, tol)[..., None]) * idx[1:]
+    m_bottom = np.where(brk > 0, brk, m).min(axis=-1, initial=m)
+    last = brk.max(axis=-1, initial=0)
+    masks = (idx < m_bottom[..., None], idx >= last[..., None])
+    counts = (m_bottom, m - last)
+    means = [(w * mask).sum(axis=-1) / cnt for mask, cnt in zip(masks, counts)]
+    spreads = [(np.abs(w - mean[..., None]) * mask).max(axis=-1)
+               for mask, mean in zip(masks, means)]
+    return ExtremeGroups(*masks, *counts, *means, *spreads)
+
+
 def eigh(m: np.ndarray, tol: float = EIG_TOL) -> Spectrum:
     """Clustered spectral decomposition of a symmetric matrix.
 
@@ -89,7 +127,7 @@ def eigh(m: np.ndarray, tol: float = EIG_TOL) -> Spectrum:
     sym = 0.5 * (m + m.T)
     w, q = np.linalg.eigh(sym)
     w, q = w[::-1], q[:, ::-1]  # descending
-    gap = tol * max(1.0, float(np.max(np.abs(w))))
+    gap = cluster_gap(w, tol)
     starts = np.r_[0, np.flatnonzero(w[:-1] - w[1:] > gap) + 1]
     ends = np.r_[starts[1:], n]
     means = np.add.reduceat(w, starts) / (ends - starts)
@@ -99,24 +137,39 @@ def eigh(m: np.ndarray, tol: float = EIG_TOL) -> Spectrum:
                                                           ends.tolist(), spreads.tolist())), tol)
 
 
+def sign_masks(w: np.ndarray, tol: float = EIG_TOL) -> Tuple[np.ndarray, np.ndarray]:
+    """(negative, positive) masks of eigenvalues w (..., m): those beyond
+    ``tol * max(1, max|lambda|)`` from 0, the zero threshold of every PSD,
+    rank and pseudoinverse decision; the rest count as zero."""
+    cut = tol * np.maximum(1.0, np.abs(w).max(axis=-1, keepdims=True, initial=0.0))
+    return w < -cut, w > cut
+
+
 def psd_rank(m: np.ndarray, tol: float = EIG_TOL) -> Tuple[bool, int]:
     """PSD decision and numerical rank from the eigenvalues of m."""
     w = np.linalg.eigvalsh(0.5 * (np.asarray(m, dtype=float) + np.asarray(m, dtype=float).T))
-    if w.size == 0:
-        return True, 0
-    scale = max(1.0, float(np.max(np.abs(w))))
-    is_psd = bool(w.min() >= -tol * scale)
-    rank = int(np.count_nonzero(w > tol * scale))
-    return is_psd, rank
+    neg, pos = sign_masks(w, tol)
+    return not neg.any(), int(np.count_nonzero(pos))
 
 
 def pinv(m: np.ndarray, tol: float = EIG_TOL) -> np.ndarray:
-    """Spectral Moore-Penrose pseudoinverse of a symmetric matrix."""
-    m = 0.5 * (np.asarray(m, dtype=float) + np.asarray(m, dtype=float).T)
-    w, q = np.linalg.eigh(m)
-    scale = max(1.0, float(np.max(np.abs(w)))) if w.size else 1.0
-    inv = np.where(np.abs(w) > tol * scale, 1.0 / np.where(w == 0, 1.0, w), 0.0)
-    return (q * inv) @ q.T
+    """Spectral Moore-Penrose pseudoinverse of a symmetric matrix, or of each
+    matrix in a stack (..., n, n)."""
+    m = np.asarray(m, dtype=float)
+    w, q = np.linalg.eigh(0.5 * (m + m.swapaxes(-1, -2)))
+    neg, pos = sign_masks(w, tol)
+    nonzero = neg | pos
+    inv = np.where(nonzero, 1.0 / np.where(nonzero, w, 1.0), 0.0)
+    return (q * inv[..., None, :]) @ q.swapaxes(-1, -2)
+
+
+def in_colspace(d: np.ndarray, b: np.ndarray, w: np.ndarray,
+                rtol: float = RESIDUAL_TOL) -> np.ndarray:
+    """Whether d @ w = b within ``rtol * max(1, |b|)``, per system of a stack
+    (..., n, n), (..., n): for w = pinv(d) @ b, whether b lies in the column
+    space of d."""
+    miss = np.linalg.norm(np.einsum("...ij,...j->...i", d, w) - b, axis=-1)
+    return miss <= rtol * np.maximum(1.0, np.linalg.norm(b, axis=-1))
 
 
 def solve_in_colspace(d: np.ndarray, b: np.ndarray, rtol: float = RESIDUAL_TOL) -> np.ndarray:
@@ -124,7 +177,6 @@ def solve_in_colspace(d: np.ndarray, b: np.ndarray, rtol: float = RESIDUAL_TOL) 
     d = np.asarray(d, dtype=float)
     b = np.asarray(b, dtype=float)
     w = pinv(d) @ b
-    bnorm = np.linalg.norm(b)
-    if np.linalg.norm(d @ w - b) > rtol * max(1.0, bnorm):
+    if not in_colspace(d, b, w, rtol):
         raise NotInColumnSpaceError("right-hand side not in column space")
     return w

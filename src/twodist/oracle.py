@@ -3,30 +3,29 @@
 The discriminating-polynomial root finder deliberately avoids the orthonormal
 basis V: it borders the distance matrix with [-e I] directly, so it shares no
 code path with the centering module. The sweep enumerates all labeled graphs
-up to n_max and checks every module-level invariant, reporting the first
-counterexample if any.
+up to n_max, analyses every graph of one order as one stack and checks every
+module-level invariant as an array predicate over that stack, reporting the
+first counterexample if any.
 """
 
 from __future__ import annotations
 
 import json
-import math
-import os
 import time
 from dataclasses import dataclass, field
-from multiprocessing import Pool
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
 from . import edm, representations as reps
 from .edm import Configuration
-from .graphs import (Graph, adjacency_matrix, classify, complement,
-                     encode_graph6, from_mask, triu_pairs)
+from .graphs import Graph, classify, complement_adjacency, encode_graph6, triu_pairs
 
-T_BISECT_TOL = 1e-12
 # Whenever an upper root exists, mu_min <= -4/3, so t2 <= 4; bracket with slack.
 T_MAX = 40.0
+#: A root t is certified when lambda_min of the pencil changes sign across
+#: t (1 -/+ ROOT_CERT).
+ROOT_CERT = 1e-9
 
 
 @dataclass(frozen=True)
@@ -36,91 +35,101 @@ class VerificationReport:
     passed: bool
 
 
+def _pair_sq_distances(points: np.ndarray) -> np.ndarray:
+    """Squared distances of the pairs u < v (triu_pairs order) of
+    configurations of shape (..., n, r)."""
+    sq = np.einsum("...ij,...ij->...i", points, points)
+    d = sq[..., :, None] + sq[..., None, :] - 2.0 * (points @ points.swapaxes(-1, -2))
+    iu, ju = triu_pairs(points.shape[-2])
+    return np.maximum(d[..., iu, ju], 0.0)
+
+
 def verify_two_distance(config: Configuration, g: Graph, alpha: float, beta: float,
                         tol: float = 1e-7) -> VerificationReport:
     """Check that a configuration realizes g with squared distances alpha/beta."""
     if config.n != g.n:
         raise ValueError(f"configuration has {config.n} rows, graph has {g.n} nodes")
-    sq = config.squared_distances()
-    iu, ju = triu_pairs(g.n)
-    targets = np.where(g.adj[iu, ju], alpha, beta)
-    values = sq[iu, ju]
-    max_dev = float(np.abs(values - targets).max())
-    values = np.sort(values)
-    breaks = np.flatnonzero(np.diff(values) > tol)
-    distinct = []
-    start = 0
-    for stop in list(breaks + 1) + [len(values)]:
-        distinct.append((float(values[start:stop].mean()), stop - start))
-        start = stop
-    passed = len(distinct) == 2 and max_dev <= tol
-    return VerificationReport(tuple(distinct), max_dev, passed)
+    max_dev, passed, values = _verify_stack(config.points[None], g.adj[None], alpha,
+                                            np.array([beta]), tol)
+    values = values[0]
+    bounds = [0, *(np.flatnonzero(np.diff(values) > tol) + 1).tolist(), values.size]
+    distinct = tuple((float(values[a:b].mean()), b - a) for a, b in zip(bounds, bounds[1:]))
+    return VerificationReport(distinct, float(max_dev[0]), bool(passed[0]))
 
 
-def _bordered_parts(a: np.ndarray, abar: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """(M0, M1) with -F D(t) F.T = M0 + t M1 and F = [-e I]; no V involved."""
-    n = a.shape[0]
+def _verify_stack(points: np.ndarray, adj: np.ndarray, alpha, beta: np.ndarray,
+                  tol: float = 1e-7) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(max_deviation, passed, sorted pair squared distances) of
+    verify_two_distance for a (k, n, r) stack of configurations of the graphs
+    in adj, with per-graph alpha and beta: a configuration passes when its
+    distances form two groups, breaking where neighbours differ by more than
+    tol, and each pair lies within tol of its target."""
+    values = _pair_sq_distances(points)
+    iu, ju = triu_pairs(adj.shape[-1])
+    targets = np.where(adj[:, iu, ju], np.asarray(alpha)[..., None], beta[:, None])
+    max_dev = np.abs(values - targets).max(axis=-1)
+    values = np.sort(values, axis=-1)
+    breaks = np.count_nonzero(np.diff(values, axis=-1) > tol, axis=-1)
+    return max_dev, (breaks == 1) & (max_dev <= tol), values
+
+
+def _pencil(adj: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """(M0, M1) with -F D(t) F.T = M0 + t M1 and F = [-e I] for a (k, n, n)
+    adjacency stack and D(t) = A + t Abar; no V involved."""
+    n = adj.shape[-1]
     f = np.hstack([-np.ones((n - 1, 1)), np.eye(n - 1)])
-    return -(f @ a @ f.T), -(f @ abar @ f.T)
+    abar = complement_adjacency(adj).astype(float)
+    return -(f @ adj.astype(float) @ f.T), -(f @ abar @ f.T)
+
+
+def _roots_stack(adj: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """(t1, t2) for a (k, n, n) stack of non-degenerate graphs, NaN where absent.
+
+    M0 + M1 = F F.T = I + J for every graph of order n. With I + J = L L.T
+    and W = L^-1 M1 L^-T, M0 + t M1 = L (I + (t - 1) W) L.T, so the roots are
+    t = 1 - 1/nu over the eigenvalues nu of W: t1 from the largest, t2 from
+    the smallest. A root counts where lambda_min(M0 + t M1) is negative at
+    the probe (t = 1e-8 for t1, T_MAX for t2) and changes sign across it.
+    """
+    m0, m1 = _pencil(adj)
+    n = adj.shape[-1]
+    l_inv = np.linalg.inv(np.linalg.cholesky(np.eye(n - 1) + 1.0))
+    nu = np.linalg.eigvalsh(l_inv @ m1 @ l_inv.T)
+    with np.errstate(divide="ignore"):
+        t1, t2 = 1.0 - 1.0 / nu[:, -1], 1.0 - 1.0 / nu[:, 0]
+    t1 = np.where((t1 > 1e-8) & (t1 < 1.0), t1, np.nan)
+    t2 = np.where((t2 > 1.0) & (t2 < T_MAX), t2, np.nan)
+    ts = np.stack([np.full_like(t1, 1e-8), np.full_like(t2, T_MAX),
+                   t1 * (1.0 - ROOT_CERT), t1 * (1.0 + ROOT_CERT),
+                   t2 * (1.0 - ROOT_CERT), t2 * (1.0 + ROOT_CERT)])
+    lam = np.linalg.eigvalsh(m0 + np.nan_to_num(ts, nan=1.0)[..., None, None] * m1)[..., 0]
+    neg = lam < 0.0
+    t1 = np.where(neg[0] & neg[2] & ~neg[3], t1, np.nan)
+    t2 = np.where(neg[1] & ~neg[4] & neg[5], t2, np.nan)
+    return t1, t2
 
 
 def discriminating_roots(g: Graph) -> Tuple[Optional[float], Optional[float]]:
     """Roots of the discriminating polynomial adjacent to t = 1.
 
     Returns (t1, t2): the largest root in (0, 1) and the smallest root above 1,
-    located by bisection on the sign of the smallest eigenvalue of the
-    bordered Gram matrix.
+    where the smallest eigenvalue of the bordered Gram matrix changes sign.
     """
     if classify(g).is_degenerate:
         raise reps.DegenerateGraphError("discriminating polynomial needs a non-degenerate graph")
     return discriminating_roots_batch([g])[0]
 
 
-def _batched_bisect(m0: np.ndarray, m1: np.ndarray, lo0: float, hi0: float,
-                    neg_side: str) -> Tuple[np.ndarray, np.ndarray]:
-    """Lockstep bisection of lambda_min's sign change over a stack of pencils.
-
-    Returns (roots, exists): graphs whose lambda_min does not go negative at
-    the probe end have no root in the bracket.
-    """
-    count = m0.shape[0]
-    probe = lo0 if neg_side == "lo" else hi0
-    lam = np.linalg.eigvalsh(m0 + probe * m1)[:, 0]
-    exists = lam < 0.0
-    lo = np.full(count, lo0)
-    hi = np.full(count, hi0)
-    idx = np.flatnonzero(exists)
-    steps = int(math.ceil(math.log2((hi0 - lo0) / T_BISECT_TOL)))
-    for _ in range(steps):
-        mid = 0.5 * (lo[idx] + hi[idx])
-        mins = np.linalg.eigvalsh(m0[idx] + mid[:, None, None] * m1[idx])[:, 0]
-        neg = mins < 0.0
-        if neg_side == "lo":
-            lo[idx] = np.where(neg, mid, lo[idx])
-            hi[idx] = np.where(neg, hi[idx], mid)
-        else:
-            hi[idx] = np.where(neg, mid, hi[idx])
-            lo[idx] = np.where(neg, lo[idx], mid)
-    return 0.5 * (lo + hi), exists
-
-
 def discriminating_roots_batch(graphs: List[Graph]) -> List[Tuple[Optional[float], Optional[float]]]:
-    """discriminating_roots for many graphs, grouped by order and run in
-    lockstep so each bisection step is one stacked eigvalsh call."""
+    """discriminating_roots for many graphs, one stack per order."""
     out: List[Tuple[Optional[float], Optional[float]]] = [None] * len(graphs)  # type: ignore[list-item]
     by_n: Dict[int, List[int]] = {}
     for i, g in enumerate(graphs):
         by_n.setdefault(g.n, []).append(i)
-    for n, idxs in by_n.items():
-        parts = [_bordered_parts(adjacency_matrix(graphs[i]),
-                                 adjacency_matrix(complement(graphs[i]))) for i in idxs]
-        m0 = np.stack([p[0] for p in parts])
-        m1 = np.stack([p[1] for p in parts])
-        t1s, has1 = _batched_bisect(m0, m1, 1e-8, 1.0, "lo")
-        t2s, has2 = _batched_bisect(m0, m1, 1.0, T_MAX, "hi")
-        for j, i in enumerate(idxs):
-            out[i] = (float(t1s[j]) if has1[j] else None,
-                      float(t2s[j]) if has2[j] else None)
+    for idxs in by_n.values():
+        t1s, t2s = _roots_stack(np.stack([graphs[i].adj for i in idxs]))
+        for i, t1, t2 in zip(idxs, t1s.tolist(), t2s.tolist()):
+            out[i] = (None if np.isnan(t1) else t1, None if np.isnan(t2) else t2)
     return out
 
 
@@ -138,11 +147,16 @@ class SweepSummary:
     def ok(self) -> bool:
         return not self.violations
 
-    def record(self, check: str, ok: bool, g6: str, detail: str = "",
-               error: Optional[float] = None) -> None:
-        self.check_counts[check] = self.check_counts.get(check, 0) + 1
+    def tally(self, check: str, count: int, error: Optional[float] = None) -> None:
+        """Count ``count`` more graphs under ``check``; ``error`` is their largest error."""
+        self.check_counts[check] = self.check_counts.get(check, 0) + count
         if error is not None:
             self.max_errors[check] = max(self.max_errors.get(check, 0.0), error)
+
+    def record(self, check: str, ok: bool, g6: str, detail: str = "",
+               error: Optional[float] = None) -> None:
+        """One graph's result under ``check``."""
+        self.tally(check, 1, error)
         if not ok:
             self.violations.append({"check": check, "graph6": g6, "detail": detail})
 
@@ -163,188 +177,161 @@ class SweepSummary:
         return json.dumps(self.to_dict(), **kw)
 
 
-def _near(a: float, b: float, tol: float) -> bool:
-    return abs(a - b) <= tol
+def _mask_stack(n: int, masks: np.ndarray) -> np.ndarray:
+    """(k, n, n) adjacency stack of edge bitmasks over combinations(range(n), 2)."""
+    iu, ju = triu_pairs(n)
+    bits = (masks[:, None] >> np.arange(iu.size)) & 1 == 1
+    adj = np.zeros((len(masks), n, n), dtype=bool)
+    adj[:, iu, ju] = bits
+    return adj | adj.swapaxes(-1, -2)
 
 
-def _fill_root_fields(rec: dict, t1: Optional[float], t2: Optional[float]) -> None:
-    beta_l, beta_u = rec["beta_l"], rec["beta_u"]
-    rec["root_err"] = max(
-        abs(t1 - beta_l) if (t1 is not None and beta_l is not None) else 0.0,
-        abs(t2 - beta_u) if (t2 is not None and beta_u is not None) else 0.0)
-    rec["root_presence_ok"] = ((t1 is None) == (beta_l is None)) and \
-                              ((t2 is None) == (beta_u is None))
+@dataclass
+class _Check:
+    """One invariant over a stack: where it applies, where it holds, its
+    error per graph (or None) and the violation detail of graph i."""
+
+    name: str
+    applies: np.ndarray
+    ok: np.ndarray
+    error: Optional[np.ndarray] = None
+    detail: Callable[[int], str] = lambda i: ""
 
 
-def _graph_record(g: Graph) -> dict:
-    """Per-graph facts needed by the sweep's checks; plain picklable values.
+def _sweep_stack(summary: SweepSummary, adj: np.ndarray, comp: np.ndarray,
+                 checked: np.ndarray, tol: float = 1e-7) -> None:
+    """Analyse one stack of graphs of order n and record every invariant for
+    the rows in ``checked``; ``comp[i]`` is the row of graph i's complement."""
+    k, n = adj.shape[0], adj.shape[-1]
+    st = reps._analyze_stack(adj)
+    errors = st.errors.copy()
+    deg = st.degenerate
+    has_l, has_u = ~np.isnan(st.beta_l), ~np.isnan(st.beta_u)
+    live = ~deg & (errors == None)  # noqa: E711
 
-    The answers are the report ``analyze_graph`` returns, taken from the same
-    pass. The discriminating-polynomial fields are filled in afterwards by
-    the batched root finder.
-    """
-    rec: dict = {"g6": encode_graph6(g), "n": g.n, "degenerate": False, "errors": []}
-    try:
-        run = reps._analyze(g)
-        rep = run.report
-        rec.update(rep.to_dict())
-        if rep.degenerate:
-            return rec
+    # Constructive checks: the configurations at each endpoint and at the
+    # interior beta (the spherical witness is one of these), the J-spherical
+    # configuration's distances and unit rows.
+    config_dev, config_ok = np.zeros(k), np.ones(k, dtype=bool)
+    for side, beta, has in (("l", st.beta_l, has_l), ("u", st.beta_u, has_u), ("i", st.beta_i, live)):
+        dev, passed, _ = _verify_stack(st.configuration(side), adj, 1.0, beta)
+        config_dev = np.where(has, np.fmax(config_dev, dev), config_dev)
+        config_ok &= ~has | passed
+    dev, passed, _ = _verify_stack(st.j_points, adj, 2.0, st.beta_j)
+    config_dev, config_ok = np.fmax(config_dev, dev), config_ok & passed
+    row_norm_err = np.abs(np.einsum("kij,kij->ki", st.j_points, st.j_points) - 1.0).max(axis=-1)
 
-        # Constructive checks: Euclidean configurations at each endpoint and
-        # at the interior beta (the spherical witness is one of these), the
-        # J-spherical configuration's unit rows and distance multiset.
-        config_dev = 0.0
-        config_ok = True
-        betas = [b for b in (rep.beta_l, rep.beta_u) if b is not None]
-        betas.append(reps._interior_beta(rep.beta_l, rep.beta_u))
-        for beta in betas:
-            config = run.configs.get(beta) or \
-                reps.euclidean_representation(g, beta, rep.graph_class, run.ps)
-            vrep = verify_two_distance(config, g, 1.0, beta)
-            config_dev = max(config_dev, vrep.max_deviation)
-            config_ok = config_ok and vrep.passed
-        js = run.js
-        jrep = verify_two_distance(js.config, g, 2.0, 2.0 + 2.0 * js.delta)
-        config_dev = max(config_dev, jrep.max_deviation)
-        row_norm_err = float(np.max(np.abs(np.sum(js.config.points ** 2, axis=1) - 1.0)))
-        rec["config_dev"] = config_dev
-        rec["config_ok"] = bool(config_ok and jrep.passed)
-        rec["j_row_norm_err"] = row_norm_err
+    # Radius consistency at a spherical upper endpoint: the reported radius vs
+    # the closed form vs the Dw = e radius.
+    radius_err = np.full(k, np.nan)
+    rad = np.flatnonzero(live & st.spherical_at_u)
+    if rad.size:
+        a = adj[rad].astype(float)
+        closed = reps._closed_form_rho2(a, st.mu_min[rad], st.eigenvectors[rad],
+                                        st.eigenvalues[rad], ~st.groups.bottom_mask[rad])
+        abar = complement_adjacency(adj[rad]).astype(float)
+        sphere = edm.sphere_stack(a + st.beta_u[rad, None, None] * abar)
+        errors[rad] = sphere.errors
+        rho2_w = sphere.radius ** 2
+        radius_err[rad] = np.maximum(np.abs(closed - rho2_w), np.abs(st.rho_u[rad] ** 2 - rho2_w))
+    live &= errors == None  # noqa: E711
 
-        # Radius consistency at a spherical upper endpoint: the reported
-        # radius vs the closed form vs the Dw = e radius.
-        if rep.spherical_at_u:
-            rho2_closed = reps.radius_at_beta_u_closed_form(g, run.ps)
-            info = edm.spherical_info(reps._edm_at(g, rep.beta_u))
-            rho2_w = info.radius ** 2 if info is not None else math.nan
-            rec["radius_err"] = max(abs(rho2_closed - rho2_w), abs(rep.rho_u ** 2 - rho2_w))
-        else:
-            rec["radius_err"] = None
-    except Exception as exc:  # findings, not crashes: surface in the summary
-        rec["errors"].append(f"{type(exc).__name__}: {exc}")
-    return rec
+    t1, t2 = np.full(k, np.nan), np.full(k, np.nan)
+    if live.any():
+        t1[live], t2[live] = _roots_stack(adj[live])
+    root_presence_ok = (np.isnan(t1) == ~has_l) & (np.isnan(t2) == ~has_u)
+    root_err = np.fmax(np.where(has_l & ~np.isnan(t1), np.abs(t1 - st.beta_l), 0.0),
+                       np.where(has_u & ~np.isnan(t2), np.abs(t2 - st.beta_u), 0.0))
 
+    failed = errors != None  # noqa: E711
 
-def _record_from_mask(args: Tuple[int, int]) -> Tuple[int, int, dict]:
-    n, mask = args
-    return n, mask, _graph_record(from_mask(n, mask))
+    def c(x):
+        """The complement's value of each row."""
+        return x[comp]
 
-
-def _check_records(summary: SweepSummary, rec: dict, comp: dict, tol: float = 1e-7) -> None:
-    """Single-graph and graph-vs-complement invariant checks."""
-    g6 = rec["g6"]
-    n = rec["n"]
-    if rec["errors"]:
-        summary.record("no_internal_error", False, g6, "; ".join(rec["errors"]))
-        return
-    if rec["degenerate"]:
-        # complete <-> null under complementation
-        ok = comp["degenerate"] and comp["class"] != rec["class"] if rec["n"] > 1 else True
-        summary.record("degenerate_complement", ok, g6)
-        return
-    if comp["errors"]:
-        return  # reported under the complement's own record
-    mu_min, mu_max = rec["mu_min"], rec["mu_max"]
-    summary.record("cluster_iff_mu_min_-1", rec["is_cluster"] == _near(mu_min, -1.0, 1e-7), g6,
-                   f"mu_min={mu_min}")
-    summary.record("multipartite_iff_mu_max_0", rec["is_multipartite"] == (mu_max <= 1e-7), g6,
-                   f"mu_max={mu_max}")
-    summary.record("no_mu_max0_mu_min-1",
-                   not (_near(mu_max, 0.0, 1e-7) and _near(mu_min, -1.0, 1e-7)), g6)
-    summary.record("mu_min_below_-1", mu_min <= -1.0 + 1e-7, g6, f"mu_min={mu_min}")
-    summary.record("dim_chain", rec["dim_e"] <= rec["dim_s"] <= rec["dim_j"], g6,
-                   f"{rec['dim_e']},{rec['dim_s']},{rec['dim_j']}")
-    summary.record("dim_e_at_most_n-2", rec["dim_e"] <= n - 2, g6)
+    mu_min, mu_max = st.mu_min, st.mu_max
+    near_m1, near_0 = np.abs(mu_min + 1.0) <= 1e-7, np.abs(mu_max) <= 1e-7
     lb_e, lb_s = reps.lower_bounds(n)
-    summary.record("lower_bounds", rec["dim_e"] >= lb_e - 1e-9 and rec["dim_s"] >= lb_s - 1e-9,
-                   g6, f"dims=({rec['dim_e']},{rec['dim_s']}) lbs=({lb_e:.4f},{lb_s:.4f})")
-    # complement dualities
-    if not comp["degenerate"]:
-        summary.record("dim_e_complement", rec["dim_e"] == comp["dim_e"], g6)
-        summary.record("dim_s_complement", rec["dim_s"] == comp["dim_s"], g6)
-        mu_err = max(abs(comp["mu_min"] - (-1.0 - mu_max)), abs(comp["mu_max"] - (-1.0 - mu_min)))
-        summary.record("mu_complement_relation",
-                       mu_err <= 1e-9 and comp["m_min"] == rec["m_max"]
-                       and comp["m_max"] == rec["m_min"],
-                       g6, f"err={mu_err:.2e}", error=mu_err)
-        if rec["spherical_at_l"] is not None and comp["spherical_at_u"] is not None:
-            summary.record("endpoint_sphericity_duality",
-                           rec["spherical_at_l"] == comp["spherical_at_u"], g6)
-    summary.record("dispoly_roots_exist", rec["root_presence_ok"], g6)
-    summary.record("dispoly_roots_match", rec["root_err"] <= tol, g6,
-                   f"err={rec['root_err']:.2e}", error=rec["root_err"])
-    summary.record("configurations_verify", rec["config_ok"] and rec["config_dev"] <= tol, g6,
-                   f"dev={rec['config_dev']:.2e}", error=rec["config_dev"])
-    summary.record("j_rows_unit_norm", rec["j_row_norm_err"] <= 1e-8, g6,
-                   error=rec["j_row_norm_err"])
-    if rec["radius_err"] is not None:
-        summary.record("radius_consistency", rec["radius_err"] <= tol, g6,
-                       f"err={rec['radius_err']:.2e}", error=rec["radius_err"])
+    pair = ~failed & ~deg & ~c(failed)   # single-graph and complement checks
+    dual = pair & ~c(deg)
+    mu_err = np.fmax(np.abs(c(mu_min) - (-1.0 - mu_max)), np.abs(c(mu_max) - (-1.0 - mu_min)))
+    checks = [
+        _Check("no_internal_error", failed, ~failed,
+               detail=lambda i: f"{type(errors[i]).__name__}: {errors[i]}"),
+        _Check("degenerate_complement", ~failed & deg,
+               c(deg) & (c(st.classes.tag) != st.classes.tag) if n > 1 else np.ones(k, bool)),
+        _Check("cluster_iff_mu_min_-1", pair, st.classes.is_cluster == near_m1,
+               detail=lambda i: f"mu_min={float(mu_min[i])}"),
+        _Check("multipartite_iff_mu_max_0", pair, st.classes.is_multipartite == (mu_max <= 1e-7),
+               detail=lambda i: f"mu_max={float(mu_max[i])}"),
+        _Check("no_mu_max0_mu_min-1", pair, ~(near_0 & near_m1)),
+        _Check("mu_min_below_-1", pair, mu_min <= -1.0 + 1e-7,
+               detail=lambda i: f"mu_min={float(mu_min[i])}"),
+        _Check("dim_chain", pair, (st.dim_e <= st.dim_s) & (st.dim_s <= st.dim_j),
+               detail=lambda i: f"{st.dim_e[i]},{st.dim_s[i]},{st.dim_j[i]}"),
+        _Check("dim_e_at_most_n-2", pair, st.dim_e <= n - 2),
+        _Check("lower_bounds", pair, (st.dim_e >= lb_e - 1e-9) & (st.dim_s >= lb_s - 1e-9),
+               detail=lambda i: f"dims=({st.dim_e[i]},{st.dim_s[i]}) lbs=({lb_e:.4f},{lb_s:.4f})"),
+        _Check("dim_e_complement", dual, st.dim_e == c(st.dim_e)),
+        _Check("dim_s_complement", dual, st.dim_s == c(st.dim_s)),
+        _Check("mu_complement_relation", dual,
+               (mu_err <= 1e-9) & (c(st.m_min) == st.m_max) & (c(st.m_max) == st.m_min),
+               mu_err, lambda i: f"err={mu_err[i]:.2e}"),
+        _Check("endpoint_sphericity_duality", dual & has_l & c(has_u),
+               st.spherical_at_l == c(st.spherical_at_u)),
+        _Check("dispoly_roots_exist", pair, root_presence_ok),
+        _Check("dispoly_roots_match", pair, root_err <= tol, root_err,
+               lambda i: f"err={root_err[i]:.2e}"),
+        _Check("configurations_verify", pair, config_ok & (config_dev <= tol), config_dev,
+               lambda i: f"dev={config_dev[i]:.2e}"),
+        _Check("j_rows_unit_norm", pair, row_norm_err <= 1e-8, row_norm_err),
+        _Check("radius_consistency", pair & st.spherical_at_u,
+               radius_err <= tol, radius_err, lambda i: f"err={radius_err[i]:.2e}"),
+    ]
+    found = []
+    for order, chk in enumerate(checks):
+        rows = chk.applies & checked
+        count = int(np.count_nonzero(rows))
+        if not count:
+            continue
+        # a NaN error fails its check but, as in max(), never becomes the largest
+        summary.tally(chk.name, count, None if chk.error is None else
+                      float(np.max(np.nan_to_num(chk.error[rows], nan=0.0), initial=0.0)))
+        found += [(i, order, chk) for i in np.flatnonzero(rows & ~chk.ok).tolist()]
+    for i, _, chk in sorted(found, key=lambda t: t[:2]):
+        summary.violations.append({"check": chk.name, "graph6": encode_graph6(Graph(n, adj[i])),
+                                   "detail": chk.detail(i)})
+    n_checked = int(np.count_nonzero(checked))
+    summary.graphs_checked += n_checked
+    summary.per_n[n] = summary.per_n.get(n, 0) + n_checked
+    summary.degenerate += int(np.count_nonzero(deg & checked))
 
 
 def invariant_sweep(n_max: int, sample_7_8: int = 0, seed: int = 0,
                     workers: Optional[int] = None) -> SweepSummary:
     """Exhaustive labeled-graph sweep for n <= n_max (n_max <= 6), plus random
-    samples at n in {7, 8}, running every module-level invariant."""
+    samples at n in {7, 8}, running every module-level invariant.
+
+    Each order is one stack; a sampled graph's complement is analysed with it.
+    ``workers`` is accepted for compatibility and ignored: the sweep runs in
+    one process.
+    """
     if n_max > 6:
         raise ValueError("exhaustive sweep limited to n_max <= 6")
     summary = SweepSummary()
     start = time.monotonic()
-    tasks: List[Tuple[int, int]] = []
     for n in range(2, n_max + 1):
-        tasks.extend((n, mask) for mask in range(1 << (n * (n - 1) // 2)))
-    rng = np.random.default_rng(seed)
-    sampled: List[Graph] = []
-    for n in (7, 8):
-        for _ in range(sample_7_8 // 2):
-            mask = int(rng.integers(0, 1 << (n * (n - 1) // 2)))
-            sampled.append(from_mask(n, mask))
-
-    records: Dict[Tuple[int, int], dict] = {}
-    if workers is None:
-        workers = min(os.cpu_count() or 1, 8)
-    if workers > 1 and len(tasks) > 512:
-        with Pool(workers) as pool:
-            for n, mask, rec in pool.imap_unordered(_record_from_mask, tasks, chunksize=256):
-                records[(n, mask)] = rec
-    else:
-        for n, mask in tasks:
-            records[(n, mask)] = _graph_record(from_mask(n, mask))
-
-    sample_recs = []
-    for g in sampled:
-        sample_recs.append((g, _graph_record(g), _graph_record(complement(g))))
-
-    # Batched discriminating-root pass over everything at once.
-    need: List[Tuple[dict, Graph]] = []
-    for (n, mask), rec in records.items():
-        if not rec["errors"] and not rec["degenerate"]:
-            need.append((rec, from_mask(n, mask)))
-    for g, rec, comp in sample_recs:
-        if not rec["errors"] and not rec["degenerate"]:
-            need.append((rec, g))
-        if not comp["errors"] and not comp["degenerate"]:
-            need.append((comp, complement(g)))
-    roots = discriminating_roots_batch([g for _, g in need])
-    for (rec, _), (t1, t2) in zip(need, roots):
-        _fill_root_fields(rec, t1, t2)
-
-    for (n, mask), rec in records.items():
         full = (1 << (n * (n - 1) // 2)) - 1
-        comp = records[(n, full ^ mask)]
-        summary.graphs_checked += 1
-        summary.per_n[n] = summary.per_n.get(n, 0) + 1
-        if rec["degenerate"]:
-            summary.degenerate += 1
-        _check_records(summary, rec, comp)
-
-    for g, rec, comp in sample_recs:
-        summary.graphs_checked += 1
-        summary.per_n[g.n] = summary.per_n.get(g.n, 0) + 1
-        if rec["degenerate"]:
-            summary.degenerate += 1
-        _check_records(summary, rec, comp)
-
+        masks = np.arange(full + 1)
+        _sweep_stack(summary, _mask_stack(n, masks), full ^ masks, np.ones(full + 1, dtype=bool))
+    rng = np.random.default_rng(seed)
+    for n in (7, 8):
+        full = (1 << (n * (n - 1) // 2)) - 1
+        masks = np.array([int(rng.integers(0, full + 1)) for _ in range(sample_7_8 // 2)],
+                         dtype=np.int64)
+        if masks.size:
+            s = masks.size
+            _sweep_stack(summary, _mask_stack(n, np.r_[masks, full ^ masks]),
+                         np.r_[np.arange(s, 2 * s), np.arange(s)], np.arange(2 * s) < s)
     summary.elapsed_seconds = time.monotonic() - start
     return summary

@@ -4,6 +4,12 @@ Everything here is driven by the spectrum of the projected adjacency matrix
 V.T @ A @ V: its extreme eigenvalues bound the feasible second distance, their
 multiplicities give the Euclidean and spherical dimensions, and the largest
 eigenvalue of the complement adjacency determines the J-spherical data.
+
+The analysis is one pass over a stack of graphs of one order
+(``_analyze_stack``): every graph of order n shares the same V, so the pass
+is one stacked eigendecomposition of V.T A V and one of the complement
+adjacency, followed by array operations. ``analyze_graph`` is that pass on a
+stack of one; the sweep runs it on every graph of an order at once.
 """
 
 from __future__ import annotations
@@ -15,9 +21,10 @@ from typing import Optional, Tuple
 import numpy as np
 
 from . import edm, linalg
-from .centering import VBasis, build_v, project_adjacency
+from .centering import VBasis, build_v, lift, project_adjacency, restrict
 from .edm import Configuration
-from .graphs import Graph, GraphClass, adjacency_matrix, classify, complement
+from .graphs import (ClassStack, Graph, GraphClass, adjacency_matrix, class_stack,
+                     classify, complement, complement_adjacency)
 
 SIDE_LOWER = "lower"
 SIDE_UPPER = "upper"
@@ -117,19 +124,19 @@ def projected_spectrum(g: Graph, tol: float = linalg.EIG_TOL) -> ProjectedSpectr
     if g.n < 2:
         raise DegenerateGraphError("projected spectrum needs n >= 2")
     v = build_v(g.n)
-    spec = linalg.eigh(project_adjacency(adjacency_matrix(g), v), tol)
+    spec = linalg.eigh(project_adjacency(g.adj, v), tol)
     for grp in (spec.groups[0], spec.groups[-1]):
-        if _merges_eigenvalues(grp, g.n):
+        if grp.spread > _merge_tol(g.n):
             raise edm.InternalConsistencyError(
                 f"extreme eigenvalue group of V.T A V ({grp.value:.6g}, multiplicity "
                 f"{grp.multiplicity}) merges eigenvalues {grp.spread:.3e} apart")
     return ProjectedSpectrum(g.n, tuple((grp.value, grp.basis) for grp in spec.groups), v)
 
 
-def _merges_eigenvalues(grp: linalg.SpectralGroup, n: int) -> bool:
-    """Whether a clustered group holds eigenvalues farther from its value than
-    the residual tolerance allows, so its multiplicity counts distinct ones."""
-    return grp.spread > linalg.RESIDUAL_TOL * math.sqrt(n)
+def _merge_tol(n: int) -> float:
+    """Largest spread of a clustered group whose multiplicity is trusted: a
+    group whose eigenvalues lie farther from its value merges distinct ones."""
+    return linalg.RESIDUAL_TOL * math.sqrt(n)
 
 
 def _require_nondegenerate(g: Graph, cls: Optional[GraphClass]) -> GraphClass:
@@ -160,38 +167,33 @@ def beta_feasible_set(g: Graph, cls: Optional[GraphClass] = None,
     return BetaIntervals(((beta_l, True, 1.0, False), (1.0, False, beta_u, True)))
 
 
-def dim_euclidean(g: Graph, cls: Optional[GraphClass] = None,
-                  ps: Optional[ProjectedSpectrum] = None) -> Tuple[int, float]:
-    """Minimal Euclidean representation dimension and a witness beta."""
-    cls = _require_nondegenerate(g, cls)
-    ps = ps if ps is not None else projected_spectrum(g)
-    beta_l, beta_u = beta_endpoints(ps, cls)
-    if cls.is_cluster:
-        return g.n - 1 - ps.m_max, beta_l
-    if cls.is_multipartite:
-        return g.n - 1 - ps.m_min, beta_u
-    r_l = g.n - 1 - ps.m_max
-    r_u = g.n - 1 - ps.m_min
-    if r_l <= r_u:
-        return r_l, beta_l
-    return r_u, beta_u
+def dim_euclidean(g: Graph) -> Tuple[int, float]:
+    """Minimal Euclidean representation dimension and a witness beta.
+
+    Runs the whole analysis pass, so it raises DegenerateGraphError for a
+    complete or null graph and edm.InternalConsistencyError for any fault
+    ``analyze_graph`` reports, not only those of dim_E.
+    """
+    st = _analyze_single(g)
+    return int(st.dim_e[0]), float(st.dim_e_witness_beta[0])
 
 
 def endpoint_sphericity(g: Graph, side: str, ps: Optional[ProjectedSpectrum] = None,
                         tol_scale: float = linalg.RESIDUAL_TOL) -> bool:
-    """Whether the EDM at the requested feasibility endpoint is spherical."""
+    """Whether the EDM at the requested feasibility endpoint is spherical: the
+    lifted extreme eigenvectors z satisfy A z = mu z."""
     ps = ps if ps is not None else projected_spectrum(g)
     a = adjacency_matrix(g)
     tol = tol_scale * math.sqrt(g.n)
     if side == SIDE_LOWER:
         if ps.mu_max <= 1e-9:
             raise EndpointError("lower endpoint requires mu_max > 0")
-        z = ps.v.columns @ ps.u_l
+        z = lift(ps.u_l, ps.v)
         return float(np.max(np.abs(a @ z - ps.mu_max * z))) <= tol
     if side == SIDE_UPPER:
         if ps.mu_min > -1.0 - 1e-9:
             raise EndpointError("upper endpoint requires mu_min < -1")
-        z = ps.v.columns @ ps.u_u
+        z = lift(ps.u_u, ps.v)
         return float(np.max(np.abs(a @ z - ps.mu_min * z))) <= tol
     raise ValueError(f"unknown side {side!r}")
 
@@ -206,79 +208,62 @@ def _edm_at(g: Graph, beta: float) -> np.ndarray:
     return a + beta * abar
 
 
-def _interior_beta(beta_l: Optional[float], beta_u: Optional[float]) -> float:
-    if beta_l is not None:
-        return 0.5 * (beta_l + 1.0)
-    return 0.5 * (1.0 + beta_u)
+def _interior_beta(beta_l: np.ndarray, beta_u: np.ndarray) -> np.ndarray:
+    """A feasible beta strictly inside the interval next to an existing
+    endpoint (NaN marks a missing one), so the EDM there is full-dimensional."""
+    return np.where(np.isnan(beta_l), 0.5 * (1.0 + beta_u), 0.5 * (beta_l + 1.0))
 
 
-@dataclass(frozen=True)
-class _Endpoint:
-    """One feasibility endpoint. Every field is None where the endpoint does
-    not exist; config and rho are None where its EDM is not spherical."""
+def dim_spherical(g: Graph) -> Tuple[int, float, float]:
+    """Minimal spherical dimension, witness beta and the witness radius.
 
-    beta: Optional[float] = None
-    dim: Optional[int] = None
-    spherical: Optional[bool] = None
-    config: Optional[Configuration] = None
-    rho: Optional[float] = None
-
-
-def _endpoints(g: Graph, cls: GraphClass, ps: ProjectedSpectrum) -> Tuple[_Endpoint, _Endpoint]:
-    """The lower and upper endpoints, each tested for sphericity once; the
-    configuration and its circumradius are built only where it is spherical."""
-    out = []
-    for side, beta, mult in zip((SIDE_LOWER, SIDE_UPPER), beta_endpoints(ps, cls),
-                                (ps.m_max, ps.m_min)):
-        if beta is None:
-            out.append(_Endpoint())
-        elif not endpoint_sphericity(g, side, ps):
-            out.append(_Endpoint(beta, g.n - 1 - mult, False))
-        else:
-            config = euclidean_representation(g, beta, cls, ps)
-            out.append(_Endpoint(beta, g.n - 1 - mult, True, config,
-                                 _witness_radius(config.points)))
-    return out[0], out[1]
-
-
-def _spherical_witness(g: Graph, cls: GraphClass, ps: ProjectedSpectrum,
-                       ends: Tuple[_Endpoint, _Endpoint]) -> Tuple[int, float, Configuration, float]:
-    """dim_S with its witness beta, configuration and circumradius: the
-    spherical endpoint of least dimension, else an interior beta in n - 1."""
-    spherical = [e for e in ends if e.spherical]
-    if spherical:
-        best = min(spherical, key=lambda e: e.dim)
-        return best.dim, best.beta, best.config, best.rho
-    beta = _interior_beta(ends[0].beta, ends[1].beta)
-    config = euclidean_representation(g, beta, cls, ps)
-    return g.n - 1, beta, config, _witness_radius(config.points)
-
-
-def dim_spherical(g: Graph, cls: Optional[GraphClass] = None,
-                  ps: Optional[ProjectedSpectrum] = None) -> Tuple[int, float, float]:
-    """Minimal spherical dimension, witness beta and the witness radius."""
-    cls = _require_nondegenerate(g, cls)
-    ps = ps if ps is not None else projected_spectrum(g)
-    r, beta, _, rho = _spherical_witness(g, cls, ps, _endpoints(g, cls, ps))
-    return r, beta, rho
-
-
-def _witness_radius(p: np.ndarray) -> float:
-    """Circumradius of a centroid-centered spherical configuration.
-
-    The columns of p are orthogonal (eigenvector directions scaled by
-    sqrt(eigenvalue)), so the center equation P c = (diag(B) - mean)/2 solves
-    by a diagonal system; the rows sum to zero, so rho^2 = |c|^2 + mean |p_i|^2.
+    Raises as ``dim_euclidean`` does.
     """
-    diag_b = np.einsum("ij,ij->i", p, p)
-    rhs = 0.5 * (diag_b - diag_b.mean())
-    lam = np.einsum("ij,ij->j", p, p)
-    c = (p.T @ rhs) / lam
-    resid = float(np.max(np.abs(p @ c - rhs)))
-    if resid > 1e-7 * max(1.0, float(diag_b.max())):
-        raise edm.InternalConsistencyError(
-            f"witness EDM unexpectedly non-spherical: center residual {resid:.3e}")
-    return math.sqrt(float(c @ c) + float(diag_b.mean()))
+    st = _analyze_single(g)
+    return int(st.dim_s[0]), float(st.dim_s_witness_beta[0]), float(st.rho_s[0])
+
+
+def _circumcenter(p: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(c, residual, diag(B)) for centroid-centered configurations p of shape
+    (..., n, r) whose nonzero columns are orthogonal (eigenvector directions
+    scaled by sqrt(eigenvalue)): the center equation P c = (diag(B) - mean)/2
+    then solves by a diagonal system, and ``residual`` is how far it misses."""
+    sq = p * p
+    diag_b = sq.sum(axis=-1)
+    rhs = 0.5 * (diag_b - diag_b.sum(axis=-1, keepdims=True) / p.shape[-2])
+    lam = sq.sum(axis=-2)
+    c = (p * rhs[..., None]).sum(axis=-2) / np.where(lam > 0.0, lam, 1.0)
+    resid = np.abs((p * c[..., None, :]).sum(axis=-1) - rhs).max(axis=-1)
+    return c, resid, diag_b
+
+
+def _witness_radius(p: np.ndarray) -> np.ndarray:
+    """Circumradius of centroid-centered spherical configurations (..., n, r);
+    NaN where the center equation leaves a residual, so the EDM is not
+    spherical. The rows sum to zero, so rho^2 = |c|^2 + mean |p_i|^2."""
+    c, resid, diag_b = _circumcenter(p)
+    rho = np.sqrt((c * c).sum(axis=-1) + diag_b.sum(axis=-1) / p.shape[-2])
+    return np.where(resid <= 1e-7 * np.maximum(1.0, diag_b.max(axis=-1)), rho, np.nan)
+
+
+def _nonspherical_witness(p: np.ndarray) -> edm.InternalConsistencyError:
+    """The fault of a witness configuration whose radius came out NaN."""
+    return edm.InternalConsistencyError(
+        f"witness EDM unexpectedly non-spherical: center residual {float(_circumcenter(p)[1]):.3e}")
+
+
+def _closed_form_rho2(a: np.ndarray, mu_min: np.ndarray, basis: np.ndarray,
+                      lam: np.ndarray, keep: np.ndarray) -> np.ndarray:
+    """Squared upper-endpoint radius from the spectral closed form, for stacks:
+    a (k, n, n), mu_min (k,), and the V.T A V eigenvectors ``basis`` (k, n-1, m)
+    with eigenvalues ``lam`` (k, m), of which ``keep`` marks those outside the
+    mu_min group."""
+    n = a.shape[-1]
+    ae = a.sum(axis=-1)
+    q = np.einsum("...ij,...i->...j", basis, restrict(ae, build_v(n)))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        term = np.where(keep, q * q / (mu_min[..., None] - lam), 0.0).sum(axis=-1)
+    return (term + mu_min * (n * n - n) + ae.sum(axis=-1)) / (2.0 * n * n * (mu_min + 1.0))
 
 
 def radius_at_beta_u_closed_form(g: Graph, ps: Optional[ProjectedSpectrum] = None) -> float:
@@ -288,35 +273,58 @@ def radius_at_beta_u_closed_form(g: Graph, ps: Optional[ProjectedSpectrum] = Non
         raise EndpointError("closed form requires mu_min < -1")
     if not endpoint_sphericity(g, SIDE_UPPER, ps):
         raise EndpointError("upper endpoint is not spherical")
-    a = adjacency_matrix(g)
-    n = g.n
-    e = np.ones(n)
     w_basis, lam = ps.rest_above_min()
-    q = w_basis.T @ (ps.v.columns.T @ (a @ e))
-    term = float(q @ (q / (ps.mu_min - lam)))
-    eae = float(e @ a @ e)
-    rho2 = (term + ps.mu_min * (n * n - n) + eae) / (2.0 * n * n * (ps.mu_min + 1.0))
-    return rho2
+    return float(_closed_form_rho2(adjacency_matrix(g), np.float64(ps.mu_min), w_basis, lam,
+                                   np.ones(lam.shape, dtype=bool)))
+
+
+@dataclass(frozen=True)
+class _JStack:
+    """J-spherical data of a stack: the top eigenvalue group of each Abar and
+    the points sqrt(1 - delta*lambda) * eigenvector, the top group's columns
+    zero, in ascending eigenvalue order."""
+
+    top: np.ndarray
+    spread: np.ndarray
+    delta: np.ndarray
+    dim_j: np.ndarray
+    points: np.ndarray
+
+    @property
+    def bad(self) -> np.ndarray:
+        """Where the top group is not one positive eigenvalue."""
+        return (self.top <= 0.0) | (self.spread > _merge_tol(self.points.shape[-2]))
+
+    def error(self, i: int) -> edm.InternalConsistencyError:
+        return edm.InternalConsistencyError(
+            f"top eigenvalue group of the complement ({self.top[i]:.6g}, spread "
+            f"{self.spread[i]:.3e}) is not one positive eigenvalue")
+
+
+def _j_stack(abar: np.ndarray, tol: float) -> _JStack:
+    """_JStack of a (k, n, n) stack of complement adjacency matrices."""
+    w, q = np.linalg.eigh(abar)
+    grp = linalg.extreme_groups(w, tol)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        delta = 1.0 / grp.top
+        # The Gram matrix I - delta*Abar shares Abar's eigenvectors; its
+        # eigenvalue 1 - delta*lambda vanishes on the top group only.
+        gram = np.where(grp.top_mask, 0.0, 1.0 - delta[..., None] * w)
+        points = q * np.sqrt(np.maximum(gram, 0.0))[..., None, :]
+    return _JStack(grp.top, grp.top_spread, delta, abar.shape[-1] - grp.m_top, points)
 
 
 def j_spherical(g: Graph, cls: Optional[GraphClass] = None,
                 tol: float = linalg.EIG_TOL) -> JSpherical:
     """The unique J-spherical representation: unit sphere, first distance 2."""
     _require_nondegenerate(g, cls)
-    abar = adjacency_matrix(complement(g))
-    spec = linalg.eigh(abar, tol)
-    top = spec.groups[0]
-    if top.value <= 0.0 or _merges_eigenvalues(top, g.n):
-        raise edm.InternalConsistencyError(
-            f"top eigenvalue group of the complement ({top.value:.6g}, spread "
-            f"{top.spread:.3e}) is not one positive eigenvalue")
-    delta = 1.0 / top.value
-    # The Gram matrix I - delta*Abar shares Abar's eigenvectors; its eigenvalue
-    # 1 - delta*lambda vanishes on the top group only.
-    points = np.hstack([grp.basis * math.sqrt(1.0 - delta * grp.value)
-                        for grp in reversed(spec.groups[1:])])
-    return JSpherical(delta, 2.0 + 2.0 * delta, g.n - top.multiplicity,
-                      Configuration(points, edm.CENTERING_CIRCUMCENTER))
+    js = _j_stack(adjacency_matrix(complement(g))[None], tol)
+    if js.bad[0]:
+        raise js.error(0)
+    dim_j = int(js.dim_j[0])
+    delta = float(js.delta[0])
+    return JSpherical(delta, 2.0 + 2.0 * delta, dim_j,
+                      Configuration(js.points[0][:, :dim_j], edm.CENTERING_CIRCUMCENTER))
 
 
 def same_second_distance(g1: Graph, g2: Graph, tol: float = 1e-9) -> bool:
@@ -342,7 +350,7 @@ def euclidean_representation(g: Graph, beta: float, cls: Optional[GraphClass] = 
         raise InfeasibleBetaError(beta, x_min)
     pairs.sort(key=lambda t: -t[0])
     cols = [basis * math.sqrt(val) for val, basis in pairs if val > tol * scale]
-    points = ps.v.columns @ np.hstack(cols) if cols else np.zeros((g.n, 0))
+    points = lift(np.hstack(cols), ps.v) if cols else np.zeros((g.n, 0))
     return Configuration(points, edm.CENTERING_CENTROID)
 
 
@@ -392,58 +400,221 @@ class ReprReport:
         return doc
 
 
-@dataclass(frozen=True)
-class _Analysis:
-    """One pass over a graph: the report plus the spectrum, the configurations
-    built on the way (keyed by beta) and the J-spherical data behind it."""
+@dataclass
+class _Stack:
+    """One analysis pass over a (k, n, n) stack of graphs of order n.
 
-    report: ReprReport
-    ps: Optional[ProjectedSpectrum] = None
-    configs: Optional[dict] = None
-    js: Optional[JSpherical] = None
+    Every ReprReport field is a length-k array: float fields are NaN where
+    they do not apply, and integer and flag fields are meaningless there.
+    ``errors[i]`` is the InternalConsistencyError that ``analyze_graph`` raises
+    for graph i, or None. The spectrum, an interior beta_i and the J-spherical
+    points stay for the sweep, which rebuilds the configurations from them.
+    """
+
+    n: int
+    classes: ClassStack
+    errors: np.ndarray
+    mu_min: np.ndarray
+    mu_max: np.ndarray
+    m_min: np.ndarray
+    m_max: np.ndarray
+    beta_l: np.ndarray
+    beta_u: np.ndarray
+    dim_e: np.ndarray
+    dim_e_witness_beta: np.ndarray
+    dim_s: np.ndarray
+    dim_s_witness_beta: np.ndarray
+    spherical_at_l: np.ndarray
+    spherical_at_u: np.ndarray
+    rho_l: np.ndarray
+    rho_u: np.ndarray
+    rho_s: np.ndarray
+    delta: np.ndarray
+    beta_j: np.ndarray
+    dim_j: np.ndarray
+    lower_bound_e: np.ndarray
+    lower_bound_s: np.ndarray
+    eigenvalues: np.ndarray = None   # (k, n-1) of V.T A V, ascending
+    eigenvectors: np.ndarray = None  # (k, n-1, n-1)
+    groups: Optional[linalg.ExtremeGroups] = None
+    beta_i: np.ndarray = None
+    lifted: np.ndarray = None        # (k, n, n-1): V times the eigenvectors
+    j_points: np.ndarray = None      # (k, n, n), the top group's columns zero
+
+    @property
+    def degenerate(self) -> np.ndarray:
+        return self.classes.degenerate
+
+    def configuration(self, side: str) -> np.ndarray:
+        """(k, n, n-1) centroid-centered configurations at beta_l, beta_u or
+        beta_i (side "l", "u" or "i"), zero columns where X(beta) vanishes."""
+        beta = {"l": self.beta_l, "u": self.beta_u, "i": self.beta_i}[side]
+        zero = {"l": self.groups.top_mask, "u": self.groups.bottom_mask, "i": None}[side]
+        return _configurations(self.lifted, self.eigenvalues, beta, zero)
+
+    def report(self, i: int) -> ReprReport:
+        """The ReprReport of graph i; raises its error if it has one."""
+        if self.errors[i] is not None:
+            raise self.errors[i]
+        cls = self.classes.row(i)
+        lbs = float(self.lower_bound_e[i]), float(self.lower_bound_s[i])
+        if cls.is_degenerate:
+            return ReprReport(self.n, cls, True, *([None] * 17), *lbs)
+
+        def num(name, kind=float):
+            value = getattr(self, name)[i]
+            return None if kind is float and math.isnan(value) else kind(value)
+
+        l_ok, u_ok = not cls.is_multipartite, not cls.is_cluster
+        return ReprReport(
+            self.n, cls, False, num("mu_min"), num("mu_max"), num("m_min", int),
+            num("m_max", int), num("beta_l"), num("beta_u"), num("dim_e", int),
+            num("dim_e_witness_beta"), num("dim_s", int), num("dim_s_witness_beta"),
+            num("spherical_at_l", bool) if l_ok else None,
+            num("spherical_at_u", bool) if u_ok else None,
+            num("rho_l"), num("rho_u"), num("delta"), num("beta_j"), num("dim_j", int), *lbs)
 
 
-def _analyze(g: Graph, tol: float = linalg.EIG_TOL) -> _Analysis:
-    """The pass behind ``analyze_graph``; the sweep checks the same pass."""
-    cls = classify(g)
-    lb_e, lb_s = lower_bounds(max(g.n, 2))
-    if cls.is_degenerate:
-        return _Analysis(ReprReport(g.n, cls, True, *([None] * 17), lb_e, lb_s))
-    ps = projected_spectrum(g, tol)
+def _configurations(z: np.ndarray, w: np.ndarray, beta: np.ndarray,
+                    zero: Optional[np.ndarray]) -> np.ndarray:
+    """(k, n, n-1) centroid-centered configurations realizing A + beta*Abar,
+    from the lifted eigenvectors z and eigenvalues w (k, n-1) of V.T A V.
+
+    X(beta) = (beta I + (beta - 1) V.T A V)/2 shares those eigenvectors, so
+    the points are the columns z sqrt(x) for its eigenvalues x; the extreme
+    group ``zero`` is exactly 0 at its own endpoint, and every x at or below
+    EIG_TOL * scale gives a zero column.
+    """
+    x = 0.5 * (beta[:, None] + (beta[:, None] - 1.0) * w)
+    if zero is not None:
+        x = np.where(zero, 0.0, x)
+    scale = np.maximum(1.0, np.abs(x).max(axis=-1, keepdims=True))
+    return z * np.sqrt(np.where(x > linalg.EIG_TOL * scale, x, 0.0))[:, None, :]
+
+
+def _analyze_stack(adj: np.ndarray, tol: float = linalg.EIG_TOL) -> _Stack:
+    """The analysis of every graph in a (k, n, n) boolean adjacency stack.
+
+    Runs the class test, one stacked eigh of V.T A V and one of Abar, and then
+    array operations only; each fault that ``analyze_graph`` reports becomes
+    a per-row error, so one graph's fault leaves the other rows untouched.
+    """
+    adj = np.asarray(adj, dtype=bool)
+    k, n = adj.shape[0], adj.shape[-1]
+    classes = class_stack(adj)
+    lb_e, lb_s = lower_bounds(max(n, 2))
+    lbs = dict(lower_bound_e=np.full(k, lb_e), lower_bound_s=np.full(k, lb_s))
+    errors = np.full(k, None, dtype=object)
+    if n < 2:  # one node: the complete graph, and no spectrum
+        nan = np.full(k, np.nan)
+        return _Stack(n, classes, errors, rho_s=nan, **lbs,
+                      **{f.name: nan for f in fields(ReprReport)[3:-2]})
+    nondeg = ~classes.degenerate
+
+    clean = nondeg.copy()
+
+    def flag(mask, fault):
+        mask = mask & clean
+        if mask.any():
+            for i in np.flatnonzero(mask):
+                errors[i] = fault(i)
+            clean[mask] = False
+
+    v = build_v(n)
+    w, basis = np.linalg.eigh(project_adjacency(adj, v))
+    grp = linalg.extreme_groups(w, tol)
+    mu_min, mu_max, m_min, m_max = grp.bottom, grp.top, grp.m_bottom, grp.m_top
+    for spread, mu, m in ((grp.top_spread, mu_max, m_max), (grp.bottom_spread, mu_min, m_min)):
+        flag(spread > _merge_tol(n), lambda i: edm.InternalConsistencyError(
+            f"extreme eigenvalue group of V.T A V ({mu[i]:.6g}, multiplicity "
+            f"{m[i]}) merges eigenvalues {spread[i]:.3e} apart"))
     # mu_max = 0 exactly for complete multipartite graphs and mu_min = -1
     # exactly for cluster graphs; a clustering that breaks this is a fault
-    if (ps.mu_max > 1e-9) == cls.is_multipartite or (ps.mu_min < -1.0 - 1e-9) == cls.is_cluster:
-        raise edm.InternalConsistencyError(
-            f"projected spectrum (mu_min={ps.mu_min:.6g}, mu_max={ps.mu_max:.6g}) "
-            f"contradicts the class {cls.tag!r}")
-    r_e, beta_e = dim_euclidean(g, cls, ps)
-    lower, upper = ends = _endpoints(g, cls, ps)
-    r_s, beta_s, witness, _ = _spherical_witness(g, cls, ps, ends)
-    js = j_spherical(g, cls, tol)
-    if not lb_e - 1e-9 <= r_e <= r_s <= js.dim_j:
-        raise edm.InternalConsistencyError(
-            f"dimensions break lower_bound_e <= dim_e <= dim_s <= dim_j: "
-            f"{lb_e:.4f}, {r_e}, {r_s}, {js.dim_j}")
-    report = ReprReport(
-        n=g.n, graph_class=cls, degenerate=False,
-        mu_min=ps.mu_min, mu_max=ps.mu_max, m_min=ps.m_min, m_max=ps.m_max,
-        beta_l=lower.beta, beta_u=upper.beta,
-        dim_e=r_e, dim_e_witness_beta=beta_e,
-        dim_s=r_s, dim_s_witness_beta=beta_s,
-        spherical_at_l=lower.spherical, spherical_at_u=upper.spherical,
-        rho_l=lower.rho, rho_u=upper.rho,
-        delta=js.delta, beta_j=js.beta, dim_j=js.dim_j,
-        lower_bound_e=lb_e, lower_bound_s=lb_s,
-    )
-    configs = {e.beta: e.config for e in ends if e.spherical}
-    configs[beta_s] = witness
-    return _Analysis(report, ps, configs, js)
+    flag(((mu_max > 1e-9) == classes.is_multipartite) | ((mu_min < -1.0 - 1e-9) == classes.is_cluster),
+         lambda i: edm.InternalConsistencyError(
+             f"projected spectrum (mu_min={mu_min[i]:.6g}, mu_max={mu_max[i]:.6g}) "
+             f"contradicts the class {str(classes.tag[i])!r}"))
+
+    has_l = nondeg & ~classes.is_multipartite
+    has_u = nondeg & ~classes.is_cluster
+    beta_l = np.divide(mu_max, mu_max + 1.0, out=np.full(k, np.nan), where=has_l)
+    beta_u = np.divide(-mu_min, -mu_min - 1.0, out=np.full(k, np.nan), where=has_u)
+    r_l, r_u = n - 1 - m_max, n - 1 - m_min
+    use_l = classes.is_cluster | (~classes.is_multipartite & (r_l <= r_u))
+    dim_e = np.where(use_l, r_l, r_u)
+
+    # A z - mu z = (lambda - mu) z + e (d.z)/n for a lifted eigenvector z of
+    # V.T A V with eigenvalue lambda and the degree vector d, so an endpoint
+    # is spherical when d is orthogonal to its eigenspace. Each column's
+    # largest |entry| is at its largest or smallest z.
+    z = lift(basis, v)
+    degree_part = np.einsum("ki,kij->kj", adj.sum(axis=-1, dtype=float), z) / n
+    z_ends = (z.max(axis=-2), z.min(axis=-2))
+    betas = {"l": beta_l, "u": beta_u, "i": _interior_beta(beta_l, beta_u)}
+    zeros = {"l": grp.top_mask, "u": grp.bottom_mask, "i": None}
+
+    def radius(side, rows):
+        """Witness radii of the configurations at betas[side] for the rows;
+        NaN elsewhere. X(beta) is PSD there by construction: the extreme
+        group is 0 at its endpoint and every other eigenvalue positive."""
+        out = np.full(k, np.nan)
+        idx = np.flatnonzero(rows)
+        if idx.size:
+            points = _configurations(z[idx], w[idx], betas[side][idx],
+                                     None if zeros[side] is None else zeros[side][idx])
+            out[idx] = _witness_radius(points)
+            flag(rows & np.isnan(out),
+                 lambda i: _nonspherical_witness(points[np.searchsorted(idx, i)]))
+        return out
+
+    mus = np.stack([mu_max, mu_min])[..., None]  # lower, upper
+    resid = np.fmax(*(np.abs((w - mus) * end + degree_part) for end in z_ends))
+    resid = np.where(np.stack([zeros["l"], zeros["u"]]), resid, 0.0).max(axis=-1)
+    spherical = {"l": has_l & (resid[0] <= _merge_tol(n)), "u": has_u & (resid[1] <= _merge_tol(n))}
+    rho = {side: radius(side, spherical[side]) for side in ("l", "u")}
+
+    # dim_S: the spherical endpoint of least dimension (the lower one on a
+    # tie), else an interior beta in n - 1 dimensions.
+    d_l = np.where(spherical["l"], r_l, n)
+    d_u = np.where(spherical["u"], r_u, n)
+    at_l = spherical["l"] & (d_l <= d_u)
+    at_u = spherical["u"] & ~at_l
+    rho_i = radius("i", nondeg & ~at_l & ~at_u)
+
+    js = _j_stack(complement_adjacency(adj).astype(float), tol)
+    flag(js.bad, js.error)
+    dim_s = np.where(at_l, d_l, np.where(at_u, d_u, n - 1))
+    flag(~((lb_e - 1e-9 <= dim_e) & (dim_e <= dim_s) & (dim_s <= js.dim_j)),
+         lambda i: edm.InternalConsistencyError(
+             f"dimensions break lower_bound_e <= dim_e <= dim_s <= dim_j: "
+             f"{lb_e:.4f}, {dim_e[i]}, {dim_s[i]}, {js.dim_j[i]}"))
+    return _Stack(
+        n, classes, errors, mu_min=mu_min, mu_max=mu_max, m_min=m_min, m_max=m_max,
+        beta_l=beta_l, beta_u=beta_u, dim_e=dim_e,
+        dim_e_witness_beta=np.where(use_l, beta_l, beta_u),
+        dim_s=dim_s, dim_s_witness_beta=np.where(at_l, beta_l, np.where(at_u, beta_u, betas["i"])),
+        spherical_at_l=spherical["l"], spherical_at_u=spherical["u"],
+        rho_l=rho["l"], rho_u=rho["u"],
+        rho_s=np.where(at_l, rho["l"], np.where(at_u, rho["u"], rho_i)),
+        delta=js.delta, beta_j=2.0 + 2.0 * js.delta, dim_j=js.dim_j, **lbs,
+        eigenvalues=w, eigenvectors=basis, groups=grp, beta_i=betas["i"], lifted=z,
+        j_points=js.points)
+
+
+def _analyze_single(g: Graph) -> _Stack:
+    """The pass on a stack of one non-degenerate graph, raising its fault."""
+    st = _analyze_stack(g.adj[None])
+    if st.degenerate[0]:
+        raise DegenerateGraphError(f"{st.classes.tag[0]} graph admits no two-distance representation")
+    if st.errors[0] is not None:
+        raise st.errors[0]
+    return st
 
 
 def analyze_graph(g: Graph, tol: float = linalg.EIG_TOL) -> ReprReport:
-    """Full representation report for one graph.
+    """Full representation report for one graph: the stacked pass on a stack of one.
 
     Raises edm.InternalConsistencyError when the answers contradict each
     other or the class tag, as when ``tol`` merges distinct eigenvalues.
     """
-    return _analyze(g, tol).report
+    return _analyze_stack(g.adj[None], tol).report(0)

@@ -120,6 +120,23 @@ class TestEmbed:
         config = self.read_config(out)
         assert oracle.verify_two_distance(config, bow_tie, 1.0, 0.5).passed
 
+    @pytest.mark.parametrize("side", ["lower", "upper"])
+    def test_spherical_mode_matches_analyze(self, side, tmp_path, capsys):
+        # C_9 is regular, so both endpoints are spherical
+        g6 = encode_graph6(cycle_graph(9))
+        _, out, _ = run(["analyze", "--g6", g6], capsys)
+        doc = json.loads(out)
+        csv_path = tmp_path / "c9.csv"
+        code, _, _ = run(["embed", "--g6", g6, "--mode", "spherical", "--side", side,
+                          "--out", str(csv_path)], capsys)
+        assert code == 0
+        sidecar = json.loads((tmp_path / "c9.csv.json").read_text())
+        key = side[0]
+        assert sidecar["beta"] == doc[f"beta_{key}"] and sidecar["radius"] == doc[f"rho_{key}"]
+        config = self.read_config(csv_path)
+        assert config.dim == 8 - doc["m_max" if side == "lower" else "m_min"]
+        assert oracle.verify_two_distance(config, cycle_graph(9), 1.0, sidecar["beta"]).passed
+
     def test_jspherical_mode(self, tmp_path, capsys, bow_tie):
         out = tmp_path / "btj.csv"
         code, _, _ = run(["embed", "--g6", encode_graph6(bow_tie),

@@ -116,6 +116,19 @@ class TestSphericalInfo:
     def test_zero_matrix(self):
         assert edm.spherical_info(np.zeros((3, 3))) is None
 
+    def test_stack_matches_single_queries(self, rng, bow_tie):
+        raw = rng.standard_normal((5, 3))
+        sphere = edm_from_points(raw / np.linalg.norm(raw, axis=1, keepdims=True))
+        collinear = edm_from_points(np.arange(5.0)[:, None])
+        ds = np.stack([sphere, collinear, reps._edm_at(bow_tie, 3.5), reps._edm_at(bow_tie, 0.5),
+                       np.zeros((5, 5))])
+        st = edm.sphere_stack(ds)
+        assert (st.errors == None).all()  # noqa: E711
+        for d, radius in zip(ds, st.radius):
+            info = edm.spherical_info(d)
+            assert (info is None) == np.isnan(radius)
+            assert info is None or info.radius == radius
+
     def test_center_matches_points(self, rng):
         raw = rng.standard_normal((6, 3))
         pts = raw / np.linalg.norm(raw, axis=1, keepdims=True)

@@ -89,6 +89,18 @@ class TestPinvAndSolve:
         w = linalg.solve_in_colspace(m, b)
         assert np.allclose(m @ w, b, atol=1e-8)
 
+    def test_stacks_invert_each_matrix(self, rng):
+        ms = np.stack([random_psd(rng, 6, rank) for rank in (1, 3, 6)])
+        p = linalg.pinv(ms)
+        for m, pm in zip(ms, p):
+            assert np.allclose(pm, linalg.pinv(m), atol=1e-10)
+        b = np.einsum("kij,kj->ki", ms, rng.standard_normal((3, 6)))
+        assert linalg.in_colspace(ms, b, np.einsum("kij,kj->ki", p, b)).all()
+        # a vector orthogonal to the rank-1 matrix's range misses only there
+        b[0] = np.linalg.svd(ms[0])[0][:, 1]
+        assert linalg.in_colspace(ms, b, np.einsum("kij,kj->ki", p, b)).tolist() == \
+            [False, True, True]
+
     def test_solve_rejects_outside_colspace(self):
         m = np.diag([1.0, 1.0, 0.0])
         with pytest.raises(linalg.NotInColumnSpaceError):

@@ -147,6 +147,29 @@ class TestInvariantSweep:
         checks = {v["check"] for v in summary.violations}
         assert checks == {"radius_consistency"}
 
+    @pytest.mark.parametrize("args,kwargs,counts,per_n", [
+        ((4,), {}, {"degenerate_complement": 6, "endpoint_sphericity_duality": 52,
+                    "radius_consistency": 15}, {2: 2, 3: 8, 4: 64}),
+        ((3,), {"sample_7_8": 6, "seed": 7}, {"degenerate_complement": 4,
+                                              "endpoint_sphericity_duality": 9,
+                                              "radius_consistency": 1},
+         {2: 2, 3: 8, 7: 3, 8: 3}),
+    ], ids=["n4", "n3-samples"])
+    def test_no_check_dropped(self, args, kwargs, counts, per_n):
+        # check counts of the per-graph sweep this one replaced; every check
+        # not listed ran once per non-degenerate graph
+        summary = oracle.invariant_sweep(*args, **kwargs)
+        every = summary.graphs_checked - counts["degenerate_complement"]
+        want = dict.fromkeys(
+            ("cluster_iff_mu_min_-1", "multipartite_iff_mu_max_0", "no_mu_max0_mu_min-1",
+             "mu_min_below_-1", "dim_chain", "dim_e_at_most_n-2", "lower_bounds",
+             "dim_e_complement", "dim_s_complement", "mu_complement_relation",
+             "dispoly_roots_exist", "dispoly_roots_match", "configurations_verify",
+             "j_rows_unit_norm"), every)
+        want.update(counts)
+        assert summary.check_counts == want
+        assert summary.per_n == per_n and summary.ok
+
     def test_rejects_large_n(self):
         with pytest.raises(ValueError):
             oracle.invariant_sweep(7)

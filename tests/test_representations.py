@@ -7,10 +7,10 @@ import pytest
 
 from twodist import edm, linalg, representations as reps
 from twodist.centering import build_v, project_adjacency, projected_gram
-from twodist.graphs import (Graph, adjacency_matrix, classify, cluster_graph,
+from twodist.graphs import (Graph, adjacency_matrix, class_stack, classify, cluster_graph,
                             complement, complete_graph,
                             complete_multipartite_graph, cycle_graph, from_mask,
-                            null_graph, path_graph)
+                            null_graph, parse_graph6, path_graph)
 from twodist.oracle import verify_two_distance
 
 S5 = math.sqrt(5.0)
@@ -315,38 +315,47 @@ class TestAnalyzeGraph:
             info = edm.spherical_info(reps._edm_at(g, beta))
             assert rho == pytest.approx(info.radius, abs=1e-9)
 
-    @pytest.mark.parametrize("name,tests,configs", [
-        ("c9", 2, 2),       # both endpoints spherical
-        ("bow_tie", 2, 1),  # only the lower endpoint spherical
-        ("p3_k1", 2, 1),    # neither spherical: one interior witness
+    @pytest.mark.parametrize("name,radii", [
+        ("c9", 2),       # both endpoints spherical
+        ("bow_tie", 1),  # only the lower endpoint spherical
+        ("p3_k1", 1),    # neither spherical: one radius, at the interior witness
     ])
-    def test_one_computation_per_endpoint(self, name, tests, configs, bow_tie, monkeypatch):
+    def test_one_stacked_pass(self, name, radii, bow_tie, monkeypatch):
+        # analyze_graph is the stacked pass on a stack of one: one configuration
+        # and radius per spherical endpoint or interior witness, and none of
+        # the single-graph helpers
         g = {"c9": cycle_graph(9), "bow_tie": bow_tie,
              "p3_k1": Graph.from_edges(4, [(0, 1), (0, 2)])}[name]
         calls = []
-        for fn in ("endpoint_sphericity", "euclidean_representation", "_edm_at"):
+        for fn in ("_analyze_stack", "_configurations", "_witness_radius", "classify",
+                   "projected_spectrum", "endpoint_sphericity", "euclidean_representation",
+                   "j_spherical", "_edm_at"):
             orig = getattr(reps, fn)
 
             def counted(*args, _fn=fn, _orig=orig, **kwargs):
-                calls.append(_fn)
+                calls.append((_fn, np.shape(args[0])))
                 return _orig(*args, **kwargs)
             monkeypatch.setattr(reps, fn, counted)
-        rep = reps.analyze_graph(g)
-        ends = [s for s in (rep.spherical_at_l, rep.spherical_at_u) if s is not None]
-        assert calls.count("endpoint_sphericity") == len(ends) == tests
-        assert calls.count("euclidean_representation") == max(1, sum(ends)) == configs
-        assert "_edm_at" not in calls
+        reps.analyze_graph(g)
+        assert [c for c in calls if c[0] == "_analyze_stack"] == [("_analyze_stack", (1, g.n, g.n))]
+        assert [c[0] for c in calls].count("_configurations") == radii
+        assert [c[0] for c in calls].count("_witness_radius") == radii
+        assert {c[0] for c in calls} == {"_analyze_stack", "_configurations", "_witness_radius"}
 
     def test_class_contradiction_raises(self, monkeypatch):
         # C5's mu_min < -1 contradicts a cluster tag
-        monkeypatch.setattr(reps, "classify", lambda g: classify(cluster_graph([2, 3])))
+        monkeypatch.setattr(reps, "class_stack",
+                            lambda adj: class_stack(cluster_graph([2, 3]).adj[None]))
         with pytest.raises(edm.InternalConsistencyError, match="contradicts the class"):
             reps.analyze_graph(cycle_graph(5))
 
     def test_dimension_chain_break_raises(self, monkeypatch):
-        real = reps.j_spherical
-        monkeypatch.setattr(reps, "j_spherical",
-                            lambda *args: dataclasses.replace(real(*args), dim_j=1))
+        real = reps._j_stack
+
+        def broken(*args):
+            js = real(*args)
+            return dataclasses.replace(js, dim_j=np.ones_like(js.dim_j))
+        monkeypatch.setattr(reps, "_j_stack", broken)
         with pytest.raises(edm.InternalConsistencyError, match="lower_bound_e <= dim_e"):
             reps.analyze_graph(cycle_graph(5))
 
@@ -359,3 +368,63 @@ class TestAnalyzeGraph:
         lb_e, lb_s = reps.lower_bounds(5)
         assert lb_e == pytest.approx((math.sqrt(41) - 3) / 2)
         assert lb_s == pytest.approx((math.sqrt(49) - 3) / 2)
+
+
+def _stack_graphs():
+    """Every graph of order 5, then 50 seeded graphs each of orders 7 and 8."""
+    rng = np.random.default_rng(8)
+    yield [from_mask(5, mask) for mask in range(1 << 10)]
+    for n in (7, 8):
+        yield [from_mask(n, int(rng.integers(0, 1 << (n * (n - 1) // 2)))) for _ in range(50)]
+
+
+def _assert_same_report(got, want):
+    """Integer, flag and class fields equal; float fields within 1e-12."""
+    for f in dataclasses.fields(want):
+        a, b = getattr(got, f.name), getattr(want, f.name)
+        if isinstance(b, float):
+            assert a == pytest.approx(b, abs=1e-12), f.name
+        else:
+            assert type(a) is type(b) and a == b, f.name
+
+
+class TestAnalyzeStack:
+    @pytest.mark.parametrize("tol", [1e-9, 0.1])
+    def test_stacking_changes_no_answer(self, tol):
+        # a tolerance or max taken over the whole stack instead of per row
+        # would make a graph's answers depend on its neighbours; at tol 0.1
+        # the clustering gap, scaled per graph, decides many answers and faults
+        for graphs in _stack_graphs():
+            st = reps._analyze_stack(np.stack([g.adj for g in graphs]), tol)
+            for i, g in enumerate(graphs):
+                try:
+                    want = reps.analyze_graph(g, tol)
+                except edm.InternalConsistencyError as exc:
+                    assert str(st.errors[i]) == str(exc)
+                else:
+                    _assert_same_report(st.report(i), want)
+
+    def test_sphericity_matches_direct_residual(self):
+        # the pass tests d . z = 0 for the lifted eigenvectors z; the direct
+        # test computes A z - mu z
+        graphs = next(_stack_graphs())
+        st = reps._analyze_stack(np.stack([g.adj for g in graphs]))
+        for i, g in enumerate(graphs):
+            rep = st.report(i)
+            for side, flag in ((reps.SIDE_LOWER, rep.spherical_at_l),
+                               (reps.SIDE_UPPER, rep.spherical_at_u)):
+                if flag is not None:
+                    assert flag == reps.endpoint_sphericity(g, side), (i, side)
+
+    @pytest.mark.parametrize("tol,clean", [(0.5, cycle_graph(5)), (5.0, complete_graph(5))],
+                             ids=["0.5-c5", "5-k5"])
+    def test_error_stays_in_its_row(self, tol, clean):
+        # Dug at a coarse tolerance is the CLI's exit-3 case; at tol 5 every
+        # order-5 graph merges eigenvalues except the degenerate ones
+        dug = parse_graph6("Dug")
+        st = reps._analyze_stack(np.stack([dug.adj, clean.adj]), tol)
+        with pytest.raises(edm.InternalConsistencyError) as exc:
+            reps.analyze_graph(dug, tol)
+        assert str(st.errors[0]) == str(exc.value)
+        assert st.errors[1] is None
+        _assert_same_report(st.report(1), reps.analyze_graph(clean, tol))
