@@ -118,9 +118,9 @@ def cmd_embed(args) -> int:
                 return EXIT_INFEASIBLE
             config = reps.euclidean_representation(g, args.beta, cls)
             alpha, beta = 1.0, args.beta
-            info = edm.spherical_info(reps._edm_at(g, beta))
+            radius = float(reps._witness_radius(config.points))
             sidecar = {"mode": "euclidean", "alpha": alpha, "beta": beta,
-                       "radius": info.radius if info else None}
+                       "radius": None if math.isnan(radius) else radius}
         elif args.mode == "spherical":
             # the analysis pass answers every question here, as for analyze
             st = reps._analyze_single(g)

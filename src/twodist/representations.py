@@ -7,9 +7,10 @@ eigenvalue of the complement adjacency determines the J-spherical data.
 
 The analysis is one pass over a stack of graphs of one order
 (``_analyze_stack``): every graph of order n shares the same V, so the pass
-is one stacked eigendecomposition of V.T A V and one of the complement
-adjacency, followed by array operations. ``analyze_graph`` is that pass on a
-stack of one; the sweep runs it on every graph of an order at once.
+is one stacked eigendecomposition of V.T A V and the stacked eigenvalues of
+the complement adjacency, followed by array operations. ``analyze_graph`` is
+that pass on a stack of one; the sweep runs it on every graph of an order at
+once.
 """
 
 from __future__ import annotations
@@ -280,20 +281,22 @@ def radius_at_beta_u_closed_form(g: Graph, ps: Optional[ProjectedSpectrum] = Non
 
 @dataclass(frozen=True)
 class _JStack:
-    """J-spherical data of a stack: the top eigenvalue group of each Abar and
-    the points sqrt(1 - delta*lambda) * eigenvector, the top group's columns
-    zero, in ascending eigenvalue order."""
+    """J-spherical data of a stack of order-n graphs: the top eigenvalue group
+    of each Abar and, where asked for, the points
+    sqrt(1 - delta*lambda) * eigenvector, the top group's columns zero, in
+    ascending eigenvalue order."""
 
+    n: int
     top: np.ndarray
     spread: np.ndarray
     delta: np.ndarray
     dim_j: np.ndarray
-    points: np.ndarray
+    points: Optional[np.ndarray]
 
     @property
     def bad(self) -> np.ndarray:
         """Where the top group is not one positive eigenvalue."""
-        return (self.top <= 0.0) | (self.spread > _merge_tol(self.points.shape[-2]))
+        return (self.top <= 0.0) | (self.spread > _merge_tol(self.n))
 
     def error(self, i: int) -> edm.InternalConsistencyError:
         return edm.InternalConsistencyError(
@@ -301,24 +304,31 @@ class _JStack:
             f"{self.spread[i]:.3e}) is not one positive eigenvalue")
 
 
-def _j_stack(abar: np.ndarray, tol: float) -> _JStack:
-    """_JStack of a (k, n, n) stack of complement adjacency matrices."""
-    w, q = np.linalg.eigh(abar)
+def _j_stack(abar: np.ndarray, tol: float, points: bool = False) -> _JStack:
+    """_JStack of a (k, n, n) stack of complement adjacency matrices.
+
+    delta and dim_J read only the eigenvalues, so the eigenvectors are
+    computed, and the points built, only for ``points``.
+    """
+    n = abar.shape[-1]
+    w, q = np.linalg.eigh(abar) if points else (np.linalg.eigvalsh(abar), None)
     grp = linalg.extreme_groups(w, tol)
+    pts = None
     with np.errstate(divide="ignore", invalid="ignore"):
         delta = 1.0 / grp.top
-        # The Gram matrix I - delta*Abar shares Abar's eigenvectors; its
-        # eigenvalue 1 - delta*lambda vanishes on the top group only.
-        gram = np.where(grp.top_mask, 0.0, 1.0 - delta[..., None] * w)
-        points = q * np.sqrt(np.maximum(gram, 0.0))[..., None, :]
-    return _JStack(grp.top, grp.top_spread, delta, abar.shape[-1] - grp.m_top, points)
+        if points:
+            # The Gram matrix I - delta*Abar shares Abar's eigenvectors; its
+            # eigenvalue 1 - delta*lambda vanishes on the top group only.
+            gram = np.where(grp.top_mask, 0.0, 1.0 - delta[..., None] * w)
+            pts = q * np.sqrt(np.maximum(gram, 0.0))[..., None, :]
+    return _JStack(n, grp.top, grp.top_spread, delta, n - grp.m_top, pts)
 
 
 def j_spherical(g: Graph, cls: Optional[GraphClass] = None,
                 tol: float = linalg.EIG_TOL) -> JSpherical:
     """The unique J-spherical representation: unit sphere, first distance 2."""
     _require_nondegenerate(g, cls)
-    js = _j_stack(adjacency_matrix(complement(g))[None], tol)
+    js = _j_stack(adjacency_matrix(complement(g))[None], tol, points=True)
     if js.bad[0]:
         raise js.error(0)
     dim_j = int(js.dim_j[0])
@@ -329,8 +339,8 @@ def j_spherical(g: Graph, cls: Optional[GraphClass] = None,
 
 def same_second_distance(g1: Graph, g2: Graph, tol: float = 1e-9) -> bool:
     """Whether the two J-spherical representations share the second distance."""
-    lam1 = linalg.eigh(adjacency_matrix(complement(g1))).max_value
-    lam2 = linalg.eigh(adjacency_matrix(complement(g2))).max_value
+    lam1, lam2 = (_j_stack(adjacency_matrix(complement(g))[None], linalg.EIG_TOL).top[0]
+                  for g in (g1, g2))
     return abs(lam1 - lam2) <= tol
 
 
@@ -407,8 +417,9 @@ class _Stack:
     Every ReprReport field is a length-k array: float fields are NaN where
     they do not apply, and integer and flag fields are meaningless there.
     ``errors[i]`` is the InternalConsistencyError that ``analyze_graph`` raises
-    for graph i, or None. The spectrum, an interior beta_i and the J-spherical
-    points stay for the sweep, which rebuilds the configurations from them.
+    for graph i, or None. The spectrum and an interior beta_i stay for the
+    sweep, which rebuilds the configurations from them; the J-spherical points
+    are there only when the pass was asked for them.
     """
 
     n: int
@@ -439,7 +450,7 @@ class _Stack:
     groups: Optional[linalg.ExtremeGroups] = None
     beta_i: np.ndarray = None
     lifted: np.ndarray = None        # (k, n, n-1): V times the eigenvectors
-    j_points: np.ndarray = None      # (k, n, n), the top group's columns zero
+    j_points: np.ndarray = None      # (k, n, n), the top group's columns zero, or None
 
     @property
     def degenerate(self) -> np.ndarray:
@@ -492,12 +503,15 @@ def _configurations(z: np.ndarray, w: np.ndarray, beta: np.ndarray,
     return z * np.sqrt(np.where(x > linalg.EIG_TOL * scale, x, 0.0))[:, None, :]
 
 
-def _analyze_stack(adj: np.ndarray, tol: float = linalg.EIG_TOL) -> _Stack:
+def _analyze_stack(adj: np.ndarray, tol: float = linalg.EIG_TOL, *,
+                   j_points: bool = False) -> _Stack:
     """The analysis of every graph in a (k, n, n) boolean adjacency stack.
 
-    Runs the class test, one stacked eigh of V.T A V and one of Abar, and then
-    array operations only; each fault that ``analyze_graph`` reports becomes
-    a per-row error, so one graph's fault leaves the other rows untouched.
+    Runs the class test, one stacked eigh of V.T A V and one eigvalsh of Abar,
+    and then array operations only; each fault that ``analyze_graph`` reports
+    becomes a per-row error, so one graph's fault leaves the other rows
+    untouched. With ``j_points`` the Abar decomposition is an eigh and the
+    J-spherical points are kept.
     """
     adj = np.asarray(adj, dtype=bool)
     k, n = adj.shape[0], adj.shape[-1]
@@ -581,7 +595,7 @@ def _analyze_stack(adj: np.ndarray, tol: float = linalg.EIG_TOL) -> _Stack:
     at_u = spherical["u"] & ~at_l
     rho_i = radius("i", nondeg & ~at_l & ~at_u)
 
-    js = _j_stack(complement_adjacency(adj).astype(float), tol)
+    js = _j_stack(complement_adjacency(adj).astype(float), tol, j_points)
     flag(js.bad, js.error)
     dim_s = np.where(at_l, d_l, np.where(at_u, d_u, n - 1))
     flag(~((lb_e - 1e-9 <= dim_e) & (dim_e <= dim_s) & (dim_s <= js.dim_j)),

@@ -13,3 +13,17 @@ def bow_tie() -> Graph:
 @pytest.fixture
 def rng() -> np.random.Generator:
     return np.random.default_rng(20260825)
+
+
+@pytest.fixture
+def decompositions(monkeypatch) -> list:
+    """The numpy.linalg decompositions called during the test, by name, in order."""
+    calls = []
+    for fn in ("eigh", "eigvalsh", "svd", "lstsq"):
+        orig = getattr(np.linalg, fn)
+
+        def counted(*args, _fn=fn, _orig=orig, **kwargs):
+            calls.append(_fn)
+            return _orig(*args, **kwargs)
+        monkeypatch.setattr(np.linalg, fn, counted)
+    return calls

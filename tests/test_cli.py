@@ -109,6 +109,26 @@ class TestEmbed:
         sidecar = json.loads((tmp_path / "c5.csv.json").read_text())
         assert sidecar["mode"] == "euclidean" and sidecar["beta"] == 2.0
 
+    @pytest.mark.parametrize("name,beta", [("c9", 0.7), ("bow_tie", 2.0), ("bow_tie", 3.5)])
+    def test_euclidean_radius(self, name, beta, tmp_path, capsys, bow_tie):
+        # the bow tie's upper endpoint beta_u = 3.5 is not spherical
+        g = cycle_graph(9) if name == "c9" else bow_tie
+        out = tmp_path / "x.csv"
+        code, _, _ = run(["embed", "--g6", encode_graph6(g), "--mode", "euclidean",
+                          "--beta", str(beta), "--out", str(out)], capsys)
+        assert code == 0
+        radius = json.loads((tmp_path / "x.csv.json").read_text())["radius"]
+        info = edm.spherical_info(reps._edm_at(g, beta))
+        if name == "bow_tie" and beta == 3.5:
+            assert info is None and radius is None
+        else:
+            assert radius == pytest.approx(info.radius, abs=1e-9)
+
+    def test_spherical_mode_decompositions(self, tmp_path, capsys, decompositions):
+        code, _, _ = run(["embed", "--g6", encode_graph6(cycle_graph(9)), "--mode", "spherical",
+                          "--out", str(tmp_path / "x.csv")], capsys)
+        assert code == 0 and decompositions == ["eigh", "eigvalsh"]
+
     def test_spherical_mode(self, tmp_path, capsys, bow_tie):
         out = tmp_path / "bt.csv"
         g6 = encode_graph6(bow_tie)

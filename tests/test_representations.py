@@ -257,6 +257,21 @@ class TestJSpherical:
         assert reps.same_second_distance(cluster_graph([2, 2, 2]), cluster_graph([4, 4]))
         assert not reps.same_second_distance(cluster_graph([2, 2, 2]), cycle_graph(5))
 
+    @pytest.mark.parametrize("name", ["bow_tie", "c9"])
+    def test_one_decomposition(self, name, bow_tie, decompositions):
+        reps.j_spherical(bow_tie if name == "bow_tie" else cycle_graph(9))
+        assert decompositions == ["eigh"]
+
+    def test_matches_analysis(self):
+        # the analysis reads delta and dim_J from Abar's eigenvalues alone
+        for graphs in _stack_graphs():
+            for g in graphs:
+                if classify(g).is_degenerate:
+                    continue
+                rep, js = reps.analyze_graph(g), reps.j_spherical(g)
+                assert rep.dim_j == js.dim_j
+                assert rep.delta == pytest.approx(js.delta, abs=1e-12)
+
 
 class TestClosedFormFamilies:
     @pytest.mark.parametrize("q", [13, 29, 101])
@@ -270,6 +285,23 @@ class TestClosedFormFamilies:
         assert rep.mu_min == pytest.approx((-1 - math.sqrt(q)) / 2, abs=1e-9)
         assert rep.m_min == rep.m_max == rep.dim_e == rep.dim_s == half
         assert rep.dim_j == q - 1
+
+    @pytest.mark.parametrize("name,delta,dim_j", [
+        ("c300", 1 / 297, 299),      # Abar's top eigenvalue n - 3, simple
+        ("k60x5", 1 / 59, 295),      # Abar = 5 K_60: top eigenvalue 59, multiplicity 5
+        ("k150x2", 1 / 149, 298),    # Abar = 2 K_150
+        ("paley281", 2 / 280, 280),  # Abar is a Paley graph: top (q - 1)/2, simple
+    ])
+    def test_j_data_at_large_n(self, name, delta, dim_j):
+        # delta = 1/lambda_max(Abar) and dim_J = n - its multiplicity
+        g = {"c300": lambda: cycle_graph(300),
+             "k60x5": lambda: complete_multipartite_graph([60] * 5),
+             "k150x2": lambda: complete_multipartite_graph([150, 150]),
+             "paley281": lambda: paley_graph(281)}[name]()
+        rep = reps.analyze_graph(g)
+        assert rep.delta == pytest.approx(delta, abs=1e-12)
+        assert rep.beta_j == pytest.approx(2.0 + 2.0 * delta, abs=1e-12)
+        assert rep.dim_j == dim_j
 
 
 class TestAnalyzeGraph:
@@ -288,23 +320,17 @@ class TestAnalyzeGraph:
         assert doc["rho_u"] ** 2 == pytest.approx(2 / (5 - S5))
 
     @pytest.mark.parametrize("name", ["gnp", "c9", "paley13"])
-    def test_two_decompositions_per_analysis(self, name, rng, monkeypatch):
+    def test_two_decompositions_per_analysis(self, name, rng, decompositions):
+        # eigh of V.T A V, and only the eigenvalues of Abar: the analysis
+        # reads no J-spherical point
         if name == "gnp":
             upper = np.triu(rng.random((12, 12)) < 0.5, k=1)
             g = Graph(12, upper | upper.T)
             assert classify(g).tag == "general"
         else:
             g = cycle_graph(9) if name == "c9" else paley_graph(13)
-        calls = []
-        for fn in ("eigh", "eigvalsh", "svd", "lstsq"):
-            orig = getattr(np.linalg, fn)
-
-            def counted(*args, _fn=fn, _orig=orig, **kwargs):
-                calls.append(_fn)
-                return _orig(*args, **kwargs)
-            monkeypatch.setattr(np.linalg, fn, counted)
         reps.analyze_graph(g)
-        assert calls == ["eigh", "eigh"]
+        assert decompositions == ["eigh", "eigvalsh"]
 
     @pytest.mark.parametrize("g", [cycle_graph(9), petersen_graph(), paley_graph(13)],
                              ids=["c9", "petersen", "paley13"])
@@ -403,6 +429,21 @@ class TestAnalyzeStack:
                     assert str(st.errors[i]) == str(exc)
                 else:
                     _assert_same_report(st.report(i), want)
+
+    @pytest.mark.parametrize("tol", [1e-9, 0.1, 0.9])
+    def test_j_points_change_no_answer(self, tol):
+        # the sweep asks for the J-spherical points (an eigh of Abar), every
+        # other caller reads Abar's eigenvalues alone: same answers and faults
+        # (at tol 0.9, 22 order-5 graphs have the top-Abar-group fault)
+        stacks = [np.stack([g.adj for g in graphs]) for graphs in _stack_graphs()]
+        stacks += [cycle_graph(300).adj[None], paley_graph(101).adj[None]]
+        for adj in stacks:
+            plain = reps._analyze_stack(adj, tol)
+            full = reps._analyze_stack(adj, tol, j_points=True)
+            assert plain.j_points is None and full.j_points.shape == adj.shape
+            assert [str(e) for e in plain.errors] == [str(e) for e in full.errors]
+            for i in np.flatnonzero(plain.errors == None):  # noqa: E711
+                _assert_same_report(plain.report(i), full.report(i))
 
     def test_sphericity_matches_direct_residual(self):
         # the pass tests d . z = 0 for the lifted eigenvectors z; the direct
