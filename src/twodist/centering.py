@@ -58,6 +58,14 @@ def lift(x: np.ndarray, v: VBasis) -> np.ndarray:
     return np.concatenate([v.u[0] * colsum, x + v.u[1] * colsum], axis=-2)
 
 
+def lift_extremes(x: np.ndarray, v: VBasis) -> tuple:
+    """(max, min) over the rows of V @ x for x of shape (..., n-1, r), read
+    off the column max, min and sum of x without forming V @ x."""
+    colsum = x.sum(axis=-2)
+    first, shift = v.u[0] * colsum, v.u[1] * colsum
+    return np.maximum(x.max(axis=-2) + shift, first), np.minimum(x.min(axis=-2) + shift, first)
+
+
 def restrict(y: np.ndarray, v: VBasis) -> np.ndarray:
     """V.T @ y for a vector stack y of shape (..., n): y[1:] + (u . y)."""
     return y[..., 1:] + (y @ v.u)[..., None]

@@ -1,6 +1,7 @@
 """Command-line front end: analyze graphs, emit coordinate files, run sweeps.
 
-Exit codes: 0 success, 2 parse/usage failure, 3 internal consistency
+Exit codes: 0 success, 2 parse/usage failure (including an unwritable
+output path), 3 internal consistency
 diagnostic (including a sweep that finds violations), 4 infeasible request
 (bad beta, degenerate graph, non-spherical endpoint).
 """
@@ -96,6 +97,11 @@ def _write_coordinates(path: str, config: edm.Configuration, sidecar: dict) -> N
         fh.write("\n")
 
 
+def _unwritable(path: str, exc: OSError) -> int:
+    print(f"error: cannot write {path}: {exc.strerror or exc}", file=sys.stderr)
+    return EXIT_PARSE
+
+
 def cmd_embed(args) -> int:
     try:
         g = _load_graph(args)
@@ -162,7 +168,10 @@ def cmd_embed(args) -> int:
         print(f"error: configuration failed two-distance verification "
               f"(max deviation {report.max_deviation:.3e})", file=sys.stderr)
         return EXIT_DIAGNOSTIC
-    _write_coordinates(args.out, config, sidecar)
+    try:
+        _write_coordinates(args.out, config, sidecar)
+    except OSError as exc:
+        return _unwritable(args.out, exc)
     return EXIT_OK
 
 
@@ -175,8 +184,11 @@ def cmd_sweep(args) -> int:
     summary = oracle.invariant_sweep(n_exhaustive, sample_7_8=samples, seed=args.seed)
     text = summary.to_json(indent=2)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text + "\n")
+        except OSError as exc:
+            return _unwritable(args.out, exc)
     else:
         print(text)
     return EXIT_OK if summary.ok else EXIT_DIAGNOSTIC

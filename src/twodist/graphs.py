@@ -157,8 +157,27 @@ def parse_edge_list(text: str) -> Graph:
     return Graph.from_edges(n, pairs)
 
 
+#: Largest order graph6 writes in its 4-byte header; larger ones take the
+#: 8-byte form, which is not supported.
+GRAPH6_MAX_N = 258047
+
+
+def _graph6_header(s: str) -> tuple:
+    """(n, header length) of a graph6 string: one byte n + 63 for n <= 62,
+    else ``~`` and n in three 6-bit bytes (McKay's formats.txt)."""
+    if s[0] != "~":
+        return ord(s[0]) - 63, 1
+    if s[1:2] == "~":
+        raise GraphFormatError(f"graph6 8-byte form (n > {GRAPH6_MAX_N}) not supported")
+    if len(s) < 4:
+        raise GraphFormatError("truncated graph6 header")
+    a, b, c = (ord(ch) - 63 for ch in s[1:4])
+    return (a << 12) | (b << 6) | c, 4
+
+
 def parse_graph6(text: str) -> Graph:
-    """Parse a short-form graph6 string (n <= 62)."""
+    """Parse a graph6 string, in the short form (n <= 62) or the 4-byte
+    header form (n <= 258047)."""
     s = text.strip()
     if s.startswith(">>graph6<<"):
         s = s[len(">>graph6<<"):]
@@ -167,12 +186,10 @@ def parse_graph6(text: str) -> Graph:
     for ch in s:
         if not (63 <= ord(ch) <= 126):
             raise GraphFormatError(f"invalid graph6 character {ch!r}")
-    if ord(s[0]) == 126:
-        raise GraphFormatError("graph6 long form (n >= 63) not supported")
-    n = ord(s[0]) - 63
+    n, head = _graph6_header(s)
     nbits = n * (n - 1) // 2
     nbytes = (nbits + 5) // 6
-    body = s[1:]
+    body = s[head:]
     if len(body) < nbytes:
         raise GraphFormatError("truncated graph6 bit stream")
     if len(body) > nbytes:
@@ -206,14 +223,16 @@ def triu_pairs(n: int) -> tuple:
 
 
 def encode_graph6(g: Graph) -> str:
-    """Encode a graph as a short-form graph6 string."""
-    if g.n > 62:
-        raise GraphFormatError("graph6 short form limited to n <= 62")
+    """Encode a graph as a graph6 string, with the 4-byte header for n >= 63."""
+    if g.n > GRAPH6_MAX_N:
+        raise GraphFormatError(f"graph6 8-byte form (n > {GRAPH6_MAX_N}) not supported")
+    head = chr(g.n + 63) if g.n <= 62 else "~" + "".join(
+        chr(((g.n >> shift) & 63) + 63) for shift in (12, 6, 0))
     jj, ii = _graph6_order(g.n)
     bits = g.adj[ii, jj]
     bits = np.concatenate([bits, np.zeros(-bits.size % 6, dtype=bool)]).reshape(-1, 6)
     vals = bits @ np.array([32, 16, 8, 4, 2, 1]) + 63
-    return chr(g.n + 63) + vals.astype(np.uint8).tobytes().decode("ascii")
+    return head + vals.astype(np.uint8).tobytes().decode("ascii")
 
 
 def complement_adjacency(adj: np.ndarray) -> np.ndarray:

@@ -110,6 +110,29 @@ def extreme_groups(w: np.ndarray, tol: float = EIG_TOL) -> ExtremeGroups:
     return ExtremeGroups(*masks, *counts, *means, *spreads)
 
 
+def arrowhead_eigvalsh(corner: np.ndarray, z: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of the arrowhead matrices [[corner, z.T], [z, diag(d)]]
+    for stacks corner (k,), z and d (k, m).
+
+    A direction j whose |z_j| is at rounding level (8 eps times the largest
+    |diagonal entry|) is decoupled: d_j is an eigenvalue exactly. One stacked
+    ``eigvalsh`` runs on the coupled parts only, each padded to the widest
+    with decoupled directions, which stay decoupled in the reduction.
+    """
+    out = np.concatenate([corner[:, None], d], axis=-1)
+    # the corner's slot has z = inf: it is always in the coupled part
+    zs = np.concatenate([np.full_like(corner, np.inf)[:, None], z], axis=-1)
+    coupled = np.abs(zs) > (8.0 * np.finfo(float).eps) * np.abs(out).max(axis=-1, keepdims=True)
+    c = int(np.count_nonzero(coupled, axis=-1).max(initial=1))
+    rows = np.arange(z.shape[0])[:, None]
+    slots = np.argsort(~coupled, axis=-1, kind="stable")[:, :c]  # coupled slots first
+    h = np.zeros((rows.size, c, c))
+    h.reshape(rows.size, c * c)[:, ::c + 1] = out[rows, slots]
+    h[:, 0, 1:] = h[:, 1:, 0] = np.where(coupled[rows, slots[:, 1:]], zs[rows, slots[:, 1:]], 0.0)
+    out[rows, slots] = np.linalg.eigvalsh(h)
+    return np.sort(out, axis=-1)
+
+
 def eigh(m: np.ndarray, tol: float = EIG_TOL) -> Spectrum:
     """Clustered spectral decomposition of a symmetric matrix.
 

@@ -211,34 +211,38 @@ def _sweep_stack(summary: SweepSummary, adj: np.ndarray, comp: np.ndarray,
 
     # Constructive checks: the configurations at each endpoint and at the
     # interior beta (the spherical witness is one of these), the J-spherical
-    # configuration's distances and unit rows.
+    # configuration's distances and unit rows; and the circumradius of the
+    # configuration at a spherical upper endpoint, for the radius check.
+    rad = np.flatnonzero(live & st.spherical_at_u)
     config_dev, config_ok = np.zeros(k), np.ones(k, dtype=bool)
     for side, beta, has in (("l", st.beta_l, has_l), ("u", st.beta_u, has_u), ("i", st.beta_i, live)):
-        dev, passed, _ = _verify_stack(st.configuration(side), adj, 1.0, beta)
+        points = st.configuration(side)
+        dev, passed, _ = _verify_stack(points, adj, 1.0, beta)
         config_dev = np.where(has, np.fmax(config_dev, dev), config_dev)
         config_ok &= ~has | passed
+        if side == "u":
+            witness = reps._witness_radius(points[rad]) ** 2
     dev, passed, _ = _verify_stack(st.j_points, adj, 2.0, st.beta_j)
     config_dev, config_ok = np.fmax(config_dev, dev), config_ok & passed
     row_norm_err = np.abs(np.einsum("kij,kij->ki", st.j_points, st.j_points) - 1.0).max(axis=-1)
 
-    # Radius consistency at a spherical upper endpoint: the reported radius vs
-    # the closed form vs the Dw = e radius.
+    # Radius consistency at a spherical upper endpoint: the reported radius
+    # (the closed form) and that circumradius vs the Dw = e radius.
     radius_err = np.full(k, np.nan)
-    rad = np.flatnonzero(live & st.spherical_at_u)
     if rad.size:
-        a = adj[rad].astype(float)
-        closed = reps._closed_form_rho2(a, st.mu_min[rad], st.eigenvectors[rad],
-                                        st.eigenvalues[rad], ~st.groups.bottom_mask[rad])
         abar = complement_adjacency(adj[rad]).astype(float)
-        sphere = edm.sphere_stack(a + st.beta_u[rad, None, None] * abar)
+        sphere = edm.sphere_stack(adj[rad] + st.beta_u[rad, None, None] * abar)
         errors[rad] = sphere.errors
         rho2_w = sphere.radius ** 2
-        radius_err[rad] = np.maximum(np.abs(closed - rho2_w), np.abs(st.rho_u[rad] ** 2 - rho2_w))
+        radius_err[rad] = np.maximum(np.abs(witness - rho2_w), np.abs(st.rho_u[rad] ** 2 - rho2_w))
     live &= errors == None  # noqa: E711
 
+    # the roots only feed checks recorded for the rows in ``checked``, not
+    # for a sampled graph's complement
     t1, t2 = np.full(k, np.nan), np.full(k, np.nan)
-    if live.any():
-        t1[live], t2[live] = _roots_stack(adj[live])
+    roots = live & checked
+    if roots.any():
+        t1[roots], t2[roots] = _roots_stack(adj[roots])
     root_presence_ok = (np.isnan(t1) == ~has_l) & (np.isnan(t2) == ~has_u)
     root_err = np.fmax(np.where(has_l & ~np.isnan(t1), np.abs(t1 - st.beta_l), 0.0),
                        np.where(has_u & ~np.isnan(t2), np.abs(t2 - st.beta_u), 0.0))

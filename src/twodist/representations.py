@@ -7,22 +7,24 @@ eigenvalue of the complement adjacency determines the J-spherical data.
 
 The analysis is one pass over a stack of graphs of one order
 (``_analyze_stack``): every graph of order n shares the same V, so the pass
-is one stacked eigendecomposition of V.T A V and the stacked eigenvalues of
-the complement adjacency, followed by array operations. ``analyze_graph`` is
-that pass on a stack of one; the sweep runs it on every graph of an order at
-once.
+is one stacked eigendecomposition of V.T A V followed by array operations.
+The radii are closed forms in its eigenpairs, and the complement adjacency
+is an arrowhead matrix in its eigenbasis, so only the part of it that the
+degree vector couples needs an eigvalsh. ``analyze_graph`` is that pass on a
+stack of one; the sweep runs it on every graph of an order at once.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
+from functools import cached_property
 from typing import Optional, Tuple
 
 import numpy as np
 
 from . import edm, linalg
-from .centering import VBasis, build_v, lift, project_adjacency, restrict
+from .centering import VBasis, build_v, lift, lift_extremes, project_adjacency, restrict
 from .edm import Configuration
 from .graphs import (ClassStack, Graph, GraphClass, adjacency_matrix, class_stack,
                      classify, complement, complement_adjacency)
@@ -82,12 +84,6 @@ class ProjectedSpectrum:
     def u_u(self) -> np.ndarray:
         """Orthonormal eigenbasis for mu_min."""
         return self.groups[-1][1]
-
-    def rest_above_min(self) -> Tuple[np.ndarray, np.ndarray]:
-        """(W, Lambda) for all groups except the mu_min one."""
-        bases = [b for _, b in self.groups[:-1]]
-        vals = np.concatenate([[val] * b.shape[1] for (val, b) in self.groups[:-1]])
-        return np.hstack(bases), vals
 
     def flat(self) -> np.ndarray:
         return np.concatenate([[val] * b.shape[1] for val, b in self.groups])
@@ -247,51 +243,51 @@ def _witness_radius(p: np.ndarray) -> np.ndarray:
     return np.where(resid <= 1e-7 * np.maximum(1.0, diag_b.max(axis=-1)), rho, np.nan)
 
 
-def _nonspherical_witness(p: np.ndarray) -> edm.InternalConsistencyError:
-    """The fault of a witness configuration whose radius came out NaN."""
-    return edm.InternalConsistencyError(
-        f"witness EDM unexpectedly non-spherical: center residual {float(_circumcenter(p)[1]):.3e}")
+def _radius2(beta: np.ndarray, w: np.ndarray, q: np.ndarray, mean_deg: np.ndarray,
+             skip: Optional[np.ndarray]) -> np.ndarray:
+    """Squared circumradii of the EDMs A + beta*Abar of k graphs of order n,
+    in closed form from the eigenpairs (w, U) of V.T A V (w of shape (k, n-1)),
+    q = U.T V.T d for the degree vector d, and mean_deg = 2|E|/n:
 
+        rho^2 = [beta (n-1) + (1 - beta)(2|E|/n + sum_j (q_j^2/n) / (x* - w_j))] / (2n),
 
-def _closed_form_rho2(a: np.ndarray, mu_min: np.ndarray, basis: np.ndarray,
-                      lam: np.ndarray, keep: np.ndarray) -> np.ndarray:
-    """Squared upper-endpoint radius from the spectral closed form, for stacks:
-    a (k, n, n), mu_min (k,), and the V.T A V eigenvectors ``basis`` (k, n-1, m)
-    with eigenvalues ``lam`` (k, m), of which ``keep`` marks those outside the
-    mu_min group."""
-    n = a.shape[-1]
-    ae = a.sum(axis=-1)
-    q = np.einsum("...ij,...i->...j", basis, restrict(ae, build_v(n)))
+    x* = beta/(1 - beta). The configuration's points are the rows of
+    V U sqrt(x) with x_j = (1 - beta)(x* - w_j)/2; the first part is their
+    mean squared norm, the sum the squared norm of the circumcenter c, which
+    solves sqrt(x_j) c_j = (1 - beta) q_j/(2n). ``skip`` marks the extreme
+    group that vanishes at an endpoint beta, where the EDM is spherical only
+    if q vanishes on it.
+    """
+    n = w.shape[-1] + 1
+    x_star = (beta / (1.0 - beta))[:, None]
     with np.errstate(divide="ignore", invalid="ignore"):
-        term = np.where(keep, q * q / (mu_min[..., None] - lam), 0.0).sum(axis=-1)
-    return (term + mu_min * (n * n - n) + ae.sum(axis=-1)) / (2.0 * n * n * (mu_min + 1.0))
+        terms = q * q / (x_star - w)
+    if skip is not None:
+        terms = np.where(skip, 0.0, terms)
+    return (beta * (n - 1) + (1.0 - beta) * (mean_deg + terms.sum(axis=-1) / n)) / (2.0 * n)
 
 
-def radius_at_beta_u_closed_form(g: Graph, ps: Optional[ProjectedSpectrum] = None) -> float:
-    """Squared radius of the upper-endpoint EDM from the spectral closed form."""
-    ps = ps if ps is not None else projected_spectrum(g)
-    if ps.mu_min > -1.0 - 1e-9:
+def radius_at_beta_u_closed_form(g: Graph) -> float:
+    """Squared radius of the upper-endpoint EDM: rho_u^2 of the analysis pass."""
+    st = _analyze_single(g)
+    if np.isnan(st.beta_u[0]):
         raise EndpointError("closed form requires mu_min < -1")
-    if not endpoint_sphericity(g, SIDE_UPPER, ps):
+    if not st.spherical_at_u[0]:
         raise EndpointError("upper endpoint is not spherical")
-    w_basis, lam = ps.rest_above_min()
-    return float(_closed_form_rho2(adjacency_matrix(g), np.float64(ps.mu_min), w_basis, lam,
-                                   np.ones(lam.shape, dtype=bool)))
+    return float(st.rho_u[0]) ** 2
 
 
 @dataclass(frozen=True)
 class _JStack:
     """J-spherical data of a stack of order-n graphs: the top eigenvalue group
-    of each Abar and, where asked for, the points
-    sqrt(1 - delta*lambda) * eigenvector, the top group's columns zero, in
-    ascending eigenvalue order."""
+    of each Abar."""
 
     n: int
     top: np.ndarray
     spread: np.ndarray
     delta: np.ndarray
     dim_j: np.ndarray
-    points: Optional[np.ndarray]
+    top_mask: np.ndarray
 
     @property
     def bad(self) -> np.ndarray:
@@ -303,44 +299,45 @@ class _JStack:
             f"top eigenvalue group of the complement ({self.top[i]:.6g}, spread "
             f"{self.spread[i]:.3e}) is not one positive eigenvalue")
 
+    def points(self, w: np.ndarray, q: np.ndarray) -> np.ndarray:
+        """The J-spherical points from an eigh (w, q) of the same Abar stack:
+        sqrt(1 - delta*lambda) * eigenvector, the top group's columns zero, in
+        ascending eigenvalue order."""
+        # The Gram matrix I - delta*Abar shares Abar's eigenvectors; its
+        # eigenvalue 1 - delta*lambda vanishes on the top group only.
+        with np.errstate(invalid="ignore"):
+            gram = np.where(self.top_mask, 0.0, 1.0 - self.delta[..., None] * w)
+            return q * np.sqrt(np.maximum(gram, 0.0))[..., None, :]
 
-def _j_stack(abar: np.ndarray, tol: float, points: bool = False) -> _JStack:
-    """_JStack of a (k, n, n) stack of complement adjacency matrices.
 
-    delta and dim_J read only the eigenvalues, so the eigenvectors are
-    computed, and the points built, only for ``points``.
-    """
-    n = abar.shape[-1]
-    w, q = np.linalg.eigh(abar) if points else (np.linalg.eigvalsh(abar), None)
+def _j_stack(w: np.ndarray, tol: float) -> _JStack:
+    """_JStack of a (k, n) stack of ascending complement spectra: delta and
+    dim_J read only the eigenvalues."""
+    n = w.shape[-1]
     grp = linalg.extreme_groups(w, tol)
-    pts = None
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore"):
         delta = 1.0 / grp.top
-        if points:
-            # The Gram matrix I - delta*Abar shares Abar's eigenvectors; its
-            # eigenvalue 1 - delta*lambda vanishes on the top group only.
-            gram = np.where(grp.top_mask, 0.0, 1.0 - delta[..., None] * w)
-            pts = q * np.sqrt(np.maximum(gram, 0.0))[..., None, :]
-    return _JStack(n, grp.top, grp.top_spread, delta, n - grp.m_top, pts)
+    return _JStack(n, grp.top, grp.top_spread, delta, n - grp.m_top, grp.top_mask)
 
 
 def j_spherical(g: Graph, cls: Optional[GraphClass] = None,
                 tol: float = linalg.EIG_TOL) -> JSpherical:
     """The unique J-spherical representation: unit sphere, first distance 2."""
     _require_nondegenerate(g, cls)
-    js = _j_stack(adjacency_matrix(complement(g))[None], tol, points=True)
+    w, q = np.linalg.eigh(adjacency_matrix(complement(g))[None])
+    js = _j_stack(w, tol)
     if js.bad[0]:
         raise js.error(0)
     dim_j = int(js.dim_j[0])
     delta = float(js.delta[0])
     return JSpherical(delta, 2.0 + 2.0 * delta, dim_j,
-                      Configuration(js.points[0][:, :dim_j], edm.CENTERING_CIRCUMCENTER))
+                      Configuration(js.points(w, q)[0][:, :dim_j], edm.CENTERING_CIRCUMCENTER))
 
 
 def same_second_distance(g1: Graph, g2: Graph, tol: float = 1e-9) -> bool:
     """Whether the two J-spherical representations share the second distance."""
-    lam1, lam2 = (_j_stack(adjacency_matrix(complement(g))[None], linalg.EIG_TOL).top[0]
-                  for g in (g1, g2))
+    lam1, lam2 = (_j_stack(np.linalg.eigvalsh(adjacency_matrix(complement(g))[None]),
+                           linalg.EIG_TOL).top[0] for g in (g1, g2))
     return abs(lam1 - lam2) <= tol
 
 
@@ -418,8 +415,8 @@ class _Stack:
     they do not apply, and integer and flag fields are meaningless there.
     ``errors[i]`` is the InternalConsistencyError that ``analyze_graph`` raises
     for graph i, or None. The spectrum and an interior beta_i stay for the
-    sweep, which rebuilds the configurations from them; the J-spherical points
-    are there only when the pass was asked for them.
+    sweep and ``embed``, which build the configurations from them; the
+    J-spherical points are there only when the pass was asked for them.
     """
 
     n: int
@@ -449,12 +446,16 @@ class _Stack:
     eigenvectors: np.ndarray = None  # (k, n-1, n-1)
     groups: Optional[linalg.ExtremeGroups] = None
     beta_i: np.ndarray = None
-    lifted: np.ndarray = None        # (k, n, n-1): V times the eigenvectors
     j_points: np.ndarray = None      # (k, n, n), the top group's columns zero, or None
 
     @property
     def degenerate(self) -> np.ndarray:
         return self.classes.degenerate
+
+    @cached_property
+    def lifted(self) -> np.ndarray:
+        """(k, n, n-1): V times the eigenvectors, formed on first use."""
+        return lift(self.eigenvectors, build_v(self.n))
 
     def configuration(self, side: str) -> np.ndarray:
         """(k, n, n-1) centroid-centered configurations at beta_l, beta_u or
@@ -507,11 +508,11 @@ def _analyze_stack(adj: np.ndarray, tol: float = linalg.EIG_TOL, *,
                    j_points: bool = False) -> _Stack:
     """The analysis of every graph in a (k, n, n) boolean adjacency stack.
 
-    Runs the class test, one stacked eigh of V.T A V and one eigvalsh of Abar,
-    and then array operations only; each fault that ``analyze_graph`` reports
-    becomes a per-row error, so one graph's fault leaves the other rows
-    untouched. With ``j_points`` the Abar decomposition is an eigh and the
-    J-spherical points are kept.
+    Runs the class test, one stacked eigh of V.T A V, and then array
+    operations and an eigvalsh of the part of Abar that V.T A V does not
+    already diagonalise; each fault that ``analyze_graph`` reports becomes a
+    per-row error, so one graph's fault leaves the other rows untouched.
+    ``j_points`` adds an eigh of Abar for the J-spherical points.
     """
     adj = np.asarray(adj, dtype=bool)
     k, n = adj.shape[0], adj.shape[-1]
@@ -557,32 +558,30 @@ def _analyze_stack(adj: np.ndarray, tol: float = linalg.EIG_TOL, *,
     use_l = classes.is_cluster | (~classes.is_multipartite & (r_l <= r_u))
     dim_e = np.where(use_l, r_l, r_u)
 
-    # A z - mu z = (lambda - mu) z + e (d.z)/n for a lifted eigenvector z of
-    # V.T A V with eigenvalue lambda and the degree vector d, so an endpoint
-    # is spherical when d is orthogonal to its eigenspace. Each column's
-    # largest |entry| is at its largest or smallest z.
-    z = lift(basis, v)
-    degree_part = np.einsum("ki,kij->kj", adj.sum(axis=-1, dtype=float), z) / n
-    z_ends = (z.max(axis=-2), z.min(axis=-2))
+    # q = U.T V.T d for the eigenvectors U of V.T A V and the degree vector
+    # d, centred first (V.T e = 0), so that q = 0 exactly for a regular graph.
+    # A z - mu z = (w_j - mu) z + e q_j/n for a lifted eigenvector z = V u_j,
+    # so an endpoint is spherical when q vanishes on its eigenspace. Each
+    # column's largest |entry| is at its largest or smallest z.
+    deg = adj.sum(axis=-1, dtype=float)
+    mean_deg = deg.sum(axis=-1) / n
+    q = np.einsum("ki,kij->kj", restrict(deg - mean_deg[:, None], v), basis)
     betas = {"l": beta_l, "u": beta_u, "i": _interior_beta(beta_l, beta_u)}
     zeros = {"l": grp.top_mask, "u": grp.bottom_mask, "i": None}
 
     def radius(side, rows):
-        """Witness radii of the configurations at betas[side] for the rows;
-        NaN elsewhere. X(beta) is PSD there by construction: the extreme
-        group is 0 at its endpoint and every other eigenvalue positive."""
+        """Radii at betas[side] for the rows, NaN elsewhere: also where a
+        faulty row's spectrum makes the EDM there no EDM."""
         out = np.full(k, np.nan)
         idx = np.flatnonzero(rows)
         if idx.size:
-            points = _configurations(z[idx], w[idx], betas[side][idx],
-                                     None if zeros[side] is None else zeros[side][idx])
-            out[idx] = _witness_radius(points)
-            flag(rows & np.isnan(out),
-                 lambda i: _nonspherical_witness(points[np.searchsorted(idx, i)]))
+            skip = None if zeros[side] is None else zeros[side][idx]
+            with np.errstate(invalid="ignore"):
+                out[idx] = np.sqrt(_radius2(betas[side][idx], w[idx], q[idx], mean_deg[idx], skip))
         return out
 
     mus = np.stack([mu_max, mu_min])[..., None]  # lower, upper
-    resid = np.fmax(*(np.abs((w - mus) * end + degree_part) for end in z_ends))
+    resid = np.fmax(*(np.abs((w - mus) * end + q / n) for end in lift_extremes(basis, v)))
     resid = np.where(np.stack([zeros["l"], zeros["u"]]), resid, 0.0).max(axis=-1)
     spherical = {"l": has_l & (resid[0] <= _merge_tol(n)), "u": has_u & (resid[1] <= _merge_tol(n))}
     rho = {side: radius(side, spherical[side]) for side in ("l", "u")}
@@ -595,7 +594,10 @@ def _analyze_stack(adj: np.ndarray, tol: float = linalg.EIG_TOL, *,
     at_u = spherical["u"] & ~at_l
     rho_i = radius("i", nondeg & ~at_l & ~at_u)
 
-    js = _j_stack(complement_adjacency(adj).astype(float), tol, j_points)
+    # In the orthonormal basis [e/sqrt(n), V U], Abar = J - I - A is the
+    # arrowhead [[n - 1 - 2|E|/n, -q.T/sqrt(n)], [-q/sqrt(n), -I - diag(w)]].
+    abar_w = linalg.arrowhead_eigvalsh(n - 1.0 - mean_deg, -q / math.sqrt(n), -1.0 - w)
+    js = _j_stack(abar_w, tol)
     flag(js.bad, js.error)
     dim_s = np.where(at_l, d_l, np.where(at_u, d_u, n - 1))
     flag(~((lb_e - 1e-9 <= dim_e) & (dim_e <= dim_s) & (dim_s <= js.dim_j)),
@@ -611,8 +613,9 @@ def _analyze_stack(adj: np.ndarray, tol: float = linalg.EIG_TOL, *,
         rho_l=rho["l"], rho_u=rho["u"],
         rho_s=np.where(at_l, rho["l"], np.where(at_u, rho["u"], rho_i)),
         delta=js.delta, beta_j=2.0 + 2.0 * js.delta, dim_j=js.dim_j, **lbs,
-        eigenvalues=w, eigenvectors=basis, groups=grp, beta_i=betas["i"], lifted=z,
-        j_points=js.points)
+        eigenvalues=w, eigenvectors=basis, groups=grp, beta_i=betas["i"],
+        j_points=js.points(*np.linalg.eigh(complement_adjacency(adj).astype(float)))
+        if j_points else None)
 
 
 def _analyze_single(g: Graph) -> _Stack:

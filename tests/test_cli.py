@@ -56,6 +56,18 @@ class TestAnalyze:
         code, _, err = run(["analyze", "--edges", str(path)], capsys)
         assert code == 2 and "UTF-8" in err
 
+    def test_long_graph6_matches_edges(self, tmp_path, capsys):
+        # C_600 is past graph6's short form (n <= 62)
+        path = tmp_path / "c600.txt"
+        path.write_text("600\n" + "".join(f"{i} {(i + 1) % 600}\n" for i in range(600)))
+        code, by_edges, _ = run(["analyze", "--edges", str(path)], capsys)
+        assert code == 0
+        g6 = json.loads(by_edges)["input_graph6"]
+        assert g6.startswith("~")
+        code, by_g6, _ = run(["analyze", "--g6", g6], capsys)
+        assert code == 0 and json.loads(by_g6) == json.loads(by_edges)
+        assert json.loads(by_g6)["dim_j"] == 599
+
     def test_tolerances_block(self, capsys):
         code, out, _ = run(["analyze", "--g6", "DUW", "--tol-eig", "1e-8"], capsys)
         assert code == 0
@@ -193,12 +205,18 @@ class TestEmbed:
     def test_internal_consistency_exits_3(self, tmp_path, capsys, bow_tie, monkeypatch):
         def fail(*args, **kwargs):
             raise edm.InternalConsistencyError("forced")
-        monkeypatch.setattr(reps, "_witness_radius", fail)
+        monkeypatch.setattr(reps, "_radius2", fail)
         out = tmp_path / "x.csv"
         code, _, err = run(["embed", "--g6", encode_graph6(bow_tie), "--mode", "spherical",
                             "--side", "lower", "--out", str(out)], capsys)
         assert code == 3 and "internal consistency" in err
         assert not out.exists()
+
+    def test_unwritable_out_exits_2(self, capsys):
+        code, _, err = run(["embed", "--g6", "DqK", "--mode", "jspherical",
+                            "--out", "/nonexistent/x.csv"], capsys)
+        assert code == 2 and err.startswith("error: cannot write /nonexistent/x.csv")
+        assert len(err.splitlines()) == 1
 
     def test_degenerate_exits_4(self, tmp_path, capsys):
         code, _, _ = run(["embed", "--g6", "D~{", "--mode", "jspherical",
@@ -227,6 +245,12 @@ class TestSweep:
         code, out, _ = run(["sweep", "--n", "3"], capsys)
         assert code == 3
         assert json.loads(out)["violation_count"] == 1
+
+    def test_unwritable_out_exits_2(self, capsys):
+        code, out, err = run(["sweep", "--n", "3", "--out", "/nonexistent/x.json"], capsys)
+        assert code == 2 and out == ""
+        assert err.startswith("error: cannot write /nonexistent/x.json")
+        assert len(err.splitlines()) == 1
 
     def test_rejects_big_n(self, capsys):
         code, _, err = run(["sweep", "--n", "9"], capsys)

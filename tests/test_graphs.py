@@ -1,4 +1,5 @@
 from itertools import combinations
+from types import SimpleNamespace
 
 import networkx as nx
 import numpy as np
@@ -123,14 +124,27 @@ class TestGraph6:
             ref = nx.to_graph6_bytes(h, header=False).strip().decode()
             assert ref == s
 
-    @pytest.mark.parametrize("bad", ["", "~??", "D~{{", "D~", "D\x1f{"])
+    @pytest.mark.parametrize("bad", ["", "~??", "D~{{", "D~", "D\x1f{", "~?A_", "~?A_~~"])
     def test_rejects_malformed(self, bad):
         with pytest.raises(GraphFormatError):
             parse_graph6(bad)
 
+    @pytest.mark.parametrize("n", [62, 63, 64, 600])
+    def test_long_form_round_trip(self, n, rng):
+        # n >= 63 takes the header ~ plus n in three 6-bit bytes
+        g = random_graph(rng, n, p=0.3)
+        s = encode_graph6(g)
+        assert s.startswith("~") == (n >= 63)
+        assert parse_graph6(s) == g
+        ref = nx.to_graph6_bytes(nx.from_graph6_bytes(s.encode()), header=False)
+        assert ref.strip().decode() == s
+
     def test_rejects_large_n(self):
-        with pytest.raises(GraphFormatError):
-            encode_graph6(null_graph(63))
+        # the 8-byte form (n > 258047) is not supported, in either direction
+        with pytest.raises(GraphFormatError, match="8-byte"):
+            encode_graph6(SimpleNamespace(n=258048))
+        with pytest.raises(GraphFormatError, match="8-byte"):
+            parse_graph6("~~??????")
 
 
 class TestClassify:

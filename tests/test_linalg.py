@@ -105,3 +105,34 @@ class TestPinvAndSolve:
         m = np.diag([1.0, 1.0, 0.0])
         with pytest.raises(linalg.NotInColumnSpaceError):
             linalg.solve_in_colspace(m, np.array([1.0, 0.0, 1.0]))
+
+
+class TestArrowheadEigvalsh:
+    def test_matches_dense_eigvalsh(self, rng):
+        # a stack whose rows couple different numbers of directions, one row
+        # with every z_j zero and one with a repeated diagonal entry
+        k, m = 40, 9
+        corner = rng.standard_normal(k)
+        z = rng.standard_normal((k, m)) * (rng.random((k, m)) < 0.6)
+        d = rng.standard_normal((k, m))
+        z[0] = 0.0
+        d[1, :3] = d[1, 3]
+        h = np.zeros((k, m + 1, m + 1))
+        h[:, 0, 0] = corner
+        h[:, 0, 1:] = h[:, 1:, 0] = z
+        h[:, np.arange(1, m + 1), np.arange(1, m + 1)] = d
+        got = linalg.arrowhead_eigvalsh(corner, z, d)
+        assert np.allclose(got, np.linalg.eigvalsh(h), atol=1e-12)
+        # a decoupled direction's eigenvalue is its diagonal entry exactly
+        assert np.array_equal(got[0], np.sort(np.r_[corner[0], d[0]]))
+        assert linalg.arrowhead_eigvalsh(np.zeros(0), np.zeros((0, m)), np.zeros((0, m))).shape == (0, m + 1)
+
+    def test_one_eigvalsh_per_stack(self, decompositions):
+        # rows coupling 1, 2 and 0 directions: the narrower ones are padded
+        # with decoupled directions, whose eigenvalues stay exact
+        z = np.array([[1.0, 0.0, 0.0], [1.0, 1.0, 1e-300], [0.0, 0.0, 0.0]])
+        d = np.array([[1.0, 2.0, 3.0]] * 3)
+        got = linalg.arrowhead_eigvalsh(np.zeros(3), z, d)
+        assert decompositions == ["eigvalsh"]
+        assert {2.0, 3.0} <= set(got[0]) and 3.0 in got[1]
+        assert np.array_equal(got[2], [0.0, 1.0, 2.0, 3.0])

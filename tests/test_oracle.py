@@ -139,13 +139,14 @@ class TestInvariantSweep:
         assert doc["first_counterexample"] is None
 
     def test_radius_consistency_checks_reported_radius(self, monkeypatch):
-        # the reported rho_u comes from _witness_radius; the sweep must see a
-        # relative error of 1e-6 in it
-        real = reps._witness_radius
-        monkeypatch.setattr(reps, "_witness_radius", lambda *args: real(*args) * (1 + 1e-6))
+        # the reported rho_u comes from the closed form _radius2; the sweep
+        # must see a relative error of 1e-6 in it
+        real = reps._radius2
+        monkeypatch.setattr(reps, "_radius2", lambda *args: real(*args) * (1 + 1e-6) ** 2)
         summary = oracle.invariant_sweep(4, workers=1)
         checks = {v["check"] for v in summary.violations}
         assert checks == {"radius_consistency"}
+        assert len(summary.violations) == summary.check_counts["radius_consistency"]
 
     @pytest.mark.parametrize("args,kwargs,counts,per_n", [
         ((4,), {}, {"degenerate_complement": 6, "endpoint_sphericity_duality": 52,

@@ -30,6 +30,32 @@ def petersen_graph():
                                  if not set(subsets[i]) & set(subsets[j])])
 
 
+def triangular_graph(m):
+    """T(m) = J(m, 2): 2-subsets of an m-set, adjacent when they share one element."""
+    sub = np.array(list(combinations(range(m), 2)))
+    shared = (sub[:, None, :, None] == sub[None, :, None, :]).sum(axis=(-2, -1))
+    return Graph(len(sub), shared == 1)
+
+
+def kneser_graph(m):
+    """K(m, 2): 2-subsets of an m-set, adjacent when disjoint; the complement of T(m)."""
+    return complement(triangular_graph(m))
+
+
+def rook_graph(m):
+    """L2(m) = K_m x K_m: cells of an m x m grid, adjacent in one row or one column."""
+    row, col = np.divmod(np.arange(m * m), m)
+    same_row, same_col = row[:, None] == row[None, :], col[:, None] == col[None, :]
+    return Graph(m * m, same_row ^ same_col)
+
+
+def hypercube_graph(d):
+    """Q_d: d-bit words, adjacent when they differ in one bit."""
+    x = np.arange(1 << d)
+    diff = x[:, None] ^ x[None, :]
+    return Graph(1 << d, (diff > 0) & (diff & (diff - 1) == 0))
+
+
 def brute_force_dim_e(g, samples=400):
     """Minimal rank of the projected Gram over a dense beta grid."""
     cls = classify(g)
@@ -303,8 +329,40 @@ class TestClosedFormFamilies:
         assert rep.beta_j == pytest.approx(2.0 + 2.0 * delta, abs=1e-12)
         assert rep.dim_j == dim_j
 
+    @pytest.mark.parametrize("family,p", [
+        ("triangular", 6), ("triangular", 35), ("rook", 4), ("rook", 24),
+        ("hypercube", 4), ("hypercube", 9), ("kneser", 7), ("kneser", 35)])
+    def test_regular_families(self, family, p):
+        # k-regular graphs with known restricted eigenvalues (Brouwer & Haemers,
+        # Spectra of Graphs, 2012), as (k, mu_max, m_max, mu_min, m_min). The
+        # degree vector of a regular graph is orthogonal to every eigenspace,
+        # so both endpoints are spherical with rho^2 = [beta (n-1) + (1 - beta) k]/(2n),
+        # and Abar's top eigenvalue n - 1 - k is simple for these parameters.
+        build, spectrum = {
+            "triangular": (triangular_graph,
+                           lambda m: (2 * (m - 2), m - 4, m - 1, -2, m * (m - 3) // 2)),
+            "rook": (rook_graph, lambda m: (2 * (m - 1), m - 2, 2 * (m - 1), -2, (m - 1) ** 2)),
+            "hypercube": (hypercube_graph, lambda d: (d, d - 2, d, -d, 1)),
+            "kneser": (kneser_graph,
+                       lambda m: ((m - 2) * (m - 3) // 2, 1, m * (m - 3) // 2, 3 - m, m - 1)),
+        }[family]
+        g = build(p)
+        n, (k, mu_max, m_max, mu_min, m_min) = g.n, spectrum(p)
+        assert g.is_regular() == k
+        rep = reps.analyze_graph(g)
+        assert rep.mu_max == pytest.approx(mu_max, abs=1e-9)
+        assert rep.mu_min == pytest.approx(mu_min, abs=1e-9)
+        assert (rep.m_max, rep.m_min) == (m_max, m_min)
+        dim = min(n - 1 - m_max, n - 1 - m_min)
+        assert (rep.dim_e, rep.dim_s, rep.dim_j) == (dim, dim, n - 1)
+        assert rep.delta == pytest.approx(1.0 / (n - 1 - k), abs=1e-12)
+        assert rep.spherical_at_l and rep.spherical_at_u
+        for beta, rho in ((rep.beta_l, rep.rho_l), (rep.beta_u, rep.rho_u)):
+            assert rho ** 2 == pytest.approx((beta * (n - 1) + (1 - beta) * k) / (2 * n), rel=1e-12)
+
 
 class TestAnalyzeGraph:
+
     def test_degenerate_report(self):
         rep = reps.analyze_graph(complete_graph(4))
         assert rep.degenerate and rep.dim_e is None and rep.mu_min is None
@@ -347,15 +405,16 @@ class TestAnalyzeGraph:
         ("p3_k1", 1),    # neither spherical: one radius, at the interior witness
     ])
     def test_one_stacked_pass(self, name, radii, bow_tie, monkeypatch):
-        # analyze_graph is the stacked pass on a stack of one: one configuration
-        # and radius per spherical endpoint or interior witness, and none of
-        # the single-graph helpers
+        # analyze_graph is the stacked pass on a stack of one: one closed-form
+        # radius per spherical endpoint or interior witness, and no lifted
+        # eigenvectors, configurations or circumcenters, and none of the
+        # single-graph helpers
         g = {"c9": cycle_graph(9), "bow_tie": bow_tie,
              "p3_k1": Graph.from_edges(4, [(0, 1), (0, 2)])}[name]
         calls = []
-        for fn in ("_analyze_stack", "_configurations", "_witness_radius", "classify",
-                   "projected_spectrum", "endpoint_sphericity", "euclidean_representation",
-                   "j_spherical", "_edm_at"):
+        for fn in ("_analyze_stack", "_radius2", "lift", "_configurations", "_circumcenter",
+                   "_witness_radius", "classify", "projected_spectrum", "endpoint_sphericity",
+                   "euclidean_representation", "j_spherical", "_edm_at"):
             orig = getattr(reps, fn)
 
             def counted(*args, _fn=fn, _orig=orig, **kwargs):
@@ -364,9 +423,8 @@ class TestAnalyzeGraph:
             monkeypatch.setattr(reps, fn, counted)
         reps.analyze_graph(g)
         assert [c for c in calls if c[0] == "_analyze_stack"] == [("_analyze_stack", (1, g.n, g.n))]
-        assert [c[0] for c in calls].count("_configurations") == radii
-        assert [c[0] for c in calls].count("_witness_radius") == radii
-        assert {c[0] for c in calls} == {"_analyze_stack", "_configurations", "_witness_radius"}
+        assert [c[0] for c in calls].count("_radius2") == radii
+        assert {c[0] for c in calls} == {"_analyze_stack", "_radius2"}
 
     def test_class_contradiction_raises(self, monkeypatch):
         # C5's mu_min < -1 contradicts a cluster tag
