@@ -11,19 +11,18 @@ from .graphs import (Graph, GraphClass, GraphFormatError, adjacency_matrix,
                      classify, complement, encode_graph6, parse_edge_list,
                      parse_graph6)
 from .representations import (BetaIntervals, DegenerateGraphError, JSpherical,
-                              ProjectedSpectrum, ReprReport, analyze_graph,
-                              beta_feasible_set, dim_euclidean, dim_spherical,
+                              ReprReport, analyze_graph, beta_feasible_set,
+                              dim_euclidean, dim_spherical,
                               euclidean_representation, j_spherical,
-                              lower_bounds, projected_spectrum,
-                              same_second_distance)
+                              lower_bounds, same_second_distance)
 from .oracle import discriminating_roots, invariant_sweep, verify_two_distance
 
 __all__ = [
     "Graph", "GraphClass", "GraphFormatError", "adjacency_matrix", "classify",
     "complement", "encode_graph6", "parse_edge_list", "parse_graph6",
-    "BetaIntervals", "DegenerateGraphError", "JSpherical", "ProjectedSpectrum",
-    "ReprReport", "analyze_graph", "beta_feasible_set", "dim_euclidean",
-    "dim_spherical", "euclidean_representation", "j_spherical", "lower_bounds",
-    "projected_spectrum", "same_second_distance", "discriminating_roots",
+    "BetaIntervals", "DegenerateGraphError", "JSpherical", "ReprReport",
+    "analyze_graph", "beta_feasible_set", "dim_euclidean", "dim_spherical",
+    "euclidean_representation", "j_spherical", "lower_bounds",
+    "same_second_distance", "discriminating_roots",
     "invariant_sweep", "verify_two_distance", "__version__",
 ]

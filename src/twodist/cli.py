@@ -46,6 +46,14 @@ def _tolerance(text: str) -> float:
     return value
 
 
+def _nonnegative(text: str) -> int:
+    """argparse type for an integer >= 0."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {text!r}")
+    return value
+
+
 def _finite(text: str) -> float:
     """argparse type for a finite number."""
     value = float(text)
@@ -176,12 +184,12 @@ def cmd_embed(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    if args.n > 8:
-        print("error: n_max too large (must be <= 8)", file=sys.stderr)
+    if not 2 <= args.n <= 8:
+        print(f"error: n_max too {'large' if args.n > 8 else 'small'} (must be 2..8)",
+              file=sys.stderr)
         return EXIT_PARSE
-    n_exhaustive = min(args.n, 6)
-    samples = args.samples if args.n >= 7 else 0
-    summary = oracle.invariant_sweep(n_exhaustive, sample_7_8=samples, seed=args.seed)
+    summary = oracle.invariant_sweep(min(args.n, 6), sample_7_8=args.samples if args.n >= 7 else 0,
+                                     seed=args.seed)
     text = summary.to_json(indent=2)
     if args.out:
         try:
@@ -225,10 +233,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_em.set_defaults(func=cmd_embed)
 
     p_sw = sub.add_parser("sweep", help="run the exhaustive invariant sweep")
-    p_sw.add_argument("--n", type=int, required=True, help="max node count (<= 8)")
-    p_sw.add_argument("--samples", type=int, default=200,
-                      help="random samples at n in {7,8} when --n >= 7")
-    p_sw.add_argument("--seed", type=int, default=0)
+    p_sw.add_argument("--n", type=int, required=True, help="max node count N, 2..8: every graph "
+                      "on up to min(N, 6) nodes; any N >= 7 also samples orders 7 and 8")
+    p_sw.add_argument("--samples", type=_nonnegative, default=200, help="random graphs at "
+                      "orders 7 and 8 when N >= 7: half at each, the odd one at 7")
+    p_sw.add_argument("--seed", type=_nonnegative, default=0, help="seed of the samples (>= 0)")
     p_sw.add_argument("--out", help="write the summary JSON to this path")
     p_sw.set_defaults(func=cmd_sweep)
     return parser

@@ -91,17 +91,6 @@ class Graph:
     def has_edge(self, u: int, v: int) -> bool:
         return bool(self.adj[u, v])
 
-    def neighbors(self, u: int) -> list:
-        return np.flatnonzero(self.adj[u]).tolist()
-
-    def degrees(self) -> list:
-        return np.count_nonzero(self.adj, axis=1).tolist()
-
-    def is_regular(self) -> Optional[int]:
-        """Common degree if the graph is regular, else None."""
-        deg = np.count_nonzero(self.adj, axis=1)
-        return int(deg[0]) if np.all(deg == deg[0]) else None
-
 
 @dataclass(frozen=True)
 class GraphClass:
@@ -325,10 +314,6 @@ def cycle_graph(n: int) -> Graph:
     return Graph.from_edges(n, [(i, (i + 1) % n) for i in range(n)])
 
 
-def path_graph(n: int) -> Graph:
-    return Graph.from_edges(n, [(i, i + 1) for i in range(n - 1)])
-
-
 def cluster_graph(sizes: Sequence[int]) -> Graph:
     """Disjoint union of cliques with the given sizes."""
     pairs = []
@@ -354,7 +339,3 @@ def from_mask(n: int, mask: int) -> Graph:
     adj[iu[bits], ju[bits]] = True
     return Graph(n, adj | adj.T)
 
-
-def to_mask(g: Graph) -> int:
-    iu, ju = triu_pairs(g.n)
-    return int.from_bytes(np.packbits(g.adj[iu, ju], bitorder="little").tobytes(), "little")

@@ -18,6 +18,9 @@ import numpy as np
 EIG_TOL = 1e-9
 #: Default relative residual tolerance for solves and eigenvector residuals.
 RESIDUAL_TOL = 1e-8
+#: Relative rounding level: a quantity within ROUNDING times the largest
+#: |entry| it was computed from is rounding residue of zero.
+ROUNDING = 8.0 * np.finfo(float).eps
 
 
 class NotFiniteError(ValueError):
@@ -114,7 +117,7 @@ def arrowhead_eigvalsh(corner: np.ndarray, z: np.ndarray, d: np.ndarray) -> np.n
     """Ascending eigenvalues of the arrowhead matrices [[corner, z.T], [z, diag(d)]]
     for stacks corner (k,), z and d (k, m).
 
-    A direction j whose |z_j| is at rounding level (8 eps times the largest
+    A direction j whose |z_j| is at rounding level (ROUNDING times the largest
     |diagonal entry|) is decoupled: d_j is an eigenvalue exactly. One stacked
     ``eigvalsh`` runs on the coupled parts only, each padded to the widest
     with decoupled directions, which stay decoupled in the reduction.
@@ -122,7 +125,7 @@ def arrowhead_eigvalsh(corner: np.ndarray, z: np.ndarray, d: np.ndarray) -> np.n
     out = np.concatenate([corner[:, None], d], axis=-1)
     # the corner's slot has z = inf: it is always in the coupled part
     zs = np.concatenate([np.full_like(corner, np.inf)[:, None], z], axis=-1)
-    coupled = np.abs(zs) > (8.0 * np.finfo(float).eps) * np.abs(out).max(axis=-1, keepdims=True)
+    coupled = np.abs(zs) > ROUNDING * np.abs(out).max(axis=-1, keepdims=True)
     c = int(np.count_nonzero(coupled, axis=-1).max(initial=1))
     rows = np.arange(z.shape[0])[:, None]
     slots = np.argsort(~coupled, axis=-1, kind="stable")[:, :c]  # coupled slots first

@@ -11,13 +11,14 @@ first counterexample if any.
 from __future__ import annotations
 
 import json
+import math
 import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from . import edm, representations as reps
+from . import edm, linalg, representations as reps
 from .edm import Configuration
 from .graphs import Graph, classify, complement_adjacency, encode_graph6, triu_pairs
 
@@ -117,20 +118,8 @@ def discriminating_roots(g: Graph) -> Tuple[Optional[float], Optional[float]]:
     """
     if classify(g).is_degenerate:
         raise reps.DegenerateGraphError("discriminating polynomial needs a non-degenerate graph")
-    return discriminating_roots_batch([g])[0]
-
-
-def discriminating_roots_batch(graphs: List[Graph]) -> List[Tuple[Optional[float], Optional[float]]]:
-    """discriminating_roots for many graphs, one stack per order."""
-    out: List[Tuple[Optional[float], Optional[float]]] = [None] * len(graphs)  # type: ignore[list-item]
-    by_n: Dict[int, List[int]] = {}
-    for i, g in enumerate(graphs):
-        by_n.setdefault(g.n, []).append(i)
-    for idxs in by_n.values():
-        t1s, t2s = _roots_stack(np.stack([graphs[i].adj for i in idxs]))
-        for i, t1, t2 in zip(idxs, t1s.tolist(), t2s.tolist()):
-            out[i] = (None if np.isnan(t1) else t1, None if np.isnan(t2) else t2)
-    return out
+    t1, t2 = (float(t[0]) for t in _roots_stack(g.adj[None]))
+    return None if math.isnan(t1) else t1, None if math.isnan(t2) else t2
 
 
 @dataclass
@@ -203,32 +192,40 @@ def _sweep_stack(summary: SweepSummary, adj: np.ndarray, comp: np.ndarray,
     """Analyse one stack of graphs of order n and record every invariant for
     the rows in ``checked``; ``comp[i]`` is the row of graph i's complement."""
     k, n = adj.shape[0], adj.shape[-1]
-    st = reps._analyze_stack(adj, j_points=True)
+    st = reps._analyze_stack(adj)
     errors = st.errors.copy()
     deg = st.degenerate
     has_l, has_u = ~np.isnan(st.beta_l), ~np.isnan(st.beta_u)
     live = ~deg & (errors == None)  # noqa: E711
 
-    # Constructive checks: the configurations at each endpoint and at the
-    # interior beta (the spherical witness is one of these), the J-spherical
-    # configuration's distances and unit rows; and the circumradius of the
-    # configuration at a spherical upper endpoint, for the radius check.
-    rad = np.flatnonzero(live & st.spherical_at_u)
-    config_dev, config_ok = np.zeros(k), np.ones(k, dtype=bool)
+    # Constructive checks, built only for the rows in ``checked``: the
+    # configurations at each endpoint and at the interior beta (the spherical
+    # witness is one of these), the J-spherical configuration's distances and
+    # unit rows; and the circumradius of the configuration at a spherical
+    # upper endpoint, for the radius check.
+    sel = np.flatnonzero(checked)
+    sub = adj[sel]
+    at_u = live & st.spherical_at_u & checked
+    dev, ok = np.zeros(sel.size), np.ones(sel.size, dtype=bool)
     for side, beta, has in (("l", st.beta_l, has_l), ("u", st.beta_u, has_u), ("i", st.beta_i, live)):
-        points = st.configuration(side)
-        dev, passed, _ = _verify_stack(points, adj, 1.0, beta)
-        config_dev = np.where(has, np.fmax(config_dev, dev), config_dev)
-        config_ok &= ~has | passed
+        points = st.configuration(side, sel)
+        d, passed, _ = _verify_stack(points, sub, 1.0, beta[sel])
+        dev = np.where(has[sel], np.fmax(dev, d), dev)
+        ok &= ~has[sel] | passed
         if side == "u":
-            witness = reps._witness_radius(points[rad]) ** 2
-    dev, passed, _ = _verify_stack(st.j_points, adj, 2.0, st.beta_j)
-    config_dev, config_ok = np.fmax(config_dev, dev), config_ok & passed
-    row_norm_err = np.abs(np.einsum("kij,kij->ki", st.j_points, st.j_points) - 1.0).max(axis=-1)
+            witness = reps._witness_radius(points[at_u[sel]]) ** 2
+    # the J-spherical points as j_spherical builds them, from an eigh of Abar
+    w, q = np.linalg.eigh(complement_adjacency(sub).astype(float))
+    j_config = reps._j_stack(w, linalg.EIG_TOL).points(w, q)
+    d, passed, _ = _verify_stack(j_config, sub, 2.0, st.beta_j[sel])
+    config_dev, config_ok, row_norm_err = np.zeros(k), np.ones(k, dtype=bool), np.zeros(k)
+    config_dev[sel], config_ok[sel] = np.fmax(dev, d), ok & passed
+    row_norm_err[sel] = np.abs(np.einsum("kij,kij->ki", j_config, j_config) - 1.0).max(axis=-1)
 
     # Radius consistency at a spherical upper endpoint: the reported radius
     # (the closed form) and that circumradius vs the Dw = e radius.
     radius_err = np.full(k, np.nan)
+    rad = np.flatnonzero(at_u)
     if rad.size:
         abar = complement_adjacency(adj[rad]).astype(float)
         sphere = edm.sphere_stack(adj[rad] + st.beta_u[rad, None, None] * abar)
@@ -313,8 +310,9 @@ def _sweep_stack(summary: SweepSummary, adj: np.ndarray, comp: np.ndarray,
 
 def invariant_sweep(n_max: int, sample_7_8: int = 0, seed: int = 0,
                     workers: Optional[int] = None) -> SweepSummary:
-    """Exhaustive labeled-graph sweep for n <= n_max (n_max <= 6), plus random
-    samples at n in {7, 8}, running every module-level invariant.
+    """Exhaustive labeled-graph sweep for n <= n_max (n_max <= 6), plus
+    ``sample_7_8`` random graphs at n in {7, 8} (half at each order, the odd
+    one at 7), running every module-level invariant.
 
     Each order is one stack; a sampled graph's complement is analysed with it.
     ``workers`` is accepted for compatibility and ignored: the sweep runs in
@@ -329,10 +327,9 @@ def invariant_sweep(n_max: int, sample_7_8: int = 0, seed: int = 0,
         masks = np.arange(full + 1)
         _sweep_stack(summary, _mask_stack(n, masks), full ^ masks, np.ones(full + 1, dtype=bool))
     rng = np.random.default_rng(seed)
-    for n in (7, 8):
+    for n, count in ((7, (sample_7_8 + 1) // 2), (8, sample_7_8 // 2)):
         full = (1 << (n * (n - 1) // 2)) - 1
-        masks = np.array([int(rng.integers(0, full + 1)) for _ in range(sample_7_8 // 2)],
-                         dtype=np.int64)
+        masks = np.array([int(rng.integers(0, full + 1)) for _ in range(count)], dtype=np.int64)
         if masks.size:
             s = masks.size
             _sweep_stack(summary, _mask_stack(n, np.r_[masks, full ^ masks]),

@@ -18,16 +18,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-from functools import cached_property
 from typing import Optional, Tuple
 
 import numpy as np
 
 from . import edm, linalg
-from .centering import VBasis, build_v, lift, lift_extremes, project_adjacency, restrict
+from .centering import build_v, lift, lift_extremes, project_adjacency, restrict
 from .edm import Configuration
 from .graphs import (ClassStack, Graph, GraphClass, adjacency_matrix, class_stack,
-                     classify, complement, complement_adjacency)
+                     classify, complement)
 
 SIDE_LOWER = "lower"
 SIDE_UPPER = "upper"
@@ -49,44 +48,6 @@ class InfeasibleBetaError(ValueError):
             f"beta={beta} infeasible: projected Gram eigenvalue {eigenvalue:.6g} < 0")
         self.beta = beta
         self.eigenvalue = eigenvalue
-
-
-@dataclass(frozen=True)
-class ProjectedSpectrum:
-    """Clustered spectrum of V.T @ A @ V together with the basis V used."""
-
-    n: int
-    groups: tuple  # ((value, basis), ...) descending; basis is (n-1) x mult
-    v: VBasis
-
-    @property
-    def mu_max(self) -> float:
-        return self.groups[0][0]
-
-    @property
-    def mu_min(self) -> float:
-        return self.groups[-1][0]
-
-    @property
-    def m_max(self) -> int:
-        return self.groups[0][1].shape[1]
-
-    @property
-    def m_min(self) -> int:
-        return self.groups[-1][1].shape[1]
-
-    @property
-    def u_l(self) -> np.ndarray:
-        """Orthonormal eigenbasis for mu_max."""
-        return self.groups[0][1]
-
-    @property
-    def u_u(self) -> np.ndarray:
-        """Orthonormal eigenbasis for mu_min."""
-        return self.groups[-1][1]
-
-    def flat(self) -> np.ndarray:
-        return np.concatenate([[val] * b.shape[1] for val, b in self.groups])
 
 
 @dataclass(frozen=True)
@@ -112,56 +73,32 @@ class JSpherical:
     config: Configuration
 
 
-def projected_spectrum(g: Graph, tol: float = linalg.EIG_TOL) -> ProjectedSpectrum:
-    """Clustered spectrum of V.T @ A @ V, with the basis V used.
-
-    Raises edm.InternalConsistencyError when the top or bottom group merges
-    distinct eigenvalues, since its multiplicity is a dimension drop.
-    """
-    if g.n < 2:
-        raise DegenerateGraphError("projected spectrum needs n >= 2")
-    v = build_v(g.n)
-    spec = linalg.eigh(project_adjacency(g.adj, v), tol)
-    for grp in (spec.groups[0], spec.groups[-1]):
-        if grp.spread > _merge_tol(g.n):
-            raise edm.InternalConsistencyError(
-                f"extreme eigenvalue group of V.T A V ({grp.value:.6g}, multiplicity "
-                f"{grp.multiplicity}) merges eigenvalues {grp.spread:.3e} apart")
-    return ProjectedSpectrum(g.n, tuple((grp.value, grp.basis) for grp in spec.groups), v)
-
-
 def _merge_tol(n: int) -> float:
     """Largest spread of a clustered group whose multiplicity is trusted: a
     group whose eigenvalues lie farther from its value merges distinct ones."""
     return linalg.RESIDUAL_TOL * math.sqrt(n)
 
 
-def _require_nondegenerate(g: Graph, cls: Optional[GraphClass]) -> GraphClass:
+def _shown(value: float, scale: float) -> float:
+    """A group mean as a fault message prints it: 0 when it is rounding
+    residue of the spectrum it came from, whose largest |eigenvalue| is
+    ``scale``, so that equivalent eigenvalue routes print the same text."""
+    return 0.0 if abs(value) <= linalg.ROUNDING * scale else value
+
+
+def _require_nondegenerate(g: Graph, cls: Optional[GraphClass]) -> None:
     cls = cls if cls is not None else classify(g)
     if cls.is_degenerate:
-        raise DegenerateGraphError(
-            f"{cls.tag} graph admits no two-distance representation")
-    return cls
+        raise DegenerateGraphError(f"{cls.tag} graph admits no two-distance representation")
 
 
-def beta_endpoints(ps: ProjectedSpectrum, cls: GraphClass) -> Tuple[Optional[float], Optional[float]]:
-    """(beta_l, beta_u); None where the endpoint does not exist."""
-    beta_l = ps.mu_max / (ps.mu_max + 1.0) if not cls.is_multipartite else None
-    beta_u = abs(ps.mu_min) / (abs(ps.mu_min) - 1.0) if not cls.is_cluster else None
-    return beta_l, beta_u
-
-
-def beta_feasible_set(g: Graph, cls: Optional[GraphClass] = None,
-                      ps: Optional[ProjectedSpectrum] = None) -> BetaIntervals:
-    """Feasible second squared distances (first distance normalized to 1)."""
-    cls = _require_nondegenerate(g, cls)
-    ps = ps if ps is not None else projected_spectrum(g)
-    beta_l, beta_u = beta_endpoints(ps, cls)
-    if cls.is_cluster:
-        return BetaIntervals(((beta_l, True, 1.0, False), (1.0, False, math.inf, False)))
-    if cls.is_multipartite:
-        return BetaIntervals(((0.0, False, 1.0, False), (1.0, False, beta_u, True)))
-    return BetaIntervals(((beta_l, True, 1.0, False), (1.0, False, beta_u, True)))
+def beta_feasible_set(g: Graph) -> BetaIntervals:
+    """Feasible second squared distances (first distance normalized to 1):
+    beta_l and beta_u of the analysis pass, which raises as ``dim_euclidean``."""
+    st = _analyze_single(g)
+    lower = (0.0, False) if st.classes.is_multipartite[0] else (float(st.beta_l[0]), True)
+    upper = (math.inf, False) if st.classes.is_cluster[0] else (float(st.beta_u[0]), True)
+    return BetaIntervals(((*lower, 1.0, False), (1.0, False, *upper)))
 
 
 def dim_euclidean(g: Graph) -> Tuple[int, float]:
@@ -175,24 +112,21 @@ def dim_euclidean(g: Graph) -> Tuple[int, float]:
     return int(st.dim_e[0]), float(st.dim_e_witness_beta[0])
 
 
-def endpoint_sphericity(g: Graph, side: str, ps: Optional[ProjectedSpectrum] = None,
-                        tol_scale: float = linalg.RESIDUAL_TOL) -> bool:
+def endpoint_sphericity(g: Graph, side: str) -> bool:
     """Whether the EDM at the requested feasibility endpoint is spherical: the
-    lifted extreme eigenvectors z satisfy A z = mu z."""
-    ps = ps if ps is not None else projected_spectrum(g)
-    a = adjacency_matrix(g)
-    tol = tol_scale * math.sqrt(g.n)
-    if side == SIDE_LOWER:
-        if ps.mu_max <= 1e-9:
-            raise EndpointError("lower endpoint requires mu_max > 0")
-        z = lift(ps.u_l, ps.v)
-        return float(np.max(np.abs(a @ z - ps.mu_max * z))) <= tol
-    if side == SIDE_UPPER:
-        if ps.mu_min > -1.0 - 1e-9:
-            raise EndpointError("upper endpoint requires mu_min < -1")
-        z = lift(ps.u_u, ps.v)
-        return float(np.max(np.abs(a @ z - ps.mu_min * z))) <= tol
-    raise ValueError(f"unknown side {side!r}")
+    lifted extreme eigenvectors z satisfy A z = mu z. A direct reference for
+    the pass's test, on the clustered ``linalg.eigh`` of V.T A V."""
+    if side not in (SIDE_LOWER, SIDE_UPPER):
+        raise ValueError(f"unknown side {side!r}")
+    v = build_v(g.n)
+    groups = linalg.eigh(project_adjacency(g.adj, v)).groups
+    grp = groups[0] if side == SIDE_LOWER else groups[-1]
+    if side == SIDE_LOWER and grp.value <= 1e-9:
+        raise EndpointError("lower endpoint requires mu_max > 0")
+    if side == SIDE_UPPER and grp.value > -1.0 - 1e-9:
+        raise EndpointError("upper endpoint requires mu_min < -1")
+    z = lift(grp.basis, v)
+    return float(np.max(np.abs(adjacency_matrix(g) @ z - grp.value * z))) <= _merge_tol(g.n)
 
 
 def _adjacency_pair(g: Graph) -> Tuple[np.ndarray, np.ndarray]:
@@ -267,16 +201,6 @@ def _radius2(beta: np.ndarray, w: np.ndarray, q: np.ndarray, mean_deg: np.ndarra
     return (beta * (n - 1) + (1.0 - beta) * (mean_deg + terms.sum(axis=-1) / n)) / (2.0 * n)
 
 
-def radius_at_beta_u_closed_form(g: Graph) -> float:
-    """Squared radius of the upper-endpoint EDM: rho_u^2 of the analysis pass."""
-    st = _analyze_single(g)
-    if np.isnan(st.beta_u[0]):
-        raise EndpointError("closed form requires mu_min < -1")
-    if not st.spherical_at_u[0]:
-        raise EndpointError("upper endpoint is not spherical")
-    return float(st.rho_u[0]) ** 2
-
-
 @dataclass(frozen=True)
 class _JStack:
     """J-spherical data of a stack of order-n graphs: the top eigenvalue group
@@ -288,6 +212,7 @@ class _JStack:
     delta: np.ndarray
     dim_j: np.ndarray
     top_mask: np.ndarray
+    scale: np.ndarray  # largest |eigenvalue| of each Abar
 
     @property
     def bad(self) -> np.ndarray:
@@ -295,8 +220,9 @@ class _JStack:
         return (self.top <= 0.0) | (self.spread > _merge_tol(self.n))
 
     def error(self, i: int) -> edm.InternalConsistencyError:
+        top = _shown(self.top[i], self.scale[i])
         return edm.InternalConsistencyError(
-            f"top eigenvalue group of the complement ({self.top[i]:.6g}, spread "
+            f"top eigenvalue group of the complement ({top:.6g}, spread "
             f"{self.spread[i]:.3e}) is not one positive eigenvalue")
 
     def points(self, w: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -317,15 +243,15 @@ def _j_stack(w: np.ndarray, tol: float) -> _JStack:
     grp = linalg.extreme_groups(w, tol)
     with np.errstate(divide="ignore"):
         delta = 1.0 / grp.top
-    return _JStack(n, grp.top, grp.top_spread, delta, n - grp.m_top, grp.top_mask)
+    return _JStack(n, grp.top, grp.top_spread, delta, n - grp.m_top, grp.top_mask,
+                   np.fmax(np.abs(w[..., 0]), np.abs(w[..., -1])))
 
 
-def j_spherical(g: Graph, cls: Optional[GraphClass] = None,
-                tol: float = linalg.EIG_TOL) -> JSpherical:
+def j_spherical(g: Graph, cls: Optional[GraphClass] = None) -> JSpherical:
     """The unique J-spherical representation: unit sphere, first distance 2."""
     _require_nondegenerate(g, cls)
     w, q = np.linalg.eigh(adjacency_matrix(complement(g))[None])
-    js = _j_stack(w, tol)
+    js = _j_stack(w, linalg.EIG_TOL)
     if js.bad[0]:
         raise js.error(0)
     dim_j = int(js.dim_j[0])
@@ -341,24 +267,21 @@ def same_second_distance(g1: Graph, g2: Graph, tol: float = 1e-9) -> bool:
     return abs(lam1 - lam2) <= tol
 
 
-def euclidean_representation(g: Graph, beta: float, cls: Optional[GraphClass] = None,
-                             ps: Optional[ProjectedSpectrum] = None,
-                             tol: float = linalg.EIG_TOL) -> Configuration:
-    """A centroid-centered configuration realizing the EDM A + beta*Abar."""
+def euclidean_representation(g: Graph, beta: float,
+                             cls: Optional[GraphClass] = None) -> Configuration:
+    """A centroid-centered configuration realizing the EDM A + beta*Abar: the
+    pass's configuration builder on one eigh of V.T A V, columns in
+    decreasing order of the eigenvalues of X(beta) = (beta I + (beta - 1) V.T A V)/2."""
     _require_nondegenerate(g, cls)
-    ps = ps if ps is not None else projected_spectrum(g)
-    # X(beta) = (beta I + (beta - 1) V.T A V)/2 shares the eigenvectors of
-    # V.T A V, so its spectrum comes straight from the projected spectrum.
-    pairs = [(0.5 * (beta + (beta - 1.0) * mu), basis) for mu, basis in ps.groups]
-    x_vals = [val for val, _ in pairs]
-    scale = max(1.0, max(abs(val) for val in x_vals))
-    x_min = min(x_vals)
-    if x_min < -tol * scale:
-        raise InfeasibleBetaError(beta, x_min)
-    pairs.sort(key=lambda t: -t[0])
-    cols = [basis * math.sqrt(val) for val, basis in pairs if val > tol * scale]
-    points = lift(np.hstack(cols), ps.v) if cols else np.zeros((g.n, 0))
-    return Configuration(points, edm.CENTERING_CENTROID)
+    v = build_v(g.n)
+    w, u = np.linalg.eigh(project_adjacency(g.adj, v))
+    x = 0.5 * (beta + (beta - 1.0) * w)
+    if x.min() < -linalg.EIG_TOL * max(1.0, np.abs(x).max()):
+        raise InfeasibleBetaError(beta, float(x.min()))
+    if beta > 1.0:  # x ascends with w
+        w, u = w[::-1], u[:, ::-1]
+    points = _configurations(lift(u, v)[None], w[None], np.array([beta]), None)[0]
+    return Configuration(points[:, points.any(axis=0)], edm.CENTERING_CENTROID)
 
 
 def lower_bounds(n: int) -> Tuple[float, float]:
@@ -415,8 +338,7 @@ class _Stack:
     they do not apply, and integer and flag fields are meaningless there.
     ``errors[i]`` is the InternalConsistencyError that ``analyze_graph`` raises
     for graph i, or None. The spectrum and an interior beta_i stay for the
-    sweep and ``embed``, which build the configurations from them; the
-    J-spherical points are there only when the pass was asked for them.
+    sweep and ``embed``, which build the configurations from them.
     """
 
     n: int
@@ -446,23 +368,19 @@ class _Stack:
     eigenvectors: np.ndarray = None  # (k, n-1, n-1)
     groups: Optional[linalg.ExtremeGroups] = None
     beta_i: np.ndarray = None
-    j_points: np.ndarray = None      # (k, n, n), the top group's columns zero, or None
 
     @property
     def degenerate(self) -> np.ndarray:
         return self.classes.degenerate
 
-    @cached_property
-    def lifted(self) -> np.ndarray:
-        """(k, n, n-1): V times the eigenvectors, formed on first use."""
-        return lift(self.eigenvectors, build_v(self.n))
-
-    def configuration(self, side: str) -> np.ndarray:
+    def configuration(self, side: str, rows=slice(None)) -> np.ndarray:
         """(k, n, n-1) centroid-centered configurations at beta_l, beta_u or
-        beta_i (side "l", "u" or "i"), zero columns where X(beta) vanishes."""
-        beta = {"l": self.beta_l, "u": self.beta_u, "i": self.beta_i}[side]
-        zero = {"l": self.groups.top_mask, "u": self.groups.bottom_mask, "i": None}[side]
-        return _configurations(self.lifted, self.eigenvalues, beta, zero)
+        beta_i (side "l", "u" or "i") of the graphs ``rows`` (all by default),
+        zero columns where X(beta) vanishes."""
+        beta = {"l": self.beta_l, "u": self.beta_u, "i": self.beta_i}[side][rows]
+        zero = {"l": self.groups.top_mask, "u": self.groups.bottom_mask}.get(side)
+        return _configurations(lift(self.eigenvectors[rows], build_v(self.n)),
+                               self.eigenvalues[rows], beta, None if zero is None else zero[rows])
 
     def report(self, i: int) -> ReprReport:
         """The ReprReport of graph i; raises its error if it has one."""
@@ -504,15 +422,13 @@ def _configurations(z: np.ndarray, w: np.ndarray, beta: np.ndarray,
     return z * np.sqrt(np.where(x > linalg.EIG_TOL * scale, x, 0.0))[:, None, :]
 
 
-def _analyze_stack(adj: np.ndarray, tol: float = linalg.EIG_TOL, *,
-                   j_points: bool = False) -> _Stack:
+def _analyze_stack(adj: np.ndarray, tol: float = linalg.EIG_TOL) -> _Stack:
     """The analysis of every graph in a (k, n, n) boolean adjacency stack.
 
     Runs the class test, one stacked eigh of V.T A V, and then array
     operations and an eigvalsh of the part of Abar that V.T A V does not
     already diagonalise; each fault that ``analyze_graph`` reports becomes a
     per-row error, so one graph's fault leaves the other rows untouched.
-    ``j_points`` adds an eigh of Abar for the J-spherical points.
     """
     adj = np.asarray(adj, dtype=bool)
     k, n = adj.shape[0], adj.shape[-1]
@@ -541,8 +457,8 @@ def _analyze_stack(adj: np.ndarray, tol: float = linalg.EIG_TOL, *,
     mu_min, mu_max, m_min, m_max = grp.bottom, grp.top, grp.m_bottom, grp.m_top
     for spread, mu, m in ((grp.top_spread, mu_max, m_max), (grp.bottom_spread, mu_min, m_min)):
         flag(spread > _merge_tol(n), lambda i: edm.InternalConsistencyError(
-            f"extreme eigenvalue group of V.T A V ({mu[i]:.6g}, multiplicity "
-            f"{m[i]}) merges eigenvalues {spread[i]:.3e} apart"))
+            f"extreme eigenvalue group of V.T A V ({_shown(mu[i], np.abs(w[i]).max()):.6g}, "
+            f"multiplicity {m[i]}) merges eigenvalues {spread[i]:.3e} apart"))
     # mu_max = 0 exactly for complete multipartite graphs and mu_min = -1
     # exactly for cluster graphs; a clustering that breaks this is a fault
     flag(((mu_max > 1e-9) == classes.is_multipartite) | ((mu_min < -1.0 - 1e-9) == classes.is_cluster),
@@ -613,9 +529,7 @@ def _analyze_stack(adj: np.ndarray, tol: float = linalg.EIG_TOL, *,
         rho_l=rho["l"], rho_u=rho["u"],
         rho_s=np.where(at_l, rho["l"], np.where(at_u, rho["u"], rho_i)),
         delta=js.delta, beta_j=2.0 + 2.0 * js.delta, dim_j=js.dim_j, **lbs,
-        eigenvalues=w, eigenvectors=basis, groups=grp, beta_i=betas["i"],
-        j_points=js.points(*np.linalg.eigh(complement_adjacency(adj).astype(float)))
-        if j_points else None)
+        eigenvalues=w, eigenvectors=basis, groups=grp, beta_i=betas["i"])
 
 
 def _analyze_single(g: Graph) -> _Stack:

@@ -255,3 +255,23 @@ class TestSweep:
     def test_rejects_big_n(self, capsys):
         code, _, err = run(["sweep", "--n", "9"], capsys)
         assert code == 2 and "n_max too large" in err
+
+    @pytest.mark.parametrize("n", ["0", "1", "-3"])
+    def test_rejects_small_n(self, n, capsys):
+        code, out, err = run(["sweep", "--n", n], capsys)
+        assert code == 2 and out == "" and "n_max too small" in err
+
+    @pytest.mark.parametrize("flag", ["--samples", "--seed"])
+    def test_rejects_negative_counts(self, flag, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["sweep", "--n", "7", flag, "-4"])
+        assert exc.value.code == 2
+        assert f"argument {flag}" in capsys.readouterr().err
+
+    def test_n7_samples_both_orders(self, capsys):
+        # any --n >= 7 samples orders 7 and 8; an odd count puts the extra
+        # graph at order 7
+        code, out, _ = run(["sweep", "--n", "7", "--samples", "3"], capsys)
+        assert code == 0
+        per_n = json.loads(out)["per_n"]
+        assert per_n == {"2": 2, "3": 8, "4": 64, "5": 1024, "6": 32768, "7": 2, "8": 1}

@@ -58,11 +58,11 @@ class TestDiscriminatingRoots:
         for _ in range(25):
             n = int(rng.integers(3, 7))
             g = from_mask(n, int(rng.integers(0, 1 << (n * (n - 1) // 2))))
-            cls = classify(g)
-            if cls.is_degenerate:
+            if classify(g).is_degenerate:
                 continue
             t1, t2 = oracle.discriminating_roots(g)
-            beta_l, beta_u = reps.beta_endpoints(reps.projected_spectrum(g), cls)
+            rep = reps.analyze_graph(g)
+            beta_l, beta_u = rep.beta_l, rep.beta_u
             assert (t1 is None) == (beta_l is None)
             assert (t2 is None) == (beta_u is None)
             if t1 is not None:
@@ -83,19 +83,21 @@ class TestDiscriminatingRoots:
             oracle.discriminating_roots(complete_graph(4))
 
     def test_batch_matches_single(self, rng):
-        graphs = []
-        while len(graphs) < 20:
-            n = int(rng.integers(3, 8))
-            g = from_mask(n, int(rng.integers(0, 1 << (n * (n - 1) // 2))))
-            if not classify(g).is_degenerate:
-                graphs.append(g)
-        for g, (bt1, bt2) in zip(graphs, oracle.discriminating_roots_batch(graphs)):
-            t1, t2 = oracle.discriminating_roots(g)
-            assert (t1 is None) == (bt1 is None) and (t2 is None) == (bt2 is None)
-            if t1 is not None:
-                assert bt1 == pytest.approx(t1, abs=1e-9)
-            if t2 is not None:
-                assert bt2 == pytest.approx(t2, abs=1e-9)
+        # _roots_stack on a stack of one order, as the sweep runs it
+        for n in (4, 7):
+            graphs = []
+            while len(graphs) < 10:
+                g = from_mask(n, int(rng.integers(0, 1 << (n * (n - 1) // 2))))
+                if not classify(g).is_degenerate:
+                    graphs.append(g)
+            t1s, t2s = oracle._roots_stack(np.stack([g.adj for g in graphs]))
+            for g, bt1, bt2 in zip(graphs, t1s.tolist(), t2s.tolist()):
+                t1, t2 = oracle.discriminating_roots(g)
+                assert (t1 is None) == math.isnan(bt1) and (t2 is None) == math.isnan(bt2)
+                if t1 is not None:
+                    assert bt1 == pytest.approx(t1, abs=1e-9)
+                if t2 is not None:
+                    assert bt2 == pytest.approx(t2, abs=1e-9)
 
 
 class TestMinimalRankSearch:
@@ -104,11 +106,10 @@ class TestMinimalRankSearch:
         for _ in range(40):
             n = int(rng.integers(3, 8))
             g = from_mask(n, int(rng.integers(0, 1 << (n * (n - 1) // 2))))
-            cls = classify(g)
-            if cls.is_degenerate:
+            if classify(g).is_degenerate:
                 continue
             r, _ = reps.dim_euclidean(g)
-            fs = reps.beta_feasible_set(g, cls)
+            fs = reps.beta_feasible_set(g)
             for _ in range(20):
                 beta = float(rng.uniform(0.05, 6.0))
                 if not fs.contains(beta) or abs(beta - 1.0) < 1e-6:
@@ -170,6 +171,13 @@ class TestInvariantSweep:
         want.update(counts)
         assert summary.check_counts == want
         assert summary.per_n == per_n and summary.ok
+
+    @pytest.mark.parametrize("samples,per_n", [(3, {7: 2, 8: 1}), (1, {7: 1}), (0, {})])
+    def test_odd_samples_split(self, samples, per_n):
+        # the odd sample goes to order 7; an even count draws the same graphs
+        # at each order as half of it would at both
+        summary = oracle.invariant_sweep(2, sample_7_8=samples, seed=3)
+        assert summary.per_n == {2: 2, **per_n} and summary.ok
 
     def test_rejects_large_n(self):
         with pytest.raises(ValueError):

@@ -5,15 +5,28 @@ from itertools import combinations
 import numpy as np
 import pytest
 
+import twodist
 from twodist import edm, linalg, representations as reps
 from twodist.centering import build_v, project_adjacency, projected_gram
 from twodist.graphs import (Graph, adjacency_matrix, class_stack, classify, cluster_graph,
-                            complement, complete_graph,
+                            complement, complement_adjacency, complete_graph,
                             complete_multipartite_graph, cycle_graph, from_mask,
-                            null_graph, parse_graph6, path_graph)
+                            null_graph, parse_graph6)
 from twodist.oracle import verify_two_distance
 
 S5 = math.sqrt(5.0)
+
+
+def test_public_names():
+    assert sorted(twodist.__all__) == sorted([
+        "Graph", "GraphClass", "GraphFormatError", "adjacency_matrix", "classify",
+        "complement", "encode_graph6", "parse_edge_list", "parse_graph6",
+        "BetaIntervals", "DegenerateGraphError", "JSpherical", "ReprReport",
+        "analyze_graph", "beta_feasible_set", "dim_euclidean", "dim_spherical",
+        "euclidean_representation", "j_spherical", "lower_bounds",
+        "same_second_distance", "discriminating_roots", "invariant_sweep",
+        "verify_two_distance", "__version__"])
+    assert all(hasattr(twodist, name) for name in twodist.__all__)
 
 
 def paley_graph(q):
@@ -58,8 +71,7 @@ def hypercube_graph(d):
 
 def brute_force_dim_e(g, samples=400):
     """Minimal rank of the projected Gram over a dense beta grid."""
-    cls = classify(g)
-    feasible = reps.beta_feasible_set(g, cls)
+    feasible = reps.beta_feasible_set(g)
     a = adjacency_matrix(g)
     abar = adjacency_matrix(complement(g))
     v = build_v(g.n)
@@ -81,38 +93,39 @@ def brute_force_dim_e(g, samples=400):
 
 
 class TestProjectedSpectrum:
+    # the spectrum of V.T A V as the analysis pass reads it
     def test_c5_values(self):
-        ps = reps.projected_spectrum(cycle_graph(5))
-        assert ps.mu_max == pytest.approx((S5 - 1) / 2, abs=1e-12)
-        assert ps.mu_min == pytest.approx(-(S5 + 1) / 2, abs=1e-12)
-        assert ps.m_max == 2 and ps.m_min == 2
+        rep = reps.analyze_graph(cycle_graph(5))
+        assert rep.mu_max == pytest.approx((S5 - 1) / 2, abs=1e-12)
+        assert rep.mu_min == pytest.approx(-(S5 + 1) / 2, abs=1e-12)
+        assert rep.m_max == 2 and rep.m_min == 2
 
     def test_bow_tie_values(self, bow_tie):
-        ps = reps.projected_spectrum(bow_tie)
-        assert ps.mu_max == pytest.approx(1.0, abs=1e-12)
-        assert ps.mu_min == pytest.approx(-1.4, abs=1e-12)
+        rep = reps.analyze_graph(bow_tie)
+        assert rep.mu_max == pytest.approx(1.0, abs=1e-12)
+        assert rep.mu_min == pytest.approx(-1.4, abs=1e-12)
 
-    def test_regular_path_matches_dense_path(self, rng):
-        # regular graphs: the clustered groups match the raw projected
-        # eigenvalues and their bases are orthonormal
+    def test_regular_path_matches_dense_path(self):
+        # regular graphs: the pass's eigenvalues match a dense eigvalsh of
+        # V.T A V, and its eigenvectors are orthonormal
         regular = [cycle_graph(n) for n in range(4, 9)]
         regular.append(Graph.from_edges(6, [(0, 1), (2, 3), (4, 5)]))  # 3K2
         regular.append(complement(cycle_graph(7)))
         for g in regular:
-            assert g.is_regular() is not None
-            ps = reps.projected_spectrum(g)
-            v = build_v(g.n)
-            direct = np.linalg.eigvalsh(project_adjacency(adjacency_matrix(g), v))
-            assert np.allclose(np.sort(ps.flat())[::-1], np.sort(direct)[::-1], atol=1e-9)
-            stacked = np.hstack([b for _, b in ps.groups])
-            assert np.allclose(stacked.T @ stacked, np.eye(g.n - 1), atol=1e-9)
+            deg = g.adj.sum(axis=1)
+            assert (deg == deg[0]).all()
+            st = reps._analyze_stack(g.adj[None])
+            direct = np.linalg.eigvalsh(project_adjacency(adjacency_matrix(g), build_v(g.n)))
+            assert np.allclose(st.eigenvalues[0], direct, atol=1e-9)
+            u = st.eigenvectors[0]
+            assert np.allclose(u.T @ u, np.eye(g.n - 1), atol=1e-9)
 
     def test_eigenvectors_actually_project(self):
         g = cycle_graph(6)
-        ps = reps.projected_spectrum(g)
-        m = project_adjacency(adjacency_matrix(g), ps.v)
-        for val, basis in ps.groups:
-            assert np.allclose(m @ basis, val * basis, atol=1e-9)
+        st = reps._analyze_stack(g.adj[None])
+        m = project_adjacency(adjacency_matrix(g), build_v(g.n))
+        u, w = st.eigenvectors[0], st.eigenvalues[0]
+        assert np.allclose(m @ u, u * w, atol=1e-9)
 
     def test_degenerate_rejected_downstream(self):
         with pytest.raises(reps.DegenerateGraphError):
@@ -123,21 +136,18 @@ class TestProjectedSpectrum:
 
 class TestBetaEndpoints:
     def test_c5_product_is_one(self):
-        g = cycle_graph(5)
-        beta_l, beta_u = reps.beta_endpoints(reps.projected_spectrum(g), classify(g))
-        assert beta_l == pytest.approx((3 - S5) / 2, abs=1e-12)
-        assert beta_u == pytest.approx((3 + S5) / 2, abs=1e-12)
-        assert beta_l * beta_u == pytest.approx(1.0, abs=1e-12)
+        rep = reps.analyze_graph(cycle_graph(5))
+        assert rep.beta_l == pytest.approx((3 - S5) / 2, abs=1e-12)
+        assert rep.beta_u == pytest.approx((3 + S5) / 2, abs=1e-12)
+        assert rep.beta_l * rep.beta_u == pytest.approx(1.0, abs=1e-12)
 
     def test_cluster_has_no_upper(self):
-        g = cluster_graph([3, 2])
-        beta_l, beta_u = reps.beta_endpoints(reps.projected_spectrum(g), classify(g))
-        assert beta_u is None and beta_l is not None
+        rep = reps.analyze_graph(cluster_graph([3, 2]))
+        assert rep.beta_u is None and rep.beta_l is not None
 
     def test_multipartite_has_no_lower(self):
-        g = complete_multipartite_graph([2, 2])
-        beta_l, beta_u = reps.beta_endpoints(reps.projected_spectrum(g), classify(g))
-        assert beta_l is None and beta_u is not None
+        rep = reps.analyze_graph(complete_multipartite_graph([2, 2]))
+        assert rep.beta_l is None and rep.beta_u is not None
 
     def test_feasible_set_membership(self, bow_tie):
         fs = reps.beta_feasible_set(bow_tie)
@@ -198,11 +208,23 @@ class TestEuclideanRepresentation:
 
     def test_dimension_drops_at_endpoints(self):
         g = cycle_graph(5)
-        ps = reps.projected_spectrum(g)
-        beta_l, beta_u = reps.beta_endpoints(ps, classify(g))
-        at_end = reps.euclidean_representation(g, beta_l)
+        at_end = reps.euclidean_representation(g, reps.analyze_graph(g).beta_l)
         inside = reps.euclidean_representation(g, 1.5)
         assert at_end.dim == 2 and inside.dim == 4
+
+    def test_matches_pass_configurations(self):
+        # every order-5 graph at beta_l, beta_u and beta_i: the same dimension
+        # and squared distances as the configurations the sweep verifies
+        graphs = [from_mask(5, mask) for mask in range(1 << 10)]
+        st = reps._analyze_stack(np.stack([g.adj for g in graphs]))
+        for side, beta in (("l", st.beta_l), ("u", st.beta_u), ("i", st.beta_i)):
+            points = st.configuration(side)
+            for i in np.flatnonzero(~np.isnan(beta)):
+                config = reps.euclidean_representation(graphs[i], float(beta[i]))
+                want = edm.Configuration(points[i], edm.CENTERING_CENTROID)
+                assert config.dim == np.count_nonzero(points[i].any(axis=0)), (side, i)
+                assert np.allclose(config.squared_distances(), want.squared_distances(),
+                                   rtol=0.0, atol=1e-12), (side, i)
 
 
 class TestDimSpherical:
@@ -242,21 +264,21 @@ class TestDimSpherical:
 
 
 class TestClosedFormRadius:
+    # rho_u is the pass's closed form in the eigenpairs of V.T A V
     def test_c5_upper(self):
         g = cycle_graph(5)
-        rho2 = reps.radius_at_beta_u_closed_form(g)
-        assert rho2 == pytest.approx(2 / (5 - S5), abs=1e-12)
-        _, beta_u = reps.beta_endpoints(reps.projected_spectrum(g), classify(g))
-        info = edm.spherical_info(reps._edm_at(g, beta_u))
-        assert rho2 == pytest.approx(info.radius ** 2, abs=1e-10)
+        rep = reps.analyze_graph(g)
+        assert rep.rho_u ** 2 == pytest.approx(2 / (5 - S5), abs=1e-12)
+        info = edm.spherical_info(reps._edm_at(g, rep.beta_u))
+        assert rep.rho_u ** 2 == pytest.approx(info.radius ** 2, abs=1e-10)
 
     def test_rejects_nonspherical_endpoint(self, bow_tie):
-        with pytest.raises(reps.EndpointError):
-            reps.radius_at_beta_u_closed_form(bow_tie)
+        rep = reps.analyze_graph(bow_tie)
+        assert rep.spherical_at_u is False and rep.rho_u is None
 
     def test_rejects_cluster(self):
-        with pytest.raises(reps.EndpointError):
-            reps.radius_at_beta_u_closed_form(cluster_graph([2, 2]))
+        rep = reps.analyze_graph(cluster_graph([2, 2]))
+        assert rep.beta_u is None and rep.spherical_at_u is None and rep.rho_u is None
 
 
 class TestJSpherical:
@@ -348,7 +370,7 @@ class TestClosedFormFamilies:
         }[family]
         g = build(p)
         n, (k, mu_max, m_max, mu_min, m_min) = g.n, spectrum(p)
-        assert g.is_regular() == k
+        assert (g.adj.sum(axis=1) == k).all()
         rep = reps.analyze_graph(g)
         assert rep.mu_max == pytest.approx(mu_max, abs=1e-9)
         assert rep.mu_min == pytest.approx(mu_min, abs=1e-9)
@@ -413,7 +435,7 @@ class TestAnalyzeGraph:
              "p3_k1": Graph.from_edges(4, [(0, 1), (0, 2)])}[name]
         calls = []
         for fn in ("_analyze_stack", "_radius2", "lift", "_configurations", "_circumcenter",
-                   "_witness_radius", "classify", "projected_spectrum", "endpoint_sphericity",
+                   "_witness_radius", "classify", "endpoint_sphericity",
                    "euclidean_representation", "j_spherical", "_edm_at"):
             orig = getattr(reps, fn)
 
@@ -442,6 +464,16 @@ class TestAnalyzeGraph:
         monkeypatch.setattr(reps, "_j_stack", broken)
         with pytest.raises(edm.InternalConsistencyError, match="lower_bound_e <= dim_e"):
             reps.analyze_graph(cycle_graph(5))
+
+    @pytest.mark.parametrize("mask", [4035, 15462, 26418])
+    def test_rounding_residue_prints_zero(self, mask):
+        # the top group of Abar merges eigenvalues around a mean that is 0 up
+        # to rounding; the arrowhead route and an eigh of Abar print it alike
+        g = from_mask(6, mask)
+        with pytest.raises(edm.InternalConsistencyError, match=r"\(0, spread"):
+            reps.analyze_graph(g, 0.9)
+        js = reps._j_stack(np.linalg.eigvalsh(adjacency_matrix(complement(g))[None]), 0.9)
+        assert js.bad[0] and "(0, spread" in str(js.error(0))
 
     def test_lower_bounds_hold(self):
         rep = reps.analyze_graph(cycle_graph(6))
@@ -490,18 +522,22 @@ class TestAnalyzeStack:
 
     @pytest.mark.parametrize("tol", [1e-9, 0.1, 0.9])
     def test_j_points_change_no_answer(self, tol):
-        # the sweep asks for the J-spherical points (an eigh of Abar), every
-        # other caller reads Abar's eigenvalues alone: same answers and faults
-        # (at tol 0.9, 22 order-5 graphs have the top-Abar-group fault)
+        # the sweep and j_spherical build the J points from an eigh of Abar,
+        # the pass reads Abar's eigenvalues off its arrowhead form: the same
+        # delta, dim_J and faults (at tol 0.9, 22 order-5 graphs have the
+        # top-Abar-group fault)
         stacks = [np.stack([g.adj for g in graphs]) for graphs in _stack_graphs()]
         stacks += [cycle_graph(300).adj[None], paley_graph(101).adj[None]]
         for adj in stacks:
-            plain = reps._analyze_stack(adj, tol)
-            full = reps._analyze_stack(adj, tol, j_points=True)
-            assert plain.j_points is None and full.j_points.shape == adj.shape
-            assert [str(e) for e in plain.errors] == [str(e) for e in full.errors]
-            for i in np.flatnonzero(plain.errors == None):  # noqa: E711
-                _assert_same_report(plain.report(i), full.report(i))
+            st = reps._analyze_stack(adj, tol)
+            js = reps._j_stack(np.linalg.eigvalsh(complement_adjacency(adj).astype(float)), tol)
+            clean = (st.errors == None) & ~st.degenerate  # noqa: E711
+            assert not js.bad[clean].any()
+            for i in np.flatnonzero(js.bad & ~st.degenerate):
+                if "complement" in str(st.errors[i]):
+                    assert str(st.errors[i]) == str(js.error(i))
+            assert np.array_equal(st.dim_j[clean], js.dim_j[clean])
+            assert np.allclose(st.delta[clean], js.delta[clean], rtol=1e-12, atol=0.0)
 
     def test_sphericity_matches_direct_residual(self):
         # the pass tests d . z = 0 for the lifted eigenvectors z; the direct
