@@ -136,6 +136,53 @@ def arrowhead_eigvalsh(corner: np.ndarray, z: np.ndarray, d: np.ndarray) -> np.n
     return np.sort(out, axis=-1)
 
 
+#: Newton steps ``arrowhead_top`` takes on one row before it gives the row up.
+NEWTON_CAP = 50
+
+
+def arrowhead_top(corner: np.ndarray, z: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """Largest eigenvalue of each arrowhead matrix [[corner, z.T], [z, diag(d)]]
+    for stacks corner (k,), z and d (k, m), or NaN where Newton gave up.
+
+    Directions are decoupled as in ``arrowhead_eigvalsh``. On the coupled
+    ones, lambda_max is the root of f(x) = corner - x + sum_j z_j^2/(x - d_j)
+    above every pole, where f is convex and decreasing. Newton starts at the
+    top eigenvalue of a 2x2 principal submatrix [[corner, z_j], [z_j, d_j]],
+    a lower bound by interlacing that lies above every coupled pole, so its
+    iterates rise monotonically to the root. A row stops at rounding level:
+    when its step is within 2 ulp of |x| + |corner| (the size of f's terms at
+    the root) or, after the first step, no longer rises. A row whose step is
+    not finite, or that is still moving after NEWTON_CAP steps, is NaN.
+    """
+    scale = np.fmax(np.abs(corner), np.abs(d).max(axis=-1, initial=0.0))
+    coupled = np.abs(z) > ROUNDING * scale[:, None]
+    z2 = np.where(coupled, z * z, 0.0)
+    poles = np.where(coupled, d, -np.inf)  # a decoupled term is 0/inf
+    half = 0.5 * (corner[:, None] - d)
+    above = np.where(coupled, np.sqrt(half * half + z2) - half, 0.0)  # 2x2 top - corner
+    x = corner + above.max(axis=-1, initial=0.0)
+    top = np.full_like(x, np.nan)
+    rows, c, size = np.arange(x.size), corner, np.abs(corner)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for it in range(NEWTON_CAP):
+            gap = x[:, None] - poles
+            r = z2 / gap
+            step = (c - x + np.add.reduce(r, axis=-1)) / (1.0 + np.add.reduce(r / gap, axis=-1))
+            x = x + step
+            rise = step if it else np.abs(step)
+            ulp2 = 2.0 * np.finfo(float).eps * (np.abs(x) + size)
+            going = rise > ulp2  # False for a NaN step
+            if going.all():
+                continue
+            settled = rise <= ulp2
+            top[rows[settled]] = x[settled]
+            if not going.any():
+                break
+            rows, x, c, size, z2, poles = (a[going] for a in (rows, x, c, size, z2, poles))
+    # a decoupled d_j is an eigenvalue exactly; NaN stays NaN
+    return np.maximum(top, np.where(coupled, -np.inf, d).max(axis=-1, initial=-np.inf))
+
+
 def eigh(m: np.ndarray, tol: float = EIG_TOL) -> Spectrum:
     """Clustered spectral decomposition of a symmetric matrix.
 

@@ -18,7 +18,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from . import edm, linalg, representations as reps
+from . import edm, representations as reps
 from .edm import Configuration
 from .graphs import Graph, classify, complement_adjacency, encode_graph6, triu_pairs
 
@@ -214,9 +214,9 @@ def _sweep_stack(summary: SweepSummary, adj: np.ndarray, comp: np.ndarray,
         ok &= ~has[sel] | passed
         if side == "u":
             witness = reps._witness_radius(points[at_u[sel]]) ** 2
-    # the J-spherical points as j_spherical builds them, from an eigh of Abar
+    # the J-spherical points from an eigh of Abar, with the pass's delta and dim_J
     w, q = np.linalg.eigh(complement_adjacency(sub).astype(float))
-    j_config = reps._j_stack(w, linalg.EIG_TOL).points(w, q)
+    j_config = reps._j_points(w, q, st.delta[sel], st.dim_j[sel])
     d, passed, _ = _verify_stack(j_config, sub, 2.0, st.beta_j[sel])
     config_dev, config_ok, row_norm_err = np.zeros(k), np.ones(k, dtype=bool), np.zeros(k)
     config_dev[sel], config_ok[sel] = np.fmax(dev, d), ok & passed

@@ -9,15 +9,17 @@ The analysis is one pass over a stack of graphs of one order
 (``_analyze_stack``): every graph of order n shares the same V, so the pass
 is one stacked eigendecomposition of V.T A V followed by array operations.
 The radii are closed forms in its eigenpairs, and the complement adjacency
-is an arrowhead matrix in its eigenbasis, so only the part of it that the
-degree vector couples needs an eigvalsh. ``analyze_graph`` is that pass on a
-stack of one; the sweep runs it on every graph of an order at once.
+is an arrowhead matrix in its eigenbasis, whose top eigenvalue is a root of
+its secular equation; a regular graph needs only the eigenvalues.
+``analyze_graph`` is that pass on a stack of one; the sweep runs it on every
+graph of an order at once.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
+from functools import cached_property
 from typing import Optional, Tuple
 
 import numpy as np
@@ -211,7 +213,6 @@ class _JStack:
     spread: np.ndarray
     delta: np.ndarray
     dim_j: np.ndarray
-    top_mask: np.ndarray
     scale: np.ndarray  # largest |eigenvalue| of each Abar
 
     @property
@@ -225,15 +226,23 @@ class _JStack:
             f"top eigenvalue group of the complement ({top:.6g}, spread "
             f"{self.spread[i]:.3e}) is not one positive eigenvalue")
 
-    def points(self, w: np.ndarray, q: np.ndarray) -> np.ndarray:
-        """The J-spherical points from an eigh (w, q) of the same Abar stack:
-        sqrt(1 - delta*lambda) * eigenvector, the top group's columns zero, in
-        ascending eigenvalue order."""
-        # The Gram matrix I - delta*Abar shares Abar's eigenvectors; its
-        # eigenvalue 1 - delta*lambda vanishes on the top group only.
-        with np.errstate(invalid="ignore"):
-            gram = np.where(self.top_mask, 0.0, 1.0 - self.delta[..., None] * w)
-            return q * np.sqrt(np.maximum(gram, 0.0))[..., None, :]
+    def check(self) -> _JStack:
+        """This stack of one, or the error of its top group."""
+        if self.bad[0]:
+            raise self.error(0)
+        return self
+
+
+def _j_points(w: np.ndarray, q: np.ndarray, delta: np.ndarray, dim_j: np.ndarray) -> np.ndarray:
+    """The J-spherical points from an eigh (w, q) of a (k, n, n) Abar stack:
+    sqrt(1 - delta*lambda) * eigenvector in ascending eigenvalue order, the
+    last n - dim_J columns (the top group) zero."""
+    # The Gram matrix I - delta*Abar shares Abar's eigenvectors; its
+    # eigenvalue 1 - delta*lambda vanishes on the top group only.
+    top = np.arange(w.shape[-1]) >= dim_j[..., None]
+    with np.errstate(invalid="ignore"):
+        gram = np.where(top, 0.0, 1.0 - delta[..., None] * w)
+        return q * np.sqrt(np.maximum(gram, 0.0))[..., None, :]
 
 
 def _j_stack(w: np.ndarray, tol: float) -> _JStack:
@@ -243,28 +252,57 @@ def _j_stack(w: np.ndarray, tol: float) -> _JStack:
     grp = linalg.extreme_groups(w, tol)
     with np.errstate(divide="ignore"):
         delta = 1.0 / grp.top
-    return _JStack(n, grp.top, grp.top_spread, delta, n - grp.m_top, grp.top_mask,
+    return _JStack(n, grp.top, grp.top_spread, delta, n - grp.m_top,
                    np.fmax(np.abs(w[..., 0]), np.abs(w[..., -1])))
+
+
+def _j_arrowhead(corner: np.ndarray, z: np.ndarray, d: np.ndarray, tol: float) -> _JStack:
+    """_JStack of Abar stacks in the arrowhead form [[corner, z.T], [z, diag(d)]].
+
+    A row is certified when lambda_max from ``linalg.arrowhead_top`` clears
+    max d by the clustering gap tol * max(1, lambda_max): by Cauchy
+    interlacing lambda_2 <= max d, and Abar >= 0 makes lambda_max its largest
+    |eigenvalue|, so the top group is lambda_max alone (spread 0, dim_J =
+    n - 1). Only the other rows, among them any that Newton gave up on, run
+    ``arrowhead_eigvalsh`` and ``_j_stack``.
+    """
+    k, n = d.shape[0], d.shape[-1] + 1
+    top = linalg.arrowhead_top(corner, z, d)
+    certified = top - d.max(axis=-1) > tol * np.maximum(1.0, top)
+    spread, dim_j, scale = np.zeros(k), np.full(k, n - 1), top.copy()
+    rest = np.flatnonzero(~certified)
+    if rest.size:
+        js = _j_stack(linalg.arrowhead_eigvalsh(corner[rest], z[rest], d[rest]), tol)
+        top[rest], spread[rest], dim_j[rest], scale[rest] = js.top, js.spread, js.dim_j, js.scale
+    with np.errstate(divide="ignore"):
+        delta = 1.0 / top
+    return _JStack(n, top, spread, delta, dim_j, scale)
 
 
 def j_spherical(g: Graph, cls: Optional[GraphClass] = None) -> JSpherical:
     """The unique J-spherical representation: unit sphere, first distance 2."""
     _require_nondegenerate(g, cls)
     w, q = np.linalg.eigh(adjacency_matrix(complement(g))[None])
-    js = _j_stack(w, linalg.EIG_TOL)
-    if js.bad[0]:
-        raise js.error(0)
+    js = _j_stack(w, linalg.EIG_TOL).check()
     dim_j = int(js.dim_j[0])
     delta = float(js.delta[0])
     return JSpherical(delta, 2.0 + 2.0 * delta, dim_j,
-                      Configuration(js.points(w, q)[0][:, :dim_j], edm.CENTERING_CIRCUMCENTER))
+                      Configuration(_j_points(w, q, js.delta, js.dim_j)[0][:, :dim_j],
+                                    edm.CENTERING_CIRCUMCENTER))
 
 
 def same_second_distance(g1: Graph, g2: Graph, tol: float = 1e-9) -> bool:
-    """Whether the two J-spherical representations share the second distance."""
-    lam1, lam2 = (_j_stack(np.linalg.eigvalsh(adjacency_matrix(complement(g))[None]),
-                           linalg.EIG_TOL).top[0] for g in (g1, g2))
-    return abs(lam1 - lam2) <= tol
+    """Whether the two J-spherical representations share the second distance.
+
+    Checks each graph as ``j_spherical`` does: DegenerateGraphError for a
+    complete or null graph, edm.InternalConsistencyError where the top
+    eigenvalue group of Abar is not one positive eigenvalue.
+    """
+    def top(g: Graph) -> float:
+        _require_nondegenerate(g, None)
+        w = np.linalg.eigvalsh(adjacency_matrix(complement(g))[None])
+        return _j_stack(w, linalg.EIG_TOL).check().top[0]
+    return abs(top(g1) - top(g2)) <= tol
 
 
 def euclidean_representation(g: Graph, beta: float,
@@ -338,7 +376,9 @@ class _Stack:
     they do not apply, and integer and flag fields are meaningless there.
     ``errors[i]`` is the InternalConsistencyError that ``analyze_graph`` raises
     for graph i, or None. The spectrum and an interior beta_i stay for the
-    sweep and ``embed``, which build the configurations from them.
+    sweep and ``embed``, which build the configurations from them and from
+    the eigenvectors: the pass's own, or, where it read only eigenvalues, an
+    eigh of the kept V.T A V run when first read.
     """
 
     n: int
@@ -365,13 +405,27 @@ class _Stack:
     lower_bound_e: np.ndarray
     lower_bound_s: np.ndarray
     eigenvalues: np.ndarray = None   # (k, n-1) of V.T A V, ascending
-    eigenvectors: np.ndarray = None  # (k, n-1, n-1)
     groups: Optional[linalg.ExtremeGroups] = None
     beta_i: np.ndarray = None
+    basis: Optional[np.ndarray] = None      # eigenvectors of V.T A V, if the pass ran eigh
+    projected: Optional[np.ndarray] = None  # V.T A V itself, if it did not
 
     @property
     def degenerate(self) -> np.ndarray:
         return self.classes.degenerate
+
+    @cached_property
+    def _eigh(self) -> Tuple[np.ndarray, np.ndarray]:
+        """(eigenvalues, eigenvectors) of V.T A V from one eigh: the pass's
+        own, else one run on the kept stack when first read."""
+        if self.basis is not None:
+            return self.eigenvalues, self.basis
+        return np.linalg.eigh(self.projected)
+
+    @property
+    def eigenvectors(self) -> np.ndarray:
+        """(k, n-1, n-1) eigenvectors of V.T A V."""
+        return self._eigh[1]
 
     def configuration(self, side: str, rows=slice(None)) -> np.ndarray:
         """(k, n, n-1) centroid-centered configurations at beta_l, beta_u or
@@ -379,8 +433,9 @@ class _Stack:
         zero columns where X(beta) vanishes."""
         beta = {"l": self.beta_l, "u": self.beta_u, "i": self.beta_i}[side][rows]
         zero = {"l": self.groups.top_mask, "u": self.groups.bottom_mask}.get(side)
-        return _configurations(lift(self.eigenvectors[rows], build_v(self.n)),
-                               self.eigenvalues[rows], beta, None if zero is None else zero[rows])
+        w, u = self._eigh
+        return _configurations(lift(u[rows], build_v(self.n)), w[rows], beta,
+                               None if zero is None else zero[rows])
 
     def report(self, i: int) -> ReprReport:
         """The ReprReport of graph i; raises its error if it has one."""
@@ -425,10 +480,13 @@ def _configurations(z: np.ndarray, w: np.ndarray, beta: np.ndarray,
 def _analyze_stack(adj: np.ndarray, tol: float = linalg.EIG_TOL) -> _Stack:
     """The analysis of every graph in a (k, n, n) boolean adjacency stack.
 
-    Runs the class test, one stacked eigh of V.T A V, and then array
-    operations and an eigvalsh of the part of Abar that V.T A V does not
-    already diagonalise; each fault that ``analyze_graph`` reports becomes a
-    per-row error, so one graph's fault leaves the other rows untouched.
+    Runs the class test, one stacked O(n^3) decomposition of V.T A V (eigh,
+    or eigvalsh when every graph is regular), and then array operations:
+    Abar's top eigenvalue comes from its arrowhead form by Newton, and only
+    the rows it does not certify run an eigvalsh of the part of Abar that
+    V.T A V does not already diagonalise. Each fault that ``analyze_graph``
+    reports becomes a per-row error, so one graph's fault leaves the other
+    rows untouched.
     """
     adj = np.asarray(adj, dtype=bool)
     k, n = adj.shape[0], adj.shape[-1]
@@ -451,8 +509,20 @@ def _analyze_stack(adj: np.ndarray, tol: float = linalg.EIG_TOL) -> _Stack:
                 errors[i] = fault(i)
             clean[mask] = False
 
+    # s = V.T (d - mean d) for the degree vector d is exactly 0 for a regular
+    # graph, whose degrees are integers. q = U.T s for the eigenvectors U of
+    # V.T A V is all the pass reads of them, so a stack of regular graphs
+    # needs only the eigenvalues.
     v = build_v(n)
-    w, basis = np.linalg.eigh(project_adjacency(adj, v))
+    vav = project_adjacency(adj, v)
+    deg = adj.sum(axis=-1, dtype=float)
+    mean_deg = deg.sum(axis=-1) / n
+    s = restrict(deg - mean_deg[:, None], v)
+    if s.any():
+        w, basis = np.linalg.eigh(vav)
+        q = np.einsum("ki,kij->kj", s, basis)
+    else:
+        w, basis, q = np.linalg.eigvalsh(vav), None, np.zeros_like(s)
     grp = linalg.extreme_groups(w, tol)
     mu_min, mu_max, m_min, m_max = grp.bottom, grp.top, grp.m_bottom, grp.m_top
     for spread, mu, m in ((grp.top_spread, mu_max, m_max), (grp.bottom_spread, mu_min, m_min)):
@@ -474,14 +544,6 @@ def _analyze_stack(adj: np.ndarray, tol: float = linalg.EIG_TOL) -> _Stack:
     use_l = classes.is_cluster | (~classes.is_multipartite & (r_l <= r_u))
     dim_e = np.where(use_l, r_l, r_u)
 
-    # q = U.T V.T d for the eigenvectors U of V.T A V and the degree vector
-    # d, centred first (V.T e = 0), so that q = 0 exactly for a regular graph.
-    # A z - mu z = (w_j - mu) z + e q_j/n for a lifted eigenvector z = V u_j,
-    # so an endpoint is spherical when q vanishes on its eigenspace. Each
-    # column's largest |entry| is at its largest or smallest z.
-    deg = adj.sum(axis=-1, dtype=float)
-    mean_deg = deg.sum(axis=-1) / n
-    q = np.einsum("ki,kij->kj", restrict(deg - mean_deg[:, None], v), basis)
     betas = {"l": beta_l, "u": beta_u, "i": _interior_beta(beta_l, beta_u)}
     zeros = {"l": grp.top_mask, "u": grp.bottom_mask, "i": None}
 
@@ -496,9 +558,15 @@ def _analyze_stack(adj: np.ndarray, tol: float = linalg.EIG_TOL) -> _Stack:
                 out[idx] = np.sqrt(_radius2(betas[side][idx], w[idx], q[idx], mean_deg[idx], skip))
         return out
 
-    mus = np.stack([mu_max, mu_min])[..., None]  # lower, upper
-    resid = np.fmax(*(np.abs((w - mus) * end + q / n) for end in lift_extremes(basis, v)))
-    resid = np.where(np.stack([zeros["l"], zeros["u"]]), resid, 0.0).max(axis=-1)
+    # A z - mu z = (w_j - mu) z + e q_j/n for a lifted eigenvector z = V u_j,
+    # so an endpoint is spherical when q vanishes on its eigenspace. Each
+    # column's largest |entry| is at its largest or smallest z. With q = 0
+    # the residual is at most the group's spread, which the merge check bounds.
+    resid = np.zeros((2, k))
+    if basis is not None:
+        mus = np.stack([mu_max, mu_min])[..., None]  # lower, upper
+        resid = np.fmax(*(np.abs((w - mus) * end + q / n) for end in lift_extremes(basis, v)))
+        resid = np.where(np.stack([zeros["l"], zeros["u"]]), resid, 0.0).max(axis=-1)
     spherical = {"l": has_l & (resid[0] <= _merge_tol(n)), "u": has_u & (resid[1] <= _merge_tol(n))}
     rho = {side: radius(side, spherical[side]) for side in ("l", "u")}
 
@@ -512,8 +580,7 @@ def _analyze_stack(adj: np.ndarray, tol: float = linalg.EIG_TOL) -> _Stack:
 
     # In the orthonormal basis [e/sqrt(n), V U], Abar = J - I - A is the
     # arrowhead [[n - 1 - 2|E|/n, -q.T/sqrt(n)], [-q/sqrt(n), -I - diag(w)]].
-    abar_w = linalg.arrowhead_eigvalsh(n - 1.0 - mean_deg, -q / math.sqrt(n), -1.0 - w)
-    js = _j_stack(abar_w, tol)
+    js = _j_arrowhead(n - 1.0 - mean_deg, -q / math.sqrt(n), -1.0 - w, tol)
     flag(js.bad, js.error)
     dim_s = np.where(at_l, d_l, np.where(at_u, d_u, n - 1))
     flag(~((lb_e - 1e-9 <= dim_e) & (dim_e <= dim_s) & (dim_s <= js.dim_j)),
@@ -529,7 +596,8 @@ def _analyze_stack(adj: np.ndarray, tol: float = linalg.EIG_TOL) -> _Stack:
         rho_l=rho["l"], rho_u=rho["u"],
         rho_s=np.where(at_l, rho["l"], np.where(at_u, rho["u"], rho_i)),
         delta=js.delta, beta_j=2.0 + 2.0 * js.delta, dim_j=js.dim_j, **lbs,
-        eigenvalues=w, eigenvectors=basis, groups=grp, beta_i=betas["i"])
+        eigenvalues=w, groups=grp, beta_i=betas["i"], basis=basis,
+        projected=vav if basis is None else None)
 
 
 def _analyze_single(g: Graph) -> _Stack:

@@ -1,6 +1,10 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -139,7 +143,8 @@ class TestEmbed:
     def test_spherical_mode_decompositions(self, tmp_path, capsys, decompositions):
         code, _, _ = run(["embed", "--g6", encode_graph6(cycle_graph(9)), "--mode", "spherical",
                           "--out", str(tmp_path / "x.csv")], capsys)
-        assert code == 0 and decompositions == ["eigh", "eigvalsh"]
+        # eigenvalues only in the pass (C9 is regular), then one eigh for the points
+        assert code == 0 and decompositions == ["eigvalsh", "eigh"]
 
     def test_spherical_mode(self, tmp_path, capsys, bow_tie):
         out = tmp_path / "bt.csv"
@@ -275,3 +280,20 @@ class TestSweep:
         assert code == 0
         per_n = json.loads(out)["per_n"]
         assert per_n == {"2": 2, "3": 8, "4": 64, "5": 1024, "6": 32768, "7": 2, "8": 1}
+
+
+def test_no_scipy_at_runtime(tmp_path):
+    # scipy is a test extra: analyze and embed --mode spherical never import it
+    code = "\n".join([
+        "import sys",
+        "from twodist import cli",
+        "assert cli.main(['analyze', '--g6', sys.argv[1]]) == 0",
+        "assert cli.main(['embed', '--g6', sys.argv[1], '--mode', 'spherical',"
+        " '--out', sys.argv[2]]) == 0",
+        "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')",
+        "assert not loaded, loaded"])
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run([sys.executable, "-c", code, encode_graph6(cycle_graph(9)),
+                           str(tmp_path / "x.csv")], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr

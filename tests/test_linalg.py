@@ -136,3 +136,50 @@ class TestArrowheadEigvalsh:
         assert decompositions == ["eigvalsh"]
         assert {2.0, 3.0} <= set(got[0]) and 3.0 in got[1]
         assert np.array_equal(got[2], [0.0, 1.0, 2.0, 3.0])
+
+
+def _arrowhead(corner, z, d):
+    """Dense (k, m+1, m+1) arrowhead matrices."""
+    k, m = d.shape
+    h = np.zeros((k, m + 1, m + 1))
+    h[:, 0, 0] = corner
+    h[:, 0, 1:] = h[:, 1:, 0] = z
+    h[:, np.arange(1, m + 1), np.arange(1, m + 1)] = d
+    return h
+
+
+class TestArrowheadTop:
+    @pytest.mark.parametrize("scale", [0.1, 1.0, 100.0])
+    def test_matches_dense_eigvalsh(self, rng, scale):
+        # rows coupling different numbers of directions, with directions
+        # decoupled at rounding level, rows with every z_j zero, repeated
+        # poles, and corners below and above max d
+        k, m = 300, 12
+        corner = rng.standard_normal(k) * scale
+        d = rng.standard_normal((k, m)) * 3.0 * scale
+        z = rng.standard_normal((k, m)) * scale * (rng.random((k, m)) < 0.7)
+        z[rng.random((k, m)) < 0.1] *= 1e-17
+        z[:20] = 0.0
+        d[20:60, 0] = d[20:60, 1]
+        corner[60:100] = d[60:100].max(axis=-1) + scale
+        want = np.linalg.eigvalsh(_arrowhead(corner, z, d))[:, -1]
+        got = linalg.arrowhead_top(corner, z, d)
+        assert np.allclose(got, want, rtol=1e-14, atol=1e-14 * scale)
+        # with no direction coupled, the top is max(corner, max d) exactly
+        assert np.array_equal(got[:20], np.fmax(corner[:20], d[:20].max(axis=-1)))
+
+    def test_gives_up_as_nan(self):
+        # the 2x2 start of the second row rounds onto its pole d = 1, where
+        # f is not finite; the first row is unaffected by its neighbour
+        corner = np.array([0.0, 0.0])
+        z = np.array([[0.7, 0.0], [1e-14, 0.7]])
+        d = np.array([[0.5, 1.0], [1.0, 0.5]])
+        got = linalg.arrowhead_top(corner, z, d)
+        assert got[0] == pytest.approx(np.linalg.eigvalsh(_arrowhead(corner, z, d))[0, -1],
+                                       rel=1e-15)
+        assert np.isnan(got[1])
+
+    def test_no_decomposition(self, decompositions):
+        assert linalg.arrowhead_top(np.zeros(0), np.zeros((0, 4)), np.zeros((0, 4))).shape == (0,)
+        linalg.arrowhead_top(np.ones(2), np.ones((2, 3)), np.zeros((2, 3)))
+        assert decompositions == []

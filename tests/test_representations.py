@@ -12,7 +12,7 @@ from twodist.graphs import (Graph, adjacency_matrix, class_stack, classify, clus
                             complement, complement_adjacency, complete_graph,
                             complete_multipartite_graph, cycle_graph, from_mask,
                             null_graph, parse_graph6)
-from twodist.oracle import verify_two_distance
+from twodist.oracle import _mask_stack, verify_two_distance
 
 S5 = math.sqrt(5.0)
 
@@ -305,6 +305,26 @@ class TestJSpherical:
         assert reps.same_second_distance(cluster_graph([2, 2, 2]), cluster_graph([4, 4]))
         assert not reps.same_second_distance(cluster_graph([2, 2, 2]), cycle_graph(5))
 
+    @pytest.mark.parametrize("g1,g2", [(complete_graph(4), complete_graph(5)),
+                                       (null_graph(3), cycle_graph(5))], ids=["k4-k5", "null3-c5"])
+    def test_same_second_distance_rejects_degenerate(self, g1, g2):
+        # a degenerate graph has no J-spherical representation to compare
+        with pytest.raises(reps.DegenerateGraphError):
+            reps.j_spherical(g1)
+        with pytest.raises(reps.DegenerateGraphError):
+            reps.same_second_distance(g1, g2)
+
+    def test_same_second_distance_checks_top_group(self, monkeypatch):
+        # at a clustering tolerance of 0.9 this graph's Abar has a top group
+        # that merges eigenvalues; K_{3,3}'s (2 K_3) does not
+        monkeypatch.setattr(linalg, "EIG_TOL", 0.9)
+        g = from_mask(6, 4035)
+        match = "top eigenvalue group of the complement"
+        with pytest.raises(edm.InternalConsistencyError, match=match):
+            reps.j_spherical(g)
+        with pytest.raises(edm.InternalConsistencyError, match=match):
+            reps.same_second_distance(complete_multipartite_graph([3, 3]), g)
+
     @pytest.mark.parametrize("name", ["bow_tie", "c9"])
     def test_one_decomposition(self, name, bow_tie, decompositions):
         reps.j_spherical(bow_tie if name == "bow_tie" else cycle_graph(9))
@@ -399,10 +419,13 @@ class TestAnalyzeGraph:
         assert doc["rho_l"] ** 2 == pytest.approx(2 / (5 + S5))
         assert doc["rho_u"] ** 2 == pytest.approx(2 / (5 - S5))
 
-    @pytest.mark.parametrize("name", ["gnp", "c9", "paley13"])
-    def test_two_decompositions_per_analysis(self, name, rng, decompositions):
-        # eigh of V.T A V, and only the eigenvalues of Abar: the analysis
-        # reads no J-spherical point
+    @pytest.mark.parametrize("name,want", [
+        ("gnp", ["eigh"]), ("c9", ["eigvalsh"]), ("paley13", ["eigvalsh"])],
+        ids=["gnp", "c9", "paley13"])
+    def test_one_decomposition_per_analysis(self, name, want, rng, decompositions):
+        # eigh of V.T A V, or only its eigenvalues for a regular graph (q = 0);
+        # Abar's top eigenvalue from its secular equation clears the rest, so
+        # no decomposition of Abar, and the analysis reads no J-spherical point
         if name == "gnp":
             upper = np.triu(rng.random((12, 12)) < 0.5, k=1)
             g = Graph(12, upper | upper.T)
@@ -410,7 +433,20 @@ class TestAnalyzeGraph:
         else:
             g = cycle_graph(9) if name == "c9" else paley_graph(13)
         reps.analyze_graph(g)
-        assert decompositions == ["eigh", "eigvalsh"]
+        assert decompositions == want
+
+    @pytest.mark.parametrize("n", [100, 300, 600])
+    def test_gnp_delta_from_secular_equation(self, n, decompositions):
+        # G(n, 1/2): lambda_max(Abar) by Newton clears max d, so the analysis
+        # decomposes only V.T A V, and delta = 1/lambda_max of a dense eigvalsh
+        rng = np.random.default_rng(n)
+        upper = np.triu(rng.random((n, n)) < 0.5, k=1)
+        g = Graph(n, upper | upper.T)
+        rep = reps.analyze_graph(g)
+        assert decompositions == ["eigh"]
+        lam = np.linalg.eigvalsh(complement_adjacency(g.adj).astype(float))[-1]
+        assert rep.delta == pytest.approx(1.0 / lam, rel=1e-12, abs=0.0)
+        assert rep.dim_j == n - 1
 
     @pytest.mark.parametrize("g", [cycle_graph(9), petersen_graph(), paley_graph(13)],
                              ids=["c9", "petersen", "paley13"])
@@ -456,12 +492,13 @@ class TestAnalyzeGraph:
             reps.analyze_graph(cycle_graph(5))
 
     def test_dimension_chain_break_raises(self, monkeypatch):
-        real = reps._j_stack
+        # _j_arrowhead returns the J data of certified and fallback rows alike
+        real = reps._j_arrowhead
 
         def broken(*args):
             js = real(*args)
             return dataclasses.replace(js, dim_j=np.ones_like(js.dim_j))
-        monkeypatch.setattr(reps, "_j_stack", broken)
+        monkeypatch.setattr(reps, "_j_arrowhead", broken)
         with pytest.raises(edm.InternalConsistencyError, match="lower_bound_e <= dim_e"):
             reps.analyze_graph(cycle_graph(5))
 
@@ -504,6 +541,14 @@ def _assert_same_report(got, want):
             assert type(a) is type(b) and a == b, f.name
 
 
+def _assert_same_row(st1, st2, i):
+    """Row i of two passes: the same fault text, or the same report."""
+    if st1.errors[i] is not None:
+        assert str(st1.errors[i]) == str(st2.errors[i])
+    else:
+        _assert_same_report(st1.report(i), st2.report(i))
+
+
 class TestAnalyzeStack:
     @pytest.mark.parametrize("tol", [1e-9, 0.1])
     def test_stacking_changes_no_answer(self, tol):
@@ -538,6 +583,50 @@ class TestAnalyzeStack:
                     assert str(st.errors[i]) == str(js.error(i))
             assert np.array_equal(st.dim_j[clean], js.dim_j[clean])
             assert np.allclose(st.delta[clean], js.delta[clean], rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("tol", [1e-9, 0.1, 0.9])
+    def test_abar_top_matches_eigvalsh_on_order_6(self, tol):
+        # Newton's lambda_max(Abar) with its interlacing certificate, and the
+        # arrowhead eigvalsh on the rows it leaves, against _j_stack on an
+        # eigvalsh of Abar on every graph of order 6: the same delta, dim_J
+        # and fault text (at tol 0.9 Newton certifies about 1% of the rows)
+        adj = _mask_stack(6, np.arange(1 << 15))
+        st = reps._analyze_stack(adj, tol)
+        js = reps._j_stack(np.linalg.eigvalsh(complement_adjacency(adj).astype(float)), tol)
+        nondeg = ~st.degenerate
+        j_fault = np.array([e is not None and "complement" in str(e) for e in st.errors])
+        other = (st.errors != None) & ~j_fault  # noqa: E711
+        assert np.array_equal(j_fault, js.bad & nondeg & ~other)
+        for i in np.flatnonzero(j_fault):
+            assert str(st.errors[i]) == str(js.error(i))
+        ok = nondeg & ~js.bad
+        assert np.array_equal(st.dim_j[ok], js.dim_j[ok])
+        assert np.allclose(st.delta[ok], js.delta[ok], rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    def test_regular_eigvalsh_path_matches_eigh_path(self, n):
+        # a stack of regular graphs decomposes V.T A V by eigvalsh (q = 0);
+        # one irregular graph in the stack makes the pass run eigh: every
+        # regular graph of order n gets the same answers and faults either way
+        adj = _mask_stack(n, np.arange(1 << (n * (n - 1) // 2)))
+        deg = adj.sum(axis=-1)
+        regular = adj[(deg == deg[:, :1]).all(axis=-1)]
+        alone = reps._analyze_stack(regular)
+        mixed = reps._analyze_stack(np.concatenate([regular, from_mask(n, 1).adj[None]]))
+        assert alone.basis is None and mixed.basis is not None
+        for i in range(len(regular)):
+            _assert_same_row(alone, mixed, i)
+
+    @pytest.mark.parametrize("name", ["c600", "paley601", "triangular35", "kneser35"])
+    def test_regular_eigvalsh_path_at_large_n(self, name):
+        g = {"c600": lambda: cycle_graph(600), "paley601": lambda: paley_graph(601),
+             "triangular35": lambda: triangular_graph(35),
+             "kneser35": lambda: kneser_graph(35)}[name]()
+        chord = Graph.from_edges(g.n, [(i, (i + 1) % g.n) for i in range(g.n)] + [(0, 2)])
+        alone = reps._analyze_stack(g.adj[None])
+        mixed = reps._analyze_stack(np.stack([g.adj, chord.adj]))
+        assert alone.basis is None and mixed.basis is not None
+        _assert_same_row(alone, mixed, 0)
 
     def test_sphericity_matches_direct_residual(self):
         # the pass tests d . z = 0 for the lifted eigenvectors z; the direct
