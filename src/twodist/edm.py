@@ -2,24 +2,25 @@
 matrices and sphericity.
 
 A zero-diagonal symmetric matrix is an EDM of embedding dimension r exactly
-when its projected Gram matrix is PSD of rank r; configurations are recovered
-about the centroid from that spectrum. Sphericity is decided by the rank test
-rank(D) == r + 1, with the Gale-matrix annihilation test and the sign of
-e.T @ w run as cross-checks. The analysis builds its configurations and radii
-from the projected spectrum instead; the functions here are the independent
-references that the sweep and the tests check it against.
+when its projected Gram matrix is PSD of rank r. Every query reads one
+eigendecomposition of it under one zero threshold (``_gram``): configurations
+are recovered about the centroid from it, and the Gale space is its null
+space. Sphericity is decided by the rank test rank(D) == r + 1, with the
+Gale-matrix annihilation test and the sign of e.T @ w run as cross-checks.
+The analysis builds its configurations and radii from the projected spectrum
+instead; the functions here are the independent references that the sweep
+and the tests check it against.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Tuple
 
 import numpy as np
 
 from . import linalg
-from .centering import VBasis, build_v, lift, projected_gram
-from .linalg import Spectrum
+from .centering import build_v, lift, projected_gram
 
 CENTERING_CENTROID = "centroid"
 CENTERING_CIRCUMCENTER = "circumcenter"
@@ -41,7 +42,6 @@ class InternalConsistencyError(RuntimeError):
 class EdmCheck:
     is_edm: bool
     embedding_dim: int
-    x_spectrum: Spectrum
 
 
 @dataclass(frozen=True)
@@ -84,6 +84,8 @@ def _validate_hollow(d: np.ndarray) -> np.ndarray:
     d = np.asarray(d, dtype=float)
     if d.ndim != 2 or d.shape[0] != d.shape[1]:
         raise ValueError("matrix must be square")
+    if not np.all(np.isfinite(d)):
+        raise linalg.NotFiniteError("matrix has non-finite entries")
     if np.max(np.abs(d - d.T)) > 1e-12 * max(1.0, float(np.max(np.abs(d)))):
         raise ValueError("matrix must be symmetric")
     if d.shape[0] and np.max(np.abs(np.diag(d))) > 0:
@@ -91,58 +93,66 @@ def _validate_hollow(d: np.ndarray) -> np.ndarray:
     return 0.5 * (d + d.T)
 
 
+def _gram(d: np.ndarray, tol: float) -> tuple:
+    """The projected Grams -1/2 V.T D V of a (k, n, n) stack, n >= 2: their
+    ascending eigenvalues w (k, n-1), eigenvectors u, and the (negative,
+    positive) masks of w under ``linalg.sign_masks``; the rest are zero."""
+    w, u = np.linalg.eigh(projected_gram(d, build_v(d.shape[-1])))
+    return (w, u, *linalg.sign_masks(w, tol))
+
+
 def is_edm(d: np.ndarray, tol: float = linalg.EIG_TOL) -> EdmCheck:
     """Decide the EDM property and embedding dimension via the projected Gram."""
     d = _validate_hollow(d)
-    n = d.shape[0]
-    if n == 1:
-        return EdmCheck(True, 0, Spectrum((), tol))
-    v = build_v(n)
-    x = projected_gram(d, v)
-    spec = linalg.eigh(x, tol)
-    neg, pos = linalg.sign_masks(spec.flat(), tol)
+    if d.shape[0] == 1:
+        return EdmCheck(True, 0)
+    _, _, neg, pos = _gram(d[None], tol)
     psd = not neg.any()
-    return EdmCheck(psd, int(np.count_nonzero(pos)) if psd else 0, spec)
+    return EdmCheck(psd, int(np.count_nonzero(pos)) if psd else 0)
 
 
-def _centroid_points(v: VBasis, x_spectrum: Spectrum, tol: float) -> np.ndarray:
-    """Points from the projected-Gram spectrum: X = U L U.T gives P = V U sqrt(L).
+def _centroid_points(w: np.ndarray, u: np.ndarray, pos: np.ndarray) -> np.ndarray:
+    """Points P = V U sqrt(L) from one projected Gram U L U.T's positive
+    eigenpairs, columns by decreasing eigenvalue, without the n x n Gram."""
+    keep = np.flatnonzero(pos)[::-1]
+    return lift(u[:, keep] * np.sqrt(w[keep]), build_v(w.size + 1))
 
-    Avoids forming and refactoring the n x n Gram matrix; columns come out
-    ordered by decreasing eigenvalue.
-    """
-    flat = x_spectrum.flat()
-    scale = max(1.0, float(np.max(np.abs(flat)))) if flat.size else 1.0
-    cols = [g.basis * np.sqrt(g.value) for g in x_spectrum.groups if g.value > tol * scale]
-    if not cols:
-        return np.zeros((v.n, 0))
-    return lift(np.hstack(cols), v)
+
+def _circumcenter(p: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(c, residual, diag(B)) for centroid-centered configurations p of shape
+    (..., n, r) whose nonzero columns are orthogonal (eigenvector directions
+    scaled by sqrt(eigenvalue)): the center equation P c = (diag(B) - mean)/2
+    then solves by a diagonal system, and ``residual`` is how far it misses."""
+    sq = p * p
+    diag_b = sq.sum(axis=-1)
+    rhs = 0.5 * (diag_b - diag_b.sum(axis=-1, keepdims=True) / p.shape[-2])
+    lam = sq.sum(axis=-2)
+    c = (p * rhs[..., None]).sum(axis=-2) / np.where(lam > 0.0, lam, 1.0)
+    resid = np.abs((p * c[..., None, :]).sum(axis=-1) - rhs).max(axis=-1)
+    return c, resid, diag_b
 
 
 def recover_configuration(d: np.ndarray, tol: float = linalg.EIG_TOL) -> Configuration:
     """Recover a centroid-centered n x r configuration whose squared distances equal d."""
     d = _validate_hollow(d)
-    chk = is_edm(d, tol)
-    if not chk.is_edm:
-        raise NotEdmError(f"not an EDM: min projected eigenvalue {chk.x_spectrum.min_value:.3e}")
-    return Configuration(_centroid_points(build_v(d.shape[0]), chk.x_spectrum, tol),
-                         CENTERING_CENTROID)
+    w, u, neg, pos = _gram(d[None], tol)
+    if neg.any():
+        raise NotEdmError(f"not an EDM: min projected eigenvalue {w[0, 0]:.3e}")
+    return Configuration(_centroid_points(w[0], u[0], pos[0]), CENTERING_CENTROID)
 
 
 def gale_matrix(d: np.ndarray, tol: float = linalg.EIG_TOL) -> GaleMatrix:
-    """Gale matrix Z = V @ U, with U spanning the null space of the projected Gram."""
+    """Gale matrix Z = V @ U, with U spanning the null space of the projected
+    Gram: the eigenvectors whose eigenvalues are neither negative nor positive."""
     d = _validate_hollow(d)
-    n = d.shape[0]
-    chk = is_edm(d, tol)
-    if not chk.is_edm:
-        raise NotEdmError("Gale matrix requires an EDM")
-    if chk.embedding_dim >= n - 1:
-        raise FullDimensionError("full embedding dimension: empty Gale space")
-    v = build_v(n)
-    spec = chk.x_spectrum
-    scale = max(1.0, float(np.max(np.abs(spec.flat()))))
-    null_cols = [g.basis for g in spec.groups if abs(g.value) <= tol * scale]
-    return GaleMatrix(lift(np.hstack(null_cols), v))
+    if d.shape[0] > 1:  # one point has no projected Gram and no Gale space
+        _, u, neg, pos = _gram(d[None], tol)
+        if neg.any():
+            raise NotEdmError("Gale matrix requires an EDM")
+        zero = ~neg[0] & ~pos[0]
+        if zero.any():
+            return GaleMatrix(lift(u[0][:, zero], build_v(d.shape[0])))
+    raise FullDimensionError("full embedding dimension: empty Gale space")
 
 
 @dataclass(frozen=True)
@@ -155,13 +165,13 @@ class SphereStack:
     w: np.ndarray
     ew: np.ndarray
     errors: np.ndarray
-    gram: tuple  # eigenvalues (k, n-1) and eigenvectors of the projected Gram
+    gram: tuple  # ``_gram`` of the stack
 
 
 def sphere_stack(d: np.ndarray, tol: float = linalg.EIG_TOL) -> SphereStack:
     """Sphericity of a (k, n, n) stack of hollow symmetric matrices.
 
-    The EDM test and embedding dimension r come from the projected Gram; w
+    The EDM test and embedding dimension r come from ``_gram``; w
     solves Dw = e by the pseudoinverse of D, whose trace against D gives
     rank(D); the EDM is spherical when r = n - 1 or rank(D) = r + 1. The
     Gale matrix Z (V times the projected Gram's null space) and the sign of
@@ -169,9 +179,7 @@ def sphere_stack(d: np.ndarray, tol: float = linalg.EIG_TOL) -> SphereStack:
     """
     d = 0.5 * (d + d.swapaxes(-1, -2))
     k, n = d.shape[0], d.shape[-1]
-    v = build_v(n)
-    xw, xu = np.linalg.eigh(projected_gram(d, v))
-    neg, pos = linalg.sign_masks(xw, tol)
+    _, xu, neg, pos = gram = _gram(d, tol)
     r = np.count_nonzero(pos, axis=-1)
     d_pinv = linalg.pinv(d, tol)
     w = d_pinv.sum(axis=-1)
@@ -180,7 +188,7 @@ def sphere_stack(d: np.ndarray, tol: float = linalg.EIG_TOL) -> SphereStack:
     rank_d = np.rint(np.einsum("kij,kji->k", d, d_pinv))
     full = r == n - 1
     spherical = full | (rank_d == r + 1)
-    z = lift((~neg & ~pos)[:, None, :] * xu, v)
+    z = lift((~neg & ~pos)[:, None, :] * xu, build_v(n))
     dz = np.abs(d @ z).max(axis=(-2, -1))
     scale = np.maximum(1.0, np.abs(d).max(axis=(-2, -1)))
     faults = (
@@ -201,7 +209,7 @@ def sphere_stack(d: np.ndarray, tol: float = linalg.EIG_TOL) -> SphereStack:
             errors[i] = fault(i)
     with np.errstate(divide="ignore", invalid="ignore"):
         radius = np.where(spherical & present & (errors == None), np.sqrt(0.5 / ew), np.nan)  # noqa: E711
-    return SphereStack(radius, w, ew, errors, (xw, xu))
+    return SphereStack(radius, w, ew, errors, gram)
 
 
 def spherical_info(d: np.ndarray, tol: float = linalg.EIG_TOL) -> Optional[SphereInfo]:
@@ -212,13 +220,6 @@ def spherical_info(d: np.ndarray, tol: float = linalg.EIG_TOL) -> Optional[Spher
         raise st.errors[0]
     if np.isnan(st.radius[0]):
         return None
-    # Center in the frame of recover_configuration: solve
-    # P a = 1/2 (I - E/n) diag(P P^T), P = V U sqrt(L) from the projected Gram
-    # U L U.T, columns by decreasing eigenvalue.
-    xw, xu = st.gram[0][0, ::-1], st.gram[1][0, :, ::-1]
-    keep = xw > tol * max(1.0, float(np.abs(xw).max()))
-    p = lift(xu[:, keep] * np.sqrt(xw[keep]), build_v(d.shape[0]))
-    diag_b = np.sum(p * p, axis=1)
-    rhs = 0.5 * (diag_b - diag_b.mean())
-    center, *_ = np.linalg.lstsq(p, rhs, rcond=None)
+    w, u, _, pos = (a[0] for a in st.gram)
+    center, _, _ = _circumcenter(_centroid_points(w, u, pos))
     return SphereInfo(float(st.radius[0]), center, st.w[0], float(st.ew[0]))

@@ -1,5 +1,6 @@
-"""Dense symmetric eigendecomposition with eigenvalue clustering, plus the
-PSD/rank and pseudoinverse decisions built on top of it.
+"""Dense symmetric eigendecomposition with eigenvalue clustering, the zero
+threshold of every PSD, rank and pseudoinverse decision, and the arrowhead
+eigenvalue solvers.
 
 Multiplicity counting drives every dimension formula downstream, so eigenvalues
 are clustered into groups under a relative tolerance; each group's basis is the
@@ -62,10 +63,6 @@ class Spectrum:
 
     def values(self) -> list:
         return [grp.value for grp in self.groups]
-
-    def flat(self) -> np.ndarray:
-        """All eigenvalues with multiplicity, descending."""
-        return np.concatenate([[g.value] * g.multiplicity for g in self.groups])
 
     def reconstruct(self) -> np.ndarray:
         n = self.order
@@ -218,13 +215,6 @@ def sign_masks(w: np.ndarray, tol: float = EIG_TOL) -> Tuple[np.ndarray, np.ndar
     return w < -cut, w > cut
 
 
-def psd_rank(m: np.ndarray, tol: float = EIG_TOL) -> Tuple[bool, int]:
-    """PSD decision and numerical rank from the eigenvalues of m."""
-    w = np.linalg.eigvalsh(0.5 * (np.asarray(m, dtype=float) + np.asarray(m, dtype=float).T))
-    neg, pos = sign_masks(w, tol)
-    return not neg.any(), int(np.count_nonzero(pos))
-
-
 def pinv(m: np.ndarray, tol: float = EIG_TOL) -> np.ndarray:
     """Spectral Moore-Penrose pseudoinverse of a symmetric matrix, or of each
     matrix in a stack (..., n, n)."""
@@ -243,13 +233,3 @@ def in_colspace(d: np.ndarray, b: np.ndarray, w: np.ndarray,
     space of d."""
     miss = np.linalg.norm(np.einsum("...ij,...j->...i", d, w) - b, axis=-1)
     return miss <= rtol * np.maximum(1.0, np.linalg.norm(b, axis=-1))
-
-
-def solve_in_colspace(d: np.ndarray, b: np.ndarray, rtol: float = RESIDUAL_TOL) -> np.ndarray:
-    """Solve d @ w = b for b in the column space of d, via the pseudoinverse."""
-    d = np.asarray(d, dtype=float)
-    b = np.asarray(b, dtype=float)
-    w = pinv(d) @ b
-    if not in_colspace(d, b, w, rtol):
-        raise NotInColumnSpaceError("right-hand side not in column space")
-    return w

@@ -26,7 +26,7 @@ import numpy as np
 
 from . import edm, linalg
 from .centering import build_v, lift, lift_extremes, project_adjacency, restrict
-from .edm import Configuration
+from .edm import Configuration, _circumcenter
 from .graphs import (ClassStack, Graph, GraphClass, adjacency_matrix, class_stack,
                      classify, complement)
 
@@ -156,20 +156,6 @@ def dim_spherical(g: Graph) -> Tuple[int, float, float]:
     return int(st.dim_s[0]), float(st.dim_s_witness_beta[0]), float(st.rho_s[0])
 
 
-def _circumcenter(p: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(c, residual, diag(B)) for centroid-centered configurations p of shape
-    (..., n, r) whose nonzero columns are orthogonal (eigenvector directions
-    scaled by sqrt(eigenvalue)): the center equation P c = (diag(B) - mean)/2
-    then solves by a diagonal system, and ``residual`` is how far it misses."""
-    sq = p * p
-    diag_b = sq.sum(axis=-1)
-    rhs = 0.5 * (diag_b - diag_b.sum(axis=-1, keepdims=True) / p.shape[-2])
-    lam = sq.sum(axis=-2)
-    c = (p * rhs[..., None]).sum(axis=-2) / np.where(lam > 0.0, lam, 1.0)
-    resid = np.abs((p * c[..., None, :]).sum(axis=-1) - rhs).max(axis=-1)
-    return c, resid, diag_b
-
-
 def _witness_radius(p: np.ndarray) -> np.ndarray:
     """Circumradius of centroid-centered spherical configurations (..., n, r);
     NaN where the center equation leaves a residual, so the EDM is not
@@ -292,17 +278,10 @@ def j_spherical(g: Graph, cls: Optional[GraphClass] = None) -> JSpherical:
 
 
 def same_second_distance(g1: Graph, g2: Graph, tol: float = 1e-9) -> bool:
-    """Whether the two J-spherical representations share the second distance.
-
-    Checks each graph as ``j_spherical`` does: DegenerateGraphError for a
-    complete or null graph, edm.InternalConsistencyError where the top
-    eigenvalue group of Abar is not one positive eigenvalue.
-    """
-    def top(g: Graph) -> float:
-        _require_nondegenerate(g, None)
-        w = np.linalg.eigvalsh(adjacency_matrix(complement(g))[None])
-        return _j_stack(w, linalg.EIG_TOL).check().top[0]
-    return abs(top(g1) - top(g2)) <= tol
+    """Whether the two J-spherical representations share the second distance:
+    lambda_max(Abar) = 1/delta from ``j_spherical``, which raises for either
+    graph as it does (degenerate graph, top group of Abar not one eigenvalue)."""
+    return abs(1.0 / j_spherical(g1).delta - 1.0 / j_spherical(g2).delta) <= tol
 
 
 def euclidean_representation(g: Graph, beta: float,
@@ -314,7 +293,7 @@ def euclidean_representation(g: Graph, beta: float,
     v = build_v(g.n)
     w, u = np.linalg.eigh(project_adjacency(g.adj, v))
     x = 0.5 * (beta + (beta - 1.0) * w)
-    if x.min() < -linalg.EIG_TOL * max(1.0, np.abs(x).max()):
+    if linalg.sign_masks(x, linalg.EIG_TOL)[0].any():
         raise InfeasibleBetaError(beta, float(x.min()))
     if beta > 1.0:  # x ascends with w
         w, u = w[::-1], u[:, ::-1]
@@ -467,14 +446,14 @@ def _configurations(z: np.ndarray, w: np.ndarray, beta: np.ndarray,
 
     X(beta) = (beta I + (beta - 1) V.T A V)/2 shares those eigenvectors, so
     the points are the columns z sqrt(x) for its eigenvalues x; the extreme
-    group ``zero`` is exactly 0 at its own endpoint, and every x at or below
-    EIG_TOL * scale gives a zero column.
+    group ``zero`` is exactly 0 at its own endpoint, and every x that
+    ``linalg.sign_masks`` does not count positive gives a zero column.
     """
     x = 0.5 * (beta[:, None] + (beta[:, None] - 1.0) * w)
     if zero is not None:
         x = np.where(zero, 0.0, x)
-    scale = np.maximum(1.0, np.abs(x).max(axis=-1, keepdims=True))
-    return z * np.sqrt(np.where(x > linalg.EIG_TOL * scale, x, 0.0))[:, None, :]
+    _, pos = linalg.sign_masks(x, linalg.EIG_TOL)
+    return z * np.sqrt(np.where(pos, x, 0.0))[:, None, :]
 
 
 def _analyze_stack(adj: np.ndarray, tol: float = linalg.EIG_TOL) -> _Stack:

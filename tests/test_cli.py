@@ -283,13 +283,15 @@ class TestSweep:
 
 
 def test_no_scipy_at_runtime(tmp_path):
-    # scipy is a test extra: analyze and embed --mode spherical never import it
+    # scipy is a test extra: analyze, every embed mode and the sweep never import it
     code = "\n".join([
         "import sys",
         "from twodist import cli",
+        "out = sys.argv[2]",
         "assert cli.main(['analyze', '--g6', sys.argv[1]]) == 0",
-        "assert cli.main(['embed', '--g6', sys.argv[1], '--mode', 'spherical',"
-        " '--out', sys.argv[2]]) == 0",
+        "for mode in (['spherical'], ['euclidean', '--beta', '2'], ['jspherical']):",
+        "    assert cli.main(['embed', '--g6', sys.argv[1], '--mode', *mode, '--out', out]) == 0",
+        "assert cli.main(['sweep', '--n', '4', '--out', out + '.json']) == 0",
         "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')",
         "assert not loaded, loaded"])
     src = str(Path(cli.__file__).resolve().parents[1])

@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+from scipy.linalg import lapack
 
-from twodist import edm, representations as reps
-from twodist.graphs import (adjacency_matrix, complete_multipartite_graph,
-                            cycle_graph)
+from twodist import edm, linalg, representations as reps
+from twodist.centering import build_v, projected_gram
+from twodist.graphs import (adjacency_matrix, complement_adjacency,
+                            complete_multipartite_graph, cycle_graph)
+from twodist.oracle import _mask_stack
 
 
 def edm_from_points(points):
@@ -15,6 +18,19 @@ def edm_from_points(points):
 
 def random_edm(rng, n, dim):
     return edm_from_points(rng.standard_normal((n, dim)))
+
+
+def order5_edms():
+    """The EDM of every non-degenerate order-5 graph at the beta_l, beta_u
+    and interior beta_i of the analysis pass, where they exist."""
+    adj = _mask_stack(5, np.arange(1 << 10))
+    st = reps._analyze_stack(adj)
+    a, abar = adj.astype(float), complement_adjacency(adj).astype(float)
+    edms = []
+    for beta in (st.beta_l, st.beta_u, st.beta_i):
+        ok = ~np.isnan(beta)
+        edms.append(a[ok] + beta[ok, None, None] * abar[ok])
+    return np.concatenate(edms)
 
 
 class TestIsEdm:
@@ -36,6 +52,16 @@ class TestIsEdm:
         chk = edm.is_edm(adjacency_matrix(cycle_graph(5)))
         assert not chk.is_edm and chk.embedding_dim == 0
 
+    def test_against_pivoted_cholesky(self, rng):
+        # reference rank from LAPACK's pivoted Cholesky of the projected Gram
+        for _ in range(100):
+            n = int(rng.integers(2, 16))
+            d = random_edm(rng, n, int(rng.integers(1, n + 1)))
+            x = projected_gram(d, build_v(n))
+            _, _, ref_rank, _ = lapack.dpstrf(x, tol=1e-9 * max(1.0, x.max()))
+            chk = edm.is_edm(d)
+            assert chk.is_edm and chk.embedding_dim == ref_rank
+
     def test_input_validation(self):
         with pytest.raises(ValueError, match="symmetric"):
             edm.is_edm(np.array([[0.0, 1.0], [2.0, 0.0]]))
@@ -43,6 +69,11 @@ class TestIsEdm:
             edm.is_edm(np.eye(2))
         with pytest.raises(ValueError, match="square"):
             edm.is_edm(np.zeros((2, 3)))
+        nan = np.array([[0.0, 1.0, np.nan], [1.0, 0.0, 1.0], [np.nan, 1.0, 0.0]])
+        for query in (edm.is_edm, edm.recover_configuration, edm.gale_matrix,
+                      edm.spherical_info):
+            with pytest.raises(linalg.NotFiniteError):
+                query(nan)
 
 
 class TestRecoverConfiguration:
@@ -75,6 +106,10 @@ class TestGaleMatrix:
         d = edm_from_points(np.eye(3))  # triangle spans the plane
         with pytest.raises(edm.FullDimensionError):
             edm.gale_matrix(d)
+
+    def test_one_point_raises(self):
+        with pytest.raises(edm.FullDimensionError):
+            edm.gale_matrix(np.zeros((1, 1)))
 
     def test_bow_tie_endpoint_gale_vectors(self, bow_tie):
         # the two endpoint EDMs have one-dimensional Gale spaces with known
@@ -120,8 +155,10 @@ class TestSphericalInfo:
         raw = rng.standard_normal((5, 3))
         sphere = edm_from_points(raw / np.linalg.norm(raw, axis=1, keepdims=True))
         collinear = edm_from_points(np.arange(5.0)[:, None])
-        ds = np.stack([sphere, collinear, reps._edm_at(bow_tie, 3.5), reps._edm_at(bow_tie, 0.5),
-                       np.zeros((5, 5))])
+        ds = np.concatenate([
+            [sphere, collinear, reps._edm_at(bow_tie, 3.5), reps._edm_at(bow_tie, 0.5),
+             np.zeros((5, 5))],
+            order5_edms(), [random_edm(rng, 5, dim) for dim in range(1, 6) for _ in range(10)]])
         st = edm.sphere_stack(ds)
         assert (st.errors == None).all()  # noqa: E711
         for d, radius in zip(ds, st.radius):
@@ -137,3 +174,30 @@ class TestSphericalInfo:
         config = edm.recover_configuration(d)
         dist = np.linalg.norm(config.points - info.center, axis=1)
         assert np.allclose(dist, info.radius, atol=1e-8)
+
+
+class TestOneGramReading:
+    # every query reads one eigendecomposition of the projected Gram
+    @pytest.mark.parametrize("query,want", [
+        ("is_edm", ["eigh"]), ("recover_configuration", ["eigh"]), ("gale_matrix", ["eigh"]),
+        ("spherical_info", ["eigh", "eigh"]),  # the projected Gram, then pinv(D)
+    ], ids=["is_edm", "recover_configuration", "gale_matrix", "spherical_info"])
+    def test_decompositions(self, query, want, rng, decompositions):
+        raw = rng.standard_normal((7, 3))
+        d = edm_from_points(raw / np.linalg.norm(raw, axis=1, keepdims=True))
+        assert getattr(edm, query)(d) is not None
+        assert decompositions == want
+
+    def test_readings_agree(self, rng):
+        randoms = [random_edm(rng, n, int(rng.integers(1, n + 1)))
+                   for n in rng.integers(2, 12, 100).tolist()]
+        for d in [*order5_edms(), *randoms]:
+            n = d.shape[0]
+            chk = edm.is_edm(d)
+            assert chk.is_edm
+            assert edm.recover_configuration(d).dim == chk.embedding_dim
+            if chk.embedding_dim < n - 1:
+                assert edm.gale_matrix(d).z.shape[1] == n - 1 - chk.embedding_dim
+            else:
+                with pytest.raises(edm.FullDimensionError):
+                    edm.gale_matrix(d)

@@ -1,6 +1,5 @@
 import numpy as np
 import pytest
-from scipy.linalg import lapack
 
 from twodist import linalg
 
@@ -52,26 +51,6 @@ class TestEigh:
             linalg.eigh(np.array([[np.nan, 0.0], [0.0, 1.0]]))
 
 
-class TestPsdRank:
-    def test_against_pivoted_cholesky(self, rng):
-        for _ in range(100):
-            n = int(rng.integers(2, 16))
-            rank = int(rng.integers(1, n + 1))
-            b = random_psd(rng, n, rank)
-            is_psd, r = linalg.psd_rank(b)
-            assert is_psd
-            # reference rank from LAPACK's pivoted Cholesky
-            _, _, ref_rank, _ = lapack.dpstrf(b, tol=1e-9 * max(1.0, b.max()))
-            assert r == ref_rank
-
-    def test_indefinite(self):
-        is_psd, r = linalg.psd_rank(np.diag([2.0, -1.0]))
-        assert not is_psd and r == 1
-
-    def test_zero(self):
-        assert linalg.psd_rank(np.zeros((3, 3))) == (True, 0)
-
-
 class TestPinvAndSolve:
     def test_moore_penrose_identities(self, rng):
         for _ in range(50):
@@ -81,13 +60,6 @@ class TestPinvAndSolve:
             assert np.allclose(m @ p @ m, m, atol=1e-8)
             assert np.allclose(p @ m @ p, p, atol=1e-8)
             assert np.allclose(p, p.T, atol=1e-12)
-
-    def test_solve_in_colspace(self, rng):
-        f = rng.standard_normal((6, 3))
-        m = f @ f.T
-        b = m @ rng.standard_normal(6)
-        w = linalg.solve_in_colspace(m, b)
-        assert np.allclose(m @ w, b, atol=1e-8)
 
     def test_stacks_invert_each_matrix(self, rng):
         ms = np.stack([random_psd(rng, 6, rank) for rank in (1, 3, 6)])
@@ -100,11 +72,6 @@ class TestPinvAndSolve:
         b[0] = np.linalg.svd(ms[0])[0][:, 1]
         assert linalg.in_colspace(ms, b, np.einsum("kij,kj->ki", p, b)).tolist() == \
             [False, True, True]
-
-    def test_solve_rejects_outside_colspace(self):
-        m = np.diag([1.0, 1.0, 0.0])
-        with pytest.raises(linalg.NotInColumnSpaceError):
-            linalg.solve_in_colspace(m, np.array([1.0, 0.0, 1.0]))
 
 
 class TestArrowheadEigvalsh:

@@ -7,7 +7,7 @@ import pytest
 
 import twodist
 from twodist import edm, linalg, representations as reps
-from twodist.centering import build_v, project_adjacency, projected_gram
+from twodist.centering import build_v, project_adjacency
 from twodist.graphs import (Graph, adjacency_matrix, class_stack, classify, cluster_graph,
                             complement, complement_adjacency, complete_graph,
                             complete_multipartite_graph, cycle_graph, from_mask,
@@ -70,11 +70,10 @@ def hypercube_graph(d):
 
 
 def brute_force_dim_e(g, samples=400):
-    """Minimal rank of the projected Gram over a dense beta grid."""
+    """Minimal embedding dimension over a dense beta grid."""
     feasible = reps.beta_feasible_set(g)
     a = adjacency_matrix(g)
     abar = adjacency_matrix(complement(g))
-    v = build_v(g.n)
     best = g.n
     lo = min(iv[0] for iv in feasible.intervals if np.isfinite(iv[0]))
     hi = max(iv[2] for iv in feasible.intervals if np.isfinite(iv[2]))
@@ -85,10 +84,9 @@ def brute_force_dim_e(g, samples=400):
     for beta in grid:
         if not feasible.contains(beta, slack=1e-12) or abs(beta - 1.0) < 1e-9:
             continue
-        x = projected_gram(a + beta * abar, v)
-        is_psd, rank = linalg.psd_rank(x)
-        if is_psd:
-            best = min(best, rank)
+        chk = edm.is_edm(a + beta * abar)
+        if chk.is_edm:
+            best = min(best, chk.embedding_dim)
     return best
 
 
@@ -180,9 +178,8 @@ class TestDimEuclidean:
             r, beta = reps.dim_euclidean(g)
             assert r == brute_force_dim_e(g)
             # the witness itself achieves the minimum
-            x = projected_gram(reps._edm_at(g, beta), build_v(n))
-            is_psd, rank = linalg.psd_rank(x)
-            assert is_psd and rank == r
+            chk = edm.is_edm(reps._edm_at(g, beta))
+            assert chk.is_edm and chk.embedding_dim == r
 
     def test_complement_invariance(self, rng):
         for _ in range(20):
