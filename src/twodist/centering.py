@@ -72,14 +72,13 @@ def restrict(y: np.ndarray, v: VBasis) -> np.ndarray:
 
 
 def project_adjacency(a: np.ndarray, v: VBasis) -> np.ndarray:
-    """V.T @ a @ V for a symmetric matrix (stack) a, symmetrized first.
+    """V.T @ a @ V for a symmetric matrix (stack) a.
 
     With s = (a u)[1:] and c = u.T a u this is a[1:, 1:] + s 1.T + 1 s.T + c J,
     exactly symmetric.
     """
     a = np.asarray(a, dtype=float)
     _check_shape(a, v)
-    a = 0.5 * (a + a.swapaxes(-1, -2))
     au = a @ v.u
     s = au[..., 1:]
     c = au @ v.u
@@ -87,7 +86,7 @@ def project_adjacency(a: np.ndarray, v: VBasis) -> np.ndarray:
 
 
 def projected_gram(d: np.ndarray, v: VBasis) -> np.ndarray:
-    """Projected Gram matrix -1/2 V.T @ d @ V of a zero-diagonal matrix (stack) d."""
+    """Projected Gram matrix -1/2 V.T @ d @ V of a symmetric zero-diagonal matrix (stack) d."""
     d = np.asarray(d, dtype=float)
     _check_shape(d, v)
     if np.max(np.abs(np.diagonal(d, axis1=-2, axis2=-1))) > 0:

@@ -9,7 +9,6 @@ diagnostic (including a sweep that finds violations), 4 infeasible request
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
 import sys
@@ -72,12 +71,7 @@ def _report_document(g: Graph, args) -> dict:
 
 
 def _emit(doc: dict, pretty: bool) -> None:
-    if pretty:
-        json.dump(doc, sys.stdout, indent=2, sort_keys=False)
-        sys.stdout.write("\n")
-    else:
-        json.dump(doc, sys.stdout)
-        sys.stdout.write("\n")
+    sys.stdout.write(json.dumps(doc, indent=2 if pretty else None) + "\n")
 
 
 def cmd_analyze(args) -> int:
@@ -96,13 +90,13 @@ def cmd_analyze(args) -> int:
 
 
 def _write_coordinates(path: str, config: edm.Configuration, sidecar: dict) -> None:
+    """The points as CSV rows of %.17g values ending in \\r\\n, as csv.writer
+    writes them, and the sidecar as indented JSON; one write per file."""
+    row = ",".join(["%.17g"] * config.dim) + "\r\n"
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        for row in config.points:
-            writer.writerow([f"{val:.17g}" for val in row])
+        fh.write("".join([row % tuple(r) for r in config.points.tolist()]))
     with open(path + ".json", "w", encoding="utf-8") as fh:
-        json.dump(sidecar, fh, indent=2)
-        fh.write("\n")
+        fh.write(json.dumps(sidecar, indent=2) + "\n")
 
 
 def _unwritable(path: str, exc: OSError) -> int:
@@ -136,8 +130,9 @@ def cmd_embed(args) -> int:
             sidecar = {"mode": "euclidean", "alpha": alpha, "beta": beta,
                        "radius": None if math.isnan(radius) else radius}
         elif args.mode == "spherical":
-            # the analysis pass answers every question here, as for analyze
-            st = reps._analyze_single(g)
+            # the analysis pass answers every question here, as for analyze;
+            # its eigh gives the points, also for a regular graph
+            st = reps._analyze_single(g, vectors=True)
             side = args.side or "lower"
             beta, spherical, radius = {
                 "lower": (st.beta_l, st.spherical_at_l, st.rho_l),
@@ -243,8 +238,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+#: The parser, built by the first ``main`` call and reused by later ones.
+_parser: Optional[argparse.ArgumentParser] = None
+
+
 def main(argv: Optional[list] = None) -> int:
-    args = build_parser().parse_args(argv)
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
+    args = _parser.parse_args(argv)
     return args.func(args)
 
 

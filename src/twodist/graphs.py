@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -49,7 +49,7 @@ class Graph:
         adj = np.array(self.adj, dtype=bool)
         if adj.shape != (self.n, self.n):
             raise GraphFormatError(f"adjacency of shape {adj.shape} for n={self.n}")
-        if adj.diagonal().any() or (adj != adj.T).any():
+        if np.count_nonzero(adj.diagonal()) or np.count_nonzero(adj != adj.T):
             raise GraphFormatError("adjacency must be symmetric with a zero diagonal")
         adj.flags.writeable = False
         object.__setattr__(self, "adj", adj)
@@ -240,59 +240,57 @@ def adjacency_matrix(g: Graph) -> np.ndarray:
     return g.adj.astype(float)
 
 
-def _clique_labels(closed: np.ndarray) -> tuple:
-    """(labels, ok) for a stack of adjacency matrices with a true diagonal:
-    each node's label is the first node of its closed neighbourhood, and ``ok``
-    says per matrix whether equal labels mean adjacency, which holds exactly
-    when adjacency is an equivalence relation, the classes being the cliques."""
-    label = closed.argmax(axis=-1)
-    ok = (closed == (label[..., :, None] == label[..., None, :])).all(axis=(-2, -1))
-    return label, ok
-
-
-@dataclass(frozen=True)
-class ClassStack:
+class ClassStack(NamedTuple):
     """The classification of a (k, n, n) stack of graphs, one entry per graph.
 
-    ``is_cluster`` and ``is_multipartite`` are the two membership flags;
-    ``tag`` is the most specific tag, and the labels give the partitions.
+    ``tag`` is the most specific tag; ``members`` (2, k) stacks the flags
+    ``is_cluster`` and ``is_multipartite``, and ``labels`` (2, k, n) the
+    clique and part labels that give the partitions.
     """
 
     tag: np.ndarray
+    members: np.ndarray
+    labels: np.ndarray
     is_cluster: np.ndarray
     is_multipartite: np.ndarray
-    clique_label: np.ndarray
-    part_label: np.ndarray
 
     @property
     def degenerate(self) -> np.ndarray:
-        return (self.tag == TAG_COMPLETE) | (self.tag == TAG_NULL)
+        """Complete or null: the graphs in both families."""
+        return np.logical_and.reduce(self.members)
 
     def row(self, i: int) -> GraphClass:
         """The GraphClass of graph i, with its partition."""
-        if self.is_cluster[i]:
-            label = self.clique_label[i]
-        elif self.is_multipartite[i]:
-            label = self.part_label[i]
-        else:
+        family = 0 if self.members[0, i] else 1
+        if not self.members[family, i]:
             return GraphClass(str(self.tag[i]), None, False, False)
-        sizes = np.bincount(label)
+        sizes = np.bincount(self.labels[family, i])
         return GraphClass(str(self.tag[i]), tuple(sorted(sizes[sizes > 0].tolist(), reverse=True)),
                           bool(self.is_cluster[i]), bool(self.is_multipartite[i]))
 
 
+#: The tags by code 2 * is_cluster + is_multipartite + null: a graph in both
+#: families is complete, or null if n >= 2 and it has no edge (the complement
+#: of a cluster graph of two or more cliques is one clique only if they are nodes).
+_TAGS = np.array([TAG_GENERAL, TAG_MULTIPARTITE, TAG_CLUSTER, TAG_COMPLETE, TAG_NULL])
+_FAMILY_CODE = np.array([2, 1])
+
+
 def class_stack(adj: np.ndarray) -> ClassStack:
     """Classify every graph of a (k, n, n) boolean adjacency stack by one
-    clique-label test on A + I (cluster) and on ~A (complete multipartite)."""
+    clique-label test on the stacked A + I (cluster) and ~A (complete
+    multipartite): a node's label is the first node of its closed
+    neighbourhood, and equal labels mean adjacency exactly when adjacency is
+    an equivalence relation, whose classes are the cliques."""
     n = adj.shape[-1]
-    clique_label, cluster = _clique_labels(adj | np.eye(n, dtype=bool))
-    # ~adj is the complement's adjacency with a true diagonal
-    part_label, multipartite = _clique_labels(~adj)
-    edges = np.count_nonzero(adj, axis=(-2, -1))
-    tag = np.where(edges == n * (n - 1), TAG_COMPLETE, np.where(
-        edges == 0, TAG_NULL, np.where(cluster, TAG_CLUSTER, np.where(
-            multipartite, TAG_MULTIPARTITE, TAG_GENERAL))))
-    return ClassStack(tag, cluster, multipartite, clique_label, part_label)
+    closed = np.empty((2,) + adj.shape, dtype=bool)
+    np.logical_or(adj, np.eye(n, dtype=bool), out=closed[0])
+    np.logical_not(adj, out=closed[1])  # the complement's adjacency with a true diagonal
+    labels = closed.argmax(axis=-1)
+    members = np.logical_and.reduce(closed == (labels[..., :, None] == labels[..., None, :]),
+                                    axis=(-2, -1))
+    null = ~np.logical_or.reduce(adj, axis=(-2, -1)) & (n > 1)
+    return ClassStack(_TAGS[_FAMILY_CODE @ members + null], members, labels, *members)
 
 
 def classify(g: Graph) -> GraphClass:

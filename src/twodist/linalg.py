@@ -11,7 +11,7 @@ records how far the merged eigenvalues lie from the group value.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Tuple
+from typing import NamedTuple, Tuple
 
 import numpy as np
 
@@ -22,6 +22,9 @@ RESIDUAL_TOL = 1e-8
 #: Relative rounding level: a quantity within ROUNDING times the largest
 #: |entry| it was computed from is rounding residue of zero.
 ROUNDING = 8.0 * np.finfo(float).eps
+# 0-d arrays: numpy combines them with an array faster than Python floats
+_ONE = np.array(1.0)
+_ULP2 = np.array(2.0 * np.finfo(float).eps)  # two units in the last place, relative
 
 
 class NotFiniteError(ValueError):
@@ -75,23 +78,20 @@ class Spectrum:
 def cluster_gap(w: np.ndarray, tol: float) -> np.ndarray:
     """Largest gap between neighbouring eigenvalues of one group, per sorted
     spectrum along the last axis: ``tol * max(1, max|lambda|)``."""
-    return tol * np.maximum(1.0, np.maximum(np.abs(w[..., 0]), np.abs(w[..., -1])))
+    ends = w[..., ::max(w.shape[-1] - 1, 1)]  # the first and last eigenvalue
+    return tol * np.abs(ends).max(axis=-1, initial=1.0)
 
 
-@dataclass(frozen=True)
-class ExtremeGroups:
-    """The bottom and top groups of a stack of ascending spectra under the
-    clustering rule of ``eigh``: masks over the eigenvalue axis,
-    multiplicities, group means and spreads, one entry per spectrum."""
+class ExtremeGroups(NamedTuple):
+    """The bottom and top groups of a stack of ascending spectra (..., m)
+    under the clustering rule of ``eigh``. Each field is a (2, ...) array,
+    the bottom group first: masks over the eigenvalue axis, multiplicities,
+    group means and spreads."""
 
-    bottom_mask: np.ndarray
-    top_mask: np.ndarray
-    m_bottom: np.ndarray
-    m_top: np.ndarray
-    bottom: np.ndarray
-    top: np.ndarray
-    bottom_spread: np.ndarray
-    top_spread: np.ndarray
+    masks: np.ndarray
+    counts: np.ndarray
+    means: np.ndarray
+    spreads: np.ndarray
 
 
 def extreme_groups(w: np.ndarray, tol: float = EIG_TOL) -> ExtremeGroups:
@@ -100,14 +100,15 @@ def extreme_groups(w: np.ndarray, tol: float = EIG_TOL) -> ExtremeGroups:
     idx = np.arange(m)
     # brk[..., j] = j + 1 where w[j + 1] - w[j] exceeds the gap, else 0
     brk = (w[..., 1:] - w[..., :-1] > cluster_gap(w, tol)[..., None]) * idx[1:]
-    m_bottom = np.where(brk > 0, brk, m).min(axis=-1, initial=m)
-    last = brk.max(axis=-1, initial=0)
-    masks = (idx < m_bottom[..., None], idx >= last[..., None])
-    counts = (m_bottom, m - last)
-    means = [(w * mask).sum(axis=-1) / cnt for mask, cnt in zip(masks, counts)]
-    spreads = [(np.abs(w - mean[..., None]) * mask).max(axis=-1)
-               for mask, mean in zip(masks, means)]
-    return ExtremeGroups(*masks, *counts, *means, *spreads)
+    masks = np.empty((2,) + w.shape, dtype=bool)
+    # (the ufuncs' own reductions: the ndarray methods wrap them in Python)
+    np.less(idx, np.minimum.reduce(np.where(brk, brk, m), axis=-1, initial=m)[..., None],
+            out=masks[0])
+    np.greater_equal(idx, np.maximum.reduce(brk, axis=-1, initial=0)[..., None], out=masks[1])
+    counts = np.add.reduce(masks, axis=-1)
+    means = np.add.reduce(w * masks, axis=-1) / counts
+    spreads = np.maximum.reduce(np.abs(w - means[..., None]) * masks, axis=-1)
+    return ExtremeGroups(masks, counts, means, spreads)
 
 
 def arrowhead_eigvalsh(corner: np.ndarray, z: np.ndarray, d: np.ndarray) -> np.ndarray:
@@ -151,31 +152,40 @@ def arrowhead_top(corner: np.ndarray, z: np.ndarray, d: np.ndarray) -> np.ndarra
     the root) or, after the first step, no longer rises. A row whose step is
     not finite, or that is still moving after NEWTON_CAP steps, is NaN.
     """
-    scale = np.fmax(np.abs(corner), np.abs(d).max(axis=-1, initial=0.0))
+    scale = np.fmax(np.abs(corner), np.maximum.reduce(np.abs(d), axis=-1, initial=0.0))
     coupled = np.abs(z) > ROUNDING * scale[:, None]
     z2 = np.where(coupled, z * z, 0.0)
     poles = np.where(coupled, d, -np.inf)  # a decoupled term is 0/inf
-    half = 0.5 * (corner[:, None] - d)
-    above = np.where(coupled, np.sqrt(half * half + z2) - half, 0.0)  # 2x2 top - corner
-    x = corner + above.max(axis=-1, initial=0.0)
-    top = np.full_like(x, np.nan)
-    rows, c, size = np.arange(x.size), corner, np.abs(corner)
+    c = corner[:, None]  # x, c and size are (rows, 1) columns
+    half = 0.5 * (c - d)
+    x = c + np.maximum.reduce(np.where(coupled, np.sqrt(half * half + z2) - half, 0.0),
+                              axis=-1, keepdims=True, initial=0.0)
+    top = np.full_like(corner, np.nan)
+    rows, size = None, np.abs(c)  # rows: the stack rows still iterated, None for all
+    r = np.empty((2,) + z2.shape)  # z_j^2/(x - d_j) and z_j^2/(x - d_j)^2
     with np.errstate(divide="ignore", invalid="ignore"):
         for it in range(NEWTON_CAP):
-            gap = x[:, None] - poles
-            r = z2 / gap
-            step = (c - x + np.add.reduce(r, axis=-1)) / (1.0 + np.add.reduce(r / gap, axis=-1))
+            gap = x - poles
+            np.divide(z2, gap, out=r[0])
+            np.divide(r[0], gap, out=r[1])
+            f, slope = np.add.reduce(r, axis=-1, keepdims=True)
+            step = (c - x + f) / (_ONE + slope)
             x = x + step
             rise = step if it else np.abs(step)
-            ulp2 = 2.0 * np.finfo(float).eps * (np.abs(x) + size)
+            ulp2 = _ULP2 * (np.abs(x) + size)
             going = rise > ulp2  # False for a NaN step
-            if going.all():
+            if np.count_nonzero(going) == going.size:
                 continue
-            settled = rise <= ulp2
-            top[rows[settled]] = x[settled]
-            if not going.any():
+            settled = (rise <= ulp2)[:, 0]
+            top[settled if rows is None else rows[settled]] = x[settled, 0]
+            if not np.count_nonzero(going):
                 break
-            rows, x, c, size, z2, poles = (a[going] for a in (rows, x, c, size, z2, poles))
+            going = going[:, 0]
+            rows = np.flatnonzero(going) if rows is None else rows[going]
+            x, c, size, z2, poles = (a[going] for a in (x, c, size, z2, poles))
+            r = r[:, going]
+    if np.count_nonzero(coupled) == coupled.size:
+        return top
     # a decoupled d_j is an eigenvalue exactly; NaN stays NaN
     return np.maximum(top, np.where(coupled, -np.inf, d).max(axis=-1, initial=-np.inf))
 

@@ -192,7 +192,7 @@ def _sweep_stack(summary: SweepSummary, adj: np.ndarray, comp: np.ndarray,
     """Analyse one stack of graphs of order n and record every invariant for
     the rows in ``checked``; ``comp[i]`` is the row of graph i's complement."""
     k, n = adj.shape[0], adj.shape[-1]
-    st = reps._analyze_stack(adj)
+    st = reps._analyze_stack(adj, vectors=True)
     errors = st.errors.copy()
     deg = st.degenerate
     has_l, has_u = ~np.isnan(st.beta_l), ~np.isnan(st.beta_u)

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-from functools import cached_property
 from typing import Optional, Tuple
 
 import numpy as np
@@ -141,12 +140,6 @@ def _edm_at(g: Graph, beta: float) -> np.ndarray:
     return a + beta * abar
 
 
-def _interior_beta(beta_l: np.ndarray, beta_u: np.ndarray) -> np.ndarray:
-    """A feasible beta strictly inside the interval next to an existing
-    endpoint (NaN marks a missing one), so the EDM there is full-dimensional."""
-    return np.where(np.isnan(beta_l), 0.5 * (1.0 + beta_u), 0.5 * (beta_l + 1.0))
-
-
 def dim_spherical(g: Graph) -> Tuple[int, float, float]:
     """Minimal spherical dimension, witness beta and the witness radius.
 
@@ -182,8 +175,7 @@ def _radius2(beta: np.ndarray, w: np.ndarray, q: np.ndarray, mean_deg: np.ndarra
     """
     n = w.shape[-1] + 1
     x_star = (beta / (1.0 - beta))[:, None]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        terms = q * q / (x_star - w)
+    terms = q * q / (x_star - w)  # callers ignore division faults
     if skip is not None:
         terms = np.where(skip, 0.0, terms)
     return (beta * (n - 1) + (1.0 - beta) * (mean_deg + terms.sum(axis=-1) / n)) / (2.0 * n)
@@ -236,9 +228,10 @@ def _j_stack(w: np.ndarray, tol: float) -> _JStack:
     dim_J read only the eigenvalues."""
     n = w.shape[-1]
     grp = linalg.extreme_groups(w, tol)
+    top = grp.means[1]
     with np.errstate(divide="ignore"):
-        delta = 1.0 / grp.top
-    return _JStack(n, grp.top, grp.top_spread, delta, n - grp.m_top,
+        delta = 1.0 / top
+    return _JStack(n, top, grp.spreads[1], delta, n - grp.counts[1],
                    np.fmax(np.abs(w[..., 0]), np.abs(w[..., -1])))
 
 
@@ -254,11 +247,12 @@ def _j_arrowhead(corner: np.ndarray, z: np.ndarray, d: np.ndarray, tol: float) -
     """
     k, n = d.shape[0], d.shape[-1] + 1
     top = linalg.arrowhead_top(corner, z, d)
-    certified = top - d.max(axis=-1) > tol * np.maximum(1.0, top)
-    spread, dim_j, scale = np.zeros(k), np.full(k, n - 1), top.copy()
-    rest = np.flatnonzero(~certified)
-    if rest.size:
+    spread, dim_j, scale = np.zeros(k), np.full(k, n - 1), top
+    uncertified = ~(top - d.max(axis=-1) > tol * np.maximum(1.0, top))  # and NaN rows
+    if np.count_nonzero(uncertified):
+        rest = np.flatnonzero(uncertified)
         js = _j_stack(linalg.arrowhead_eigvalsh(corner[rest], z[rest], d[rest]), tol)
+        top, scale = top.copy(), top.copy()
         top[rest], spread[rest], dim_j[rest], scale[rest] = js.top, js.spread, js.dim_j, js.scale
     with np.errstate(divide="ignore"):
         delta = 1.0 / top
@@ -279,9 +273,15 @@ def j_spherical(g: Graph, cls: Optional[GraphClass] = None) -> JSpherical:
 
 def same_second_distance(g1: Graph, g2: Graph, tol: float = 1e-9) -> bool:
     """Whether the two J-spherical representations share the second distance:
-    lambda_max(Abar) = 1/delta from ``j_spherical``, which raises for either
-    graph as it does (degenerate graph, top group of Abar not one eigenvalue)."""
-    return abs(1.0 / j_spherical(g1).delta - 1.0 / j_spherical(g2).delta) <= tol
+    lambda_max(Abar) = 1/delta from an eigvalsh of each Abar, which raises for
+    either graph as ``j_spherical`` does (degenerate graph, top group of Abar
+    not one eigenvalue) but builds no J points."""
+    top = []
+    for g in (g1, g2):
+        _require_nondegenerate(g, None)
+        w = np.linalg.eigvalsh(adjacency_matrix(complement(g))[None])
+        top.append(_j_stack(w, linalg.EIG_TOL).check().top[0])
+    return abs(top[0] - top[1]) <= tol
 
 
 def euclidean_representation(g: Graph, beta: float,
@@ -351,13 +351,13 @@ class ReprReport:
 class _Stack:
     """One analysis pass over a (k, n, n) stack of graphs of order n.
 
-    Every ReprReport field is a length-k array: float fields are NaN where
-    they do not apply, and integer and flag fields are meaningless there.
+    Every ReprReport field but the lower bounds, which depend on n only, is
+    a length-k array: float fields are NaN where they do not apply, and
+    integer and flag fields are meaningless there.
     ``errors[i]`` is the InternalConsistencyError that ``analyze_graph`` raises
-    for graph i, or None. The spectrum and an interior beta_i stay for the
-    sweep and ``embed``, which build the configurations from them and from
-    the eigenvectors: the pass's own, or, where it read only eigenvalues, an
-    eigh of the kept V.T A V run when first read.
+    for graph i, or None. The spectrum, its eigenvectors (when the pass ran
+    eigh) and an interior beta_i stay for the sweep and ``embed``, which
+    build the configurations from them.
     """
 
     n: int
@@ -381,62 +381,45 @@ class _Stack:
     delta: np.ndarray
     beta_j: np.ndarray
     dim_j: np.ndarray
-    lower_bound_e: np.ndarray
-    lower_bound_s: np.ndarray
     eigenvalues: np.ndarray = None   # (k, n-1) of V.T A V, ascending
     groups: Optional[linalg.ExtremeGroups] = None
     beta_i: np.ndarray = None
-    basis: Optional[np.ndarray] = None      # eigenvectors of V.T A V, if the pass ran eigh
-    projected: Optional[np.ndarray] = None  # V.T A V itself, if it did not
+    basis: Optional[np.ndarray] = None  # eigenvectors of V.T A V, if the pass ran eigh
 
     @property
     def degenerate(self) -> np.ndarray:
         return self.classes.degenerate
 
-    @cached_property
-    def _eigh(self) -> Tuple[np.ndarray, np.ndarray]:
-        """(eigenvalues, eigenvectors) of V.T A V from one eigh: the pass's
-        own, else one run on the kept stack when first read."""
-        if self.basis is not None:
-            return self.eigenvalues, self.basis
-        return np.linalg.eigh(self.projected)
-
-    @property
-    def eigenvectors(self) -> np.ndarray:
-        """(k, n-1, n-1) eigenvectors of V.T A V."""
-        return self._eigh[1]
-
     def configuration(self, side: str, rows=slice(None)) -> np.ndarray:
         """(k, n, n-1) centroid-centered configurations at beta_l, beta_u or
         beta_i (side "l", "u" or "i") of the graphs ``rows`` (all by default),
-        zero columns where X(beta) vanishes."""
+        zero columns where X(beta) vanishes. Needs the eigenvectors: a pass
+        run with ``vectors=True``, or on a stack with an irregular graph."""
         beta = {"l": self.beta_l, "u": self.beta_u, "i": self.beta_i}[side][rows]
-        zero = {"l": self.groups.top_mask, "u": self.groups.bottom_mask}.get(side)
-        w, u = self._eigh
-        return _configurations(lift(u[rows], build_v(self.n)), w[rows], beta,
-                               None if zero is None else zero[rows])
+        zero = {"l": self.groups.masks[1], "u": self.groups.masks[0]}.get(side)
+        return _configurations(lift(self.basis[rows], build_v(self.n)), self.eigenvalues[rows],
+                               beta, None if zero is None else zero[rows])
 
     def report(self, i: int) -> ReprReport:
         """The ReprReport of graph i; raises its error if it has one."""
         if self.errors[i] is not None:
             raise self.errors[i]
         cls = self.classes.row(i)
-        lbs = float(self.lower_bound_e[i]), float(self.lower_bound_s[i])
+        lbs = lower_bounds(max(self.n, 2))
         if cls.is_degenerate:
             return ReprReport(self.n, cls, True, *([None] * 17), *lbs)
 
-        def num(name, kind=float):
-            value = getattr(self, name)[i]
-            return None if kind is float and math.isnan(value) else kind(value)
+        def num(name):
+            value = getattr(self, name).item(i)
+            return None if value != value else value  # NaN
 
         l_ok, u_ok = not cls.is_multipartite, not cls.is_cluster
         return ReprReport(
-            self.n, cls, False, num("mu_min"), num("mu_max"), num("m_min", int),
-            num("m_max", int), num("beta_l"), num("beta_u"), num("dim_e", int),
-            num("dim_e_witness_beta"), num("dim_s", int), num("dim_s_witness_beta"),
-            num("spherical_at_l", bool) if l_ok else None,
-            num("spherical_at_u", bool) if u_ok else None,
-            num("rho_l"), num("rho_u"), num("delta"), num("beta_j"), num("dim_j", int), *lbs)
+            self.n, cls, False, num("mu_min"), num("mu_max"), num("m_min"), num("m_max"),
+            num("beta_l"), num("beta_u"), num("dim_e"), num("dim_e_witness_beta"),
+            num("dim_s"), num("dim_s_witness_beta"),
+            num("spherical_at_l") if l_ok else None, num("spherical_at_u") if u_ok else None,
+            num("rho_l"), num("rho_u"), num("delta"), num("beta_j"), num("dim_j"), *lbs)
 
 
 def _configurations(z: np.ndarray, w: np.ndarray, beta: np.ndarray,
@@ -456,11 +439,13 @@ def _configurations(z: np.ndarray, w: np.ndarray, beta: np.ndarray,
     return z * np.sqrt(np.where(pos, x, 0.0))[:, None, :]
 
 
-def _analyze_stack(adj: np.ndarray, tol: float = linalg.EIG_TOL) -> _Stack:
+def _analyze_stack(adj: np.ndarray, tol: float = linalg.EIG_TOL,
+                   vectors: bool = False) -> _Stack:
     """The analysis of every graph in a (k, n, n) boolean adjacency stack.
 
     Runs the class test, one stacked O(n^3) decomposition of V.T A V (eigh,
-    or eigvalsh when every graph is regular), and then array operations:
+    or eigvalsh when every graph is regular and ``vectors`` does not ask for
+    the eigenvectors that configurations need), and then array operations:
     Abar's top eigenvalue comes from its arrowhead form by Newton, and only
     the rows it does not certify run an eigvalsh of the part of Abar that
     V.T A V does not already diagonalise. Each fault that ``analyze_graph``
@@ -470,118 +455,120 @@ def _analyze_stack(adj: np.ndarray, tol: float = linalg.EIG_TOL) -> _Stack:
     adj = np.asarray(adj, dtype=bool)
     k, n = adj.shape[0], adj.shape[-1]
     classes = class_stack(adj)
-    lb_e, lb_s = lower_bounds(max(n, 2))
-    lbs = dict(lower_bound_e=np.full(k, lb_e), lower_bound_s=np.full(k, lb_s))
-    errors = np.full(k, None, dtype=object)
+    errors = np.empty(k, dtype=object)  # all None
     if n < 2:  # one node: the complete graph, and no spectrum
         nan = np.full(k, np.nan)
-        return _Stack(n, classes, errors, rho_s=nan, **lbs,
+        return _Stack(n, classes, errors, rho_s=nan,
                       **{f.name: nan for f in fields(ReprReport)[3:-2]})
     nondeg = ~classes.degenerate
-
-    clean = nondeg.copy()
-
-    def flag(mask, fault):
-        mask = mask & clean
-        if mask.any():
-            for i in np.flatnonzero(mask):
-                errors[i] = fault(i)
-            clean[mask] = False
 
     # s = V.T (d - mean d) for the degree vector d is exactly 0 for a regular
     # graph, whose degrees are integers. q = U.T s for the eigenvectors U of
     # V.T A V is all the pass reads of them, so a stack of regular graphs
-    # needs only the eigenvalues.
+    # needs only the eigenvalues, unless the caller builds configurations.
     v = build_v(n)
     vav = project_adjacency(adj, v)
     deg = adj.sum(axis=-1, dtype=float)
     mean_deg = deg.sum(axis=-1) / n
     s = restrict(deg - mean_deg[:, None], v)
-    if s.any():
+    if vectors or np.count_nonzero(s):
         w, basis = np.linalg.eigh(vav)
         q = np.einsum("ki,kij->kj", s, basis)
     else:
         w, basis, q = np.linalg.eigvalsh(vav), None, np.zeros_like(s)
+    # The upper endpoint comes from the bottom group and the lower one from
+    # the top group: (2, k) arrays in that order. -mu/(-mu - 1) = mu/(mu + 1)
+    # exactly, so one division gives beta_u and beta_l.
     grp = linalg.extreme_groups(w, tol)
-    mu_min, mu_max, m_min, m_max = grp.bottom, grp.top, grp.m_bottom, grp.m_top
-    for spread, mu, m in ((grp.top_spread, mu_max, m_max), (grp.bottom_spread, mu_min, m_min)):
-        flag(spread > _merge_tol(n), lambda i: edm.InternalConsistencyError(
-            f"extreme eigenvalue group of V.T A V ({_shown(mu[i], np.abs(w[i]).max()):.6g}, "
-            f"multiplicity {m[i]}) merges eigenvalues {spread[i]:.3e} apart"))
-    # mu_max = 0 exactly for complete multipartite graphs and mu_min = -1
-    # exactly for cluster graphs; a clustering that breaks this is a fault
-    flag(((mu_max > 1e-9) == classes.is_multipartite) | ((mu_min < -1.0 - 1e-9) == classes.is_cluster),
-         lambda i: edm.InternalConsistencyError(
-             f"projected spectrum (mu_min={mu_min[i]:.6g}, mu_max={mu_max[i]:.6g}) "
-             f"contradicts the class {str(classes.tag[i])!r}"))
-
-    has_l = nondeg & ~classes.is_multipartite
-    has_u = nondeg & ~classes.is_cluster
-    beta_l = np.divide(mu_max, mu_max + 1.0, out=np.full(k, np.nan), where=has_l)
-    beta_u = np.divide(-mu_min, -mu_min - 1.0, out=np.full(k, np.nan), where=has_u)
-    r_l, r_u = n - 1 - m_max, n - 1 - m_min
+    (mu_min, mu_max), (m_min, m_max) = grp.means, grp.counts
+    has = nondeg & ~classes.members
+    betas = np.divide(grp.means, grp.means + 1.0, out=np.full((2, k), np.nan), where=has)
+    beta_u, beta_l = betas
+    r_u, r_l = r = n - 1 - grp.counts
     use_l = classes.is_cluster | (~classes.is_multipartite & (r_l <= r_u))
     dim_e = np.where(use_l, r_l, r_u)
+    # a feasible beta strictly inside the interval next to an existing
+    # endpoint, the lower one if it exists: there the EDM is full-dimensional
+    mid = 0.5 * (betas + 1.0)
+    beta_i = np.where(np.isnan(beta_l), mid[0], mid[1])
 
-    betas = {"l": beta_l, "u": beta_u, "i": _interior_beta(beta_l, beta_u)}
-    zeros = {"l": grp.top_mask, "u": grp.bottom_mask, "i": None}
-
-    def radius(side, rows):
-        """Radii at betas[side] for the rows, NaN elsewhere: also where a
-        faulty row's spectrum makes the EDM there no EDM."""
-        out = np.full(k, np.nan)
-        idx = np.flatnonzero(rows)
-        if idx.size:
-            skip = None if zeros[side] is None else zeros[side][idx]
-            with np.errstate(invalid="ignore"):
-                out[idx] = np.sqrt(_radius2(betas[side][idx], w[idx], q[idx], mean_deg[idx], skip))
-        return out
+    def radius(beta, zero, rows):
+        """Radii at beta for the rows, NaN elsewhere: also where a faulty
+        row's spectrum makes the EDM there no EDM."""
+        if not np.count_nonzero(rows):
+            return np.full(k, np.nan)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return np.where(rows, np.sqrt(_radius2(beta, w, q, mean_deg, zero)), np.nan)
 
     # A z - mu z = (w_j - mu) z + e q_j/n for a lifted eigenvector z = V u_j,
     # so an endpoint is spherical when q vanishes on its eigenspace. Each
-    # column's largest |entry| is at its largest or smallest z. With q = 0
-    # the residual is at most the group's spread, which the merge check bounds.
+    # column's largest |entry| is at its largest or smallest z; on a group
+    # of one eigenvalue w_j - mu is 0, and the residual is |q_j|/n. With
+    # q = 0 it is at most the group's spread, which the merge check bounds.
     resid = np.zeros((2, k))
     if basis is not None:
-        mus = np.stack([mu_max, mu_min])[..., None]  # lower, upper
-        resid = np.fmax(*(np.abs((w - mus) * end + q / n) for end in lift_extremes(basis, v)))
-        resid = np.where(np.stack([zeros["l"], zeros["u"]]), resid, 0.0).max(axis=-1)
-    spherical = {"l": has_l & (resid[0] <= _merge_tol(n)), "u": has_u & (resid[1] <= _merge_tol(n))}
-    rho = {side: radius(side, spherical[side]) for side in ("l", "u")}
+        off = (w - grp.means[..., None]) * grp.masks
+        resid = np.abs(q / n)
+        if np.count_nonzero(off):
+            resid = np.abs(off[:, None] * np.array(lift_extremes(basis, v)) + q / n).max(axis=1)
+        resid = (resid * grp.masks).max(axis=-1)
+    spherical_u, spherical_l = spherical = has & (resid <= _merge_tol(n))
+    rho_u = radius(beta_u, grp.masks[0], spherical_u)
+    rho_l = radius(beta_l, grp.masks[1], spherical_l)
 
     # dim_S: the spherical endpoint of least dimension (the lower one on a
     # tie), else an interior beta in n - 1 dimensions.
-    d_l = np.where(spherical["l"], r_l, n)
-    d_u = np.where(spherical["u"], r_u, n)
-    at_l = spherical["l"] & (d_l <= d_u)
-    at_u = spherical["u"] & ~at_l
-    rho_i = radius("i", nondeg & ~at_l & ~at_u)
+    d_u, d_l = np.where(spherical, r, n)
+    at_l = spherical_l & (d_l <= d_u)
+    at_u = spherical_u & ~at_l
+    rho_i = radius(beta_i, None, nondeg & ~(at_l | at_u))
+    dim_s = np.where(at_l, d_l, np.where(at_u, d_u, n - 1))
 
     # In the orthonormal basis [e/sqrt(n), V U], Abar = J - I - A is the
     # arrowhead [[n - 1 - 2|E|/n, -q.T/sqrt(n)], [-q/sqrt(n), -I - diag(w)]].
     js = _j_arrowhead(n - 1.0 - mean_deg, -q / math.sqrt(n), -1.0 - w, tol)
-    flag(js.bad, js.error)
-    dim_s = np.where(at_l, d_l, np.where(at_u, d_u, n - 1))
-    flag(~((lb_e - 1e-9 <= dim_e) & (dim_e <= dim_s) & (dim_s <= js.dim_j)),
+
+    # The faults, in the order a row reports the first of them.
+    merged = grp.spreads > _merge_tol(n)
+    lb_e = lower_bounds(n)[0]
+
+    def merged_group(side):
+        return merged[side], lambda i: edm.InternalConsistencyError(
+            f"extreme eigenvalue group of V.T A V ({_shown(grp.means[side, i], np.abs(w[i]).max()):.6g}, "
+            f"multiplicity {grp.counts[side, i]}) merges eigenvalues {grp.spreads[side, i]:.3e} apart")
+    faults = (
+        merged_group(1), merged_group(0),
+        # mu_max = 0 exactly for complete multipartite graphs and mu_min = -1
+        # exactly for cluster graphs; a clustering that breaks this is a fault
+        (((mu_max > 1e-9) == classes.is_multipartite) | ((mu_min < -1.0 - 1e-9) == classes.is_cluster),
+         lambda i: edm.InternalConsistencyError(
+             f"projected spectrum (mu_min={mu_min[i]:.6g}, mu_max={mu_max[i]:.6g}) "
+             f"contradicts the class {str(classes.tag[i])!r}")),
+        (js.bad, js.error),
+        ((dim_e < lb_e - 1e-9) | (dim_e > dim_s) | (dim_s > js.dim_j),
          lambda i: edm.InternalConsistencyError(
              f"dimensions break lower_bound_e <= dim_e <= dim_s <= dim_j: "
-             f"{lb_e:.4f}, {dim_e[i]}, {dim_s[i]}, {js.dim_j[i]}"))
+             f"{lb_e:.4f}, {dim_e[i]}, {dim_s[i]}, {js.dim_j[i]}")))
+    clean = nondeg.copy()
+    if np.count_nonzero(nondeg & np.logical_or.reduce([mask for mask, _ in faults])):
+        for mask, fault in faults:
+            for i in np.flatnonzero(mask & clean):
+                errors[i] = fault(i)
+                clean[i] = False
     return _Stack(
         n, classes, errors, mu_min=mu_min, mu_max=mu_max, m_min=m_min, m_max=m_max,
         beta_l=beta_l, beta_u=beta_u, dim_e=dim_e,
         dim_e_witness_beta=np.where(use_l, beta_l, beta_u),
-        dim_s=dim_s, dim_s_witness_beta=np.where(at_l, beta_l, np.where(at_u, beta_u, betas["i"])),
-        spherical_at_l=spherical["l"], spherical_at_u=spherical["u"],
-        rho_l=rho["l"], rho_u=rho["u"],
-        rho_s=np.where(at_l, rho["l"], np.where(at_u, rho["u"], rho_i)),
-        delta=js.delta, beta_j=2.0 + 2.0 * js.delta, dim_j=js.dim_j, **lbs,
-        eigenvalues=w, groups=grp, beta_i=betas["i"], basis=basis,
-        projected=vav if basis is None else None)
+        dim_s=dim_s, dim_s_witness_beta=np.where(at_l, beta_l, np.where(at_u, beta_u, beta_i)),
+        spherical_at_l=spherical_l, spherical_at_u=spherical_u, rho_l=rho_l, rho_u=rho_u,
+        rho_s=np.where(at_l, rho_l, np.where(at_u, rho_u, rho_i)),
+        delta=js.delta, beta_j=2.0 + 2.0 * js.delta, dim_j=js.dim_j,
+        eigenvalues=w, groups=grp, beta_i=beta_i, basis=basis)
 
 
-def _analyze_single(g: Graph) -> _Stack:
+def _analyze_single(g: Graph, vectors: bool = False) -> _Stack:
     """The pass on a stack of one non-degenerate graph, raising its fault."""
-    st = _analyze_stack(g.adj[None])
+    st = _analyze_stack(g.adj[None], vectors=vectors)
     if st.degenerate[0]:
         raise DegenerateGraphError(f"{st.classes.tag[0]} graph admits no two-distance representation")
     if st.errors[0] is not None:

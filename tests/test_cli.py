@@ -1,4 +1,6 @@
+import argparse
 import csv
+import io
 import json
 import math
 import os
@@ -9,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from twodist import cli, edm, oracle, representations as reps
+from twodist import cli, edm, linalg, oracle, representations as reps
 from twodist.edm import Configuration
 from twodist.graphs import cycle_graph, encode_graph6, parse_graph6
 
@@ -143,8 +145,8 @@ class TestEmbed:
     def test_spherical_mode_decompositions(self, tmp_path, capsys, decompositions):
         code, _, _ = run(["embed", "--g6", encode_graph6(cycle_graph(9)), "--mode", "spherical",
                           "--out", str(tmp_path / "x.csv")], capsys)
-        # eigenvalues only in the pass (C9 is regular), then one eigh for the points
-        assert code == 0 and decompositions == ["eigvalsh", "eigh"]
+        # C9 is regular, but the pass runs eigh: its eigenvectors give the points
+        assert code == 0 and decompositions == ["eigh"]
 
     def test_spherical_mode(self, tmp_path, capsys, bow_tie):
         out = tmp_path / "bt.csv"
@@ -280,6 +282,111 @@ class TestSweep:
         assert code == 0
         per_n = json.loads(out)["per_n"]
         assert per_n == {"2": 2, "3": 8, "4": 64, "5": 1024, "6": 32768, "7": 2, "8": 1}
+
+
+class TestParserReuse:
+    """One process builds the parser once and serves every command with it."""
+
+    def commands(self, out, bow_tie):
+        return [["analyze", "--g6", "DUW"],
+                ["embed", "--g6", "DUW", "--mode", "euclidean", "--beta", "2.5", "--out", out],
+                ["analyze", "--g6", "Dug", "--tol-eig", "nan"],  # usage error: exit 2
+                ["analyze", "--g6", "DUW", "--pretty"],
+                ["embed", "--g6", encode_graph6(bow_tie), "--mode", "spherical",
+                 "--side", "lower", "--out", out],
+                ["embed", "--g6", "DUW", "--mode", "jspherical", "--out", out],
+                ["embed", "--g6", "DUW", "--mode", "euclidean", "--out", out]]  # exit 2
+
+    def outcome(self, argv, out, capsys):
+        """(exit code, stdout, stderr, CSV bytes, sidecar bytes) of one command."""
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        files = []
+        for path in (out, out.with_name(out.name + ".json")):
+            files.append(path.read_bytes() if path.exists() else None)
+            path.unlink(missing_ok=True)
+        return code, captured.out, captured.err, *files
+
+    def test_repeated_calls_match_the_first(self, tmp_path, capsys, monkeypatch, bow_tie):
+        monkeypatch.setattr(cli, "_parser", None)
+        out = tmp_path / "x.csv"
+        argvs = self.commands(str(out), bow_tie)
+        first = [self.outcome(argv, out, capsys) for argv in argvs]
+        assert [o[0] for o in first] == [0, 0, 2, 0, 0, 0, 2]
+        assert all(o[3] is not None for o in first if o[0] == 0 and o[1] == "")
+        for _ in range(2):
+            assert [self.outcome(argv, out, capsys) for argv in argvs] == first
+
+    def test_parser_built_once(self, tmp_path, capsys, monkeypatch, bow_tie):
+        monkeypatch.setattr(cli, "_parser", None)
+        built = []
+        real = cli.build_parser
+        monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or real())
+        out = tmp_path / "x.csv"
+        for argv in self.commands(str(out), bow_tie) * 2:
+            self.outcome(argv, out, capsys)
+        assert built == [1]
+
+    def test_import_builds_nothing(self):
+        code = "from twodist import cli; assert cli._parser is None"
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+
+    @pytest.mark.parametrize("argv", [["--help"], ["analyze", "--help"], ["embed", "--help"],
+                                      ["sweep", "--help"]], ids=["top", "analyze", "embed", "sweep"])
+    def test_help_unchanged(self, argv, capsys):
+        assert cli.main(["analyze", "--g6", "DUW"]) == 0  # the parser has served a command
+        capsys.readouterr()
+        texts = []
+        for parse in (cli.main, cli.build_parser().parse_args):
+            with pytest.raises(SystemExit) as exc:
+                parse(argv)
+            assert exc.value.code == 0
+            texts.append(capsys.readouterr().out)
+        assert texts[0] == texts[1] and "usage: twodist" in texts[0]
+
+
+def _csv_reference(points: np.ndarray) -> str:
+    """The CSV text of csv.writer with every value formatted by .17g."""
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf)
+    for row in points:
+        writer.writerow([f"{val:.17g}" for val in row])
+    return buf.getvalue()
+
+
+class TestOutputText:
+    """The one-write CSV, sidecar and JSON output against csv.writer and json.dump."""
+
+    @pytest.mark.parametrize("name", ["40x39", "no-columns", "special"])
+    def test_csv_matches_csv_writer(self, name, tmp_path, rng):
+        points = {
+            "40x39": rng.standard_normal((40, 39)) * 10.0 ** rng.integers(-12, 12, (40, 39)),
+            "no-columns": np.zeros((5, 0)),
+            "special": np.array([[np.nan, np.inf, -np.inf], [-0.0, 0.0, 5e-324],
+                                 [1e-320, -2.2250738585072014e-308, 1.0 / 3.0]]),
+        }[name]
+        sidecar = {"mode": "euclidean", "alpha": 1.0, "beta": 2.5, "radius": None}
+        path = tmp_path / "x.csv"
+        cli._write_coordinates(str(path), Configuration(points, "centroid"), sidecar)
+        assert path.read_bytes() == _csv_reference(points).encode("utf-8")
+        want = io.StringIO()
+        json.dump(sidecar, want, indent=2)
+        assert (tmp_path / "x.csv.json").read_text(encoding="utf-8") == want.getvalue() + "\n"
+
+    @pytest.mark.parametrize("pretty", [False, True])
+    def test_analyze_json_matches_json_dump(self, pretty, capsys):
+        argv = ["analyze", "--g6", "DUW"] + (["--pretty"] if pretty else [])
+        assert cli.main(argv) == 0
+        doc = cli._report_document(parse_graph6("DUW"), argparse.Namespace(tol_eig=linalg.EIG_TOL))
+        want = io.StringIO()
+        json.dump(doc, want, indent=2 if pretty else None)
+        assert capsys.readouterr().out == want.getvalue() + "\n"
 
 
 def test_no_scipy_at_runtime(tmp_path):

@@ -115,14 +115,14 @@ class TestProjectedSpectrum:
             st = reps._analyze_stack(g.adj[None])
             direct = np.linalg.eigvalsh(project_adjacency(adjacency_matrix(g), build_v(g.n)))
             assert np.allclose(st.eigenvalues[0], direct, atol=1e-9)
-            u = st.eigenvectors[0]
+            u = reps._analyze_stack(g.adj[None], vectors=True).basis[0]
             assert np.allclose(u.T @ u, np.eye(g.n - 1), atol=1e-9)
 
     def test_eigenvectors_actually_project(self):
         g = cycle_graph(6)
-        st = reps._analyze_stack(g.adj[None])
+        st = reps._analyze_stack(g.adj[None], vectors=True)
         m = project_adjacency(adjacency_matrix(g), build_v(g.n))
-        u, w = st.eigenvectors[0], st.eigenvalues[0]
+        u, w = st.basis[0], st.eigenvalues[0]
         assert np.allclose(m @ u, u * w, atol=1e-9)
 
     def test_degenerate_rejected_downstream(self):
@@ -310,6 +310,11 @@ class TestJSpherical:
             reps.j_spherical(g1)
         with pytest.raises(reps.DegenerateGraphError):
             reps.same_second_distance(g1, g2)
+
+    def test_same_second_distance_decompositions(self, decompositions):
+        # lambda_max(Abar) of each graph from one eigvalsh, and no J points
+        assert reps.same_second_distance(cluster_graph([2, 2, 2]), cluster_graph([4, 4]))
+        assert decompositions == ["eigvalsh", "eigvalsh"]
 
     def test_same_second_distance_checks_top_group(self, monkeypatch):
         # at a clustering tolerance of 0.9 this graph's Abar has a top group
