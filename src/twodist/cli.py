@@ -17,8 +17,7 @@ from typing import Optional
 import numpy as np
 
 from . import __version__, edm, linalg, oracle, representations as reps
-from .graphs import (Graph, GraphFormatError, classify, encode_graph6,
-                     parse_edge_list, parse_graph6)
+from .graphs import Graph, GraphFormatError, encode_graph6, parse_edge_list, parse_graph6
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -110,11 +109,6 @@ def cmd_embed(args) -> int:
     except (GraphFormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    cls = classify(g)
-    if cls.is_degenerate:
-        print(f"error: {cls.tag} graph admits no two-distance representation",
-              file=sys.stderr)
-        return EXIT_INFEASIBLE
     try:
         if args.mode == "euclidean":
             if args.beta is None:
@@ -124,7 +118,7 @@ def cmd_embed(args) -> int:
                 print("error: beta must be positive and differ from the first "
                       "squared distance 1", file=sys.stderr)
                 return EXIT_INFEASIBLE
-            config = reps.euclidean_representation(g, args.beta, cls)
+            config = reps.euclidean_representation(g, args.beta)
             alpha, beta = 1.0, args.beta
             radius = float(reps._witness_radius(config.points))
             sidecar = {"mode": "euclidean", "alpha": alpha, "beta": beta,
@@ -152,7 +146,7 @@ def cmd_embed(args) -> int:
             sidecar = {"mode": "spherical", "side": side, "alpha": alpha, "beta": beta,
                        "radius": radius}
         elif args.mode == "jspherical":
-            js = reps.j_spherical(g, cls)
+            js = reps.j_spherical(g)
             config = js.config
             alpha, beta = 2.0, js.beta
             sidecar = {"mode": "jspherical", "alpha": alpha, "beta": beta,
@@ -160,7 +154,7 @@ def cmd_embed(args) -> int:
         else:
             print(f"error: unknown mode {args.mode!r}", file=sys.stderr)
             return EXIT_PARSE
-    except (reps.InfeasibleBetaError, reps.DegenerateGraphError, reps.EndpointError) as exc:
+    except (reps.InfeasibleBetaError, reps.DegenerateGraphError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
     except edm.InternalConsistencyError as exc:

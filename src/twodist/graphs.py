@@ -27,9 +27,18 @@ class GraphFormatError(ValueError):
     """Malformed edge-list or graph6 input."""
 
 
-def _check_order(n: int) -> None:
+#: Largest order graph6 writes in its 4-byte header; larger ones take the
+#: 8-byte form, which is not supported. It bounds every order, so that no
+#: n x n adjacency is allocated for a graph the report cannot name.
+GRAPH6_MAX_N = 258047
+
+
+def _check_order(n: int, prefix: str = "") -> None:
     if n < 1:
-        raise GraphFormatError(f"node count must be positive, got {n}")
+        raise GraphFormatError(f"{prefix}node count must be positive, got {n}")
+    if n > GRAPH6_MAX_N:
+        raise GraphFormatError(f"{prefix}node count {n} exceeds {GRAPH6_MAX_N}, "
+                               "the largest graph6 order")
 
 
 @dataclass(frozen=True, eq=False)
@@ -84,13 +93,6 @@ class Graph:
         iu, ju = np.nonzero(np.triu(self.adj))
         return frozenset(zip(iu.tolist(), ju.tolist()))
 
-    @property
-    def num_edges(self) -> int:
-        return int(np.count_nonzero(self.adj)) // 2
-
-    def has_edge(self, u: int, v: int) -> bool:
-        return bool(self.adj[u, v])
-
 
 @dataclass(frozen=True)
 class GraphClass:
@@ -126,8 +128,7 @@ def parse_edge_list(text: str) -> Graph:
                 n = int(line.split()[0])
             except ValueError:
                 raise GraphFormatError(f"line {lineno}: expected node count, got {line!r}")
-            if n < 1:
-                raise GraphFormatError(f"line {lineno}: node count must be positive")
+            _check_order(n, f"line {lineno}: ")
             continue
         parts = line.split()
         if len(parts) != 2:
@@ -144,11 +145,6 @@ def parse_edge_list(text: str) -> Graph:
     if n is None:
         raise GraphFormatError("empty input")
     return Graph.from_edges(n, pairs)
-
-
-#: Largest order graph6 writes in its 4-byte header; larger ones take the
-#: 8-byte form, which is not supported.
-GRAPH6_MAX_N = 258047
 
 
 def _graph6_header(s: str) -> tuple:

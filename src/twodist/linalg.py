@@ -1,6 +1,6 @@
 """Dense symmetric eigendecomposition with eigenvalue clustering, the zero
-threshold of every PSD, rank and pseudoinverse decision, and the arrowhead
-eigenvalue solvers.
+threshold of every PSD, rank and pseudoinverse decision, and the top
+eigenvalue of an arrowhead matrix.
 
 Multiplicity counting drives every dimension formula downstream, so eigenvalues
 are clustered into groups under a relative tolerance; each group's basis is the
@@ -50,29 +50,10 @@ class Spectrum:
     """Clustered spectral decomposition, groups in strictly decreasing order."""
 
     groups: tuple
-    tol: float
-
-    @property
-    def order(self) -> int:
-        return sum(grp.multiplicity for grp in self.groups)
-
-    @property
-    def min_value(self) -> float:
-        return self.groups[-1].value
 
     @property
     def max_value(self) -> float:
         return self.groups[0].value
-
-    def values(self) -> list:
-        return [grp.value for grp in self.groups]
-
-    def reconstruct(self) -> np.ndarray:
-        n = self.order
-        out = np.zeros((n, n))
-        for grp in self.groups:
-            out += grp.value * (grp.basis @ grp.basis.T)
-        return out
 
 
 def cluster_gap(w: np.ndarray, tol: float) -> np.ndarray:
@@ -111,29 +92,6 @@ def extreme_groups(w: np.ndarray, tol: float = EIG_TOL) -> ExtremeGroups:
     return ExtremeGroups(masks, counts, means, spreads)
 
 
-def arrowhead_eigvalsh(corner: np.ndarray, z: np.ndarray, d: np.ndarray) -> np.ndarray:
-    """Ascending eigenvalues of the arrowhead matrices [[corner, z.T], [z, diag(d)]]
-    for stacks corner (k,), z and d (k, m).
-
-    A direction j whose |z_j| is at rounding level (ROUNDING times the largest
-    |diagonal entry|) is decoupled: d_j is an eigenvalue exactly. One stacked
-    ``eigvalsh`` runs on the coupled parts only, each padded to the widest
-    with decoupled directions, which stay decoupled in the reduction.
-    """
-    out = np.concatenate([corner[:, None], d], axis=-1)
-    # the corner's slot has z = inf: it is always in the coupled part
-    zs = np.concatenate([np.full_like(corner, np.inf)[:, None], z], axis=-1)
-    coupled = np.abs(zs) > ROUNDING * np.abs(out).max(axis=-1, keepdims=True)
-    c = int(np.count_nonzero(coupled, axis=-1).max(initial=1))
-    rows = np.arange(z.shape[0])[:, None]
-    slots = np.argsort(~coupled, axis=-1, kind="stable")[:, :c]  # coupled slots first
-    h = np.zeros((rows.size, c, c))
-    h.reshape(rows.size, c * c)[:, ::c + 1] = out[rows, slots]
-    h[:, 0, 1:] = h[:, 1:, 0] = np.where(coupled[rows, slots[:, 1:]], zs[rows, slots[:, 1:]], 0.0)
-    out[rows, slots] = np.linalg.eigvalsh(h)
-    return np.sort(out, axis=-1)
-
-
 #: Newton steps ``arrowhead_top`` takes on one row before it gives the row up.
 NEWTON_CAP = 50
 
@@ -142,8 +100,9 @@ def arrowhead_top(corner: np.ndarray, z: np.ndarray, d: np.ndarray) -> np.ndarra
     """Largest eigenvalue of each arrowhead matrix [[corner, z.T], [z, diag(d)]]
     for stacks corner (k,), z and d (k, m), or NaN where Newton gave up.
 
-    Directions are decoupled as in ``arrowhead_eigvalsh``. On the coupled
-    ones, lambda_max is the root of f(x) = corner - x + sum_j z_j^2/(x - d_j)
+    A direction j whose |z_j| is at rounding level (ROUNDING times the largest
+    |diagonal entry|) is decoupled: d_j is an eigenvalue exactly. On the
+    coupled ones, lambda_max is the root of f(x) = corner - x + sum_j z_j^2/(x - d_j)
     above every pole, where f is convex and decreasing. Newton starts at the
     top eigenvalue of a 2x2 principal submatrix [[corner, z_j], [z_j, d_j]],
     a lower bound by interlacing that lies above every coupled pole, so its
@@ -203,7 +162,7 @@ def eigh(m: np.ndarray, tol: float = EIG_TOL) -> Spectrum:
         raise NotFiniteError("matrix has non-finite entries")
     n = m.shape[0]
     if n == 0:
-        return Spectrum((), tol)
+        return Spectrum(())
     sym = 0.5 * (m + m.T)
     w, q = np.linalg.eigh(sym)
     w, q = w[::-1], q[:, ::-1]  # descending
@@ -214,7 +173,7 @@ def eigh(m: np.ndarray, tol: float = EIG_TOL) -> Spectrum:
     spreads = np.maximum.reduceat(np.abs(w - np.repeat(means, ends - starts)), starts)
     return Spectrum(tuple(SpectralGroup(mean, hi - lo, q[:, lo:hi], spread)
                           for mean, lo, hi, spread in zip(means.tolist(), starts.tolist(),
-                                                          ends.tolist(), spreads.tolist())), tol)
+                                                          ends.tolist(), spreads.tolist())))
 
 
 def sign_masks(w: np.ndarray, tol: float = EIG_TOL) -> Tuple[np.ndarray, np.ndarray]:

@@ -142,13 +142,6 @@ class SweepSummary:
         if error is not None:
             self.max_errors[check] = max(self.max_errors.get(check, 0.0), error)
 
-    def record(self, check: str, ok: bool, g6: str, detail: str = "",
-               error: Optional[float] = None) -> None:
-        """One graph's result under ``check``."""
-        self.tally(check, 1, error)
-        if not ok:
-            self.violations.append({"check": check, "graph6": g6, "detail": detail})
-
     def to_dict(self) -> dict:
         return {
             "graphs_checked": self.graphs_checked,

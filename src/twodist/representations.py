@@ -27,7 +27,7 @@ from . import edm, linalg
 from .centering import build_v, lift, lift_extremes, project_adjacency, restrict
 from .edm import Configuration, _circumcenter
 from .graphs import (ClassStack, Graph, GraphClass, adjacency_matrix, class_stack,
-                     classify, complement)
+                     classify, complement, complement_adjacency)
 
 SIDE_LOWER = "lower"
 SIDE_UPPER = "upper"
@@ -87,8 +87,8 @@ def _shown(value: float, scale: float) -> float:
     return 0.0 if abs(value) <= linalg.ROUNDING * scale else value
 
 
-def _require_nondegenerate(g: Graph, cls: Optional[GraphClass]) -> None:
-    cls = cls if cls is not None else classify(g)
+def _require_nondegenerate(g: Graph) -> None:
+    cls = classify(g)
     if cls.is_degenerate:
         raise DegenerateGraphError(f"{cls.tag} graph admits no two-distance representation")
 
@@ -141,12 +141,17 @@ def _edm_at(g: Graph, beta: float) -> np.ndarray:
 
 
 def dim_spherical(g: Graph) -> Tuple[int, float, float]:
-    """Minimal spherical dimension, witness beta and the witness radius.
+    """Minimal spherical dimension, witness beta and the witness radius: the
+    pass's rho_l or rho_u at an endpoint witness, else the circumradius of
+    the configuration at the interior witness beta_i.
 
     Raises as ``dim_euclidean`` does.
     """
-    st = _analyze_single(g)
-    return int(st.dim_s[0]), float(st.dim_s_witness_beta[0]), float(st.rho_s[0])
+    st = _analyze_single(g, vectors=True)
+    beta = st.dim_s_witness_beta[0]
+    rho = (st.rho_l if beta == st.beta_l[0] else st.rho_u if beta == st.beta_u[0]
+           else _witness_radius(st.configuration("i")))
+    return int(st.dim_s[0]), float(beta), float(rho[0])
 
 
 def _witness_radius(p: np.ndarray) -> np.ndarray:
@@ -159,7 +164,7 @@ def _witness_radius(p: np.ndarray) -> np.ndarray:
 
 
 def _radius2(beta: np.ndarray, w: np.ndarray, q: np.ndarray, mean_deg: np.ndarray,
-             skip: Optional[np.ndarray]) -> np.ndarray:
+             skip: np.ndarray) -> np.ndarray:
     """Squared circumradii of the EDMs A + beta*Abar of k graphs of order n,
     in closed form from the eigenpairs (w, U) of V.T A V (w of shape (k, n-1)),
     q = U.T V.T d for the degree vector d, and mean_deg = 2|E|/n:
@@ -175,9 +180,7 @@ def _radius2(beta: np.ndarray, w: np.ndarray, q: np.ndarray, mean_deg: np.ndarra
     """
     n = w.shape[-1] + 1
     x_star = (beta / (1.0 - beta))[:, None]
-    terms = q * q / (x_star - w)  # callers ignore division faults
-    if skip is not None:
-        terms = np.where(skip, 0.0, terms)
+    terms = np.where(skip, 0.0, q * q / (x_star - w))  # callers ignore division faults
     return (beta * (n - 1) + (1.0 - beta) * (mean_deg + terms.sum(axis=-1) / n)) / (2.0 * n)
 
 
@@ -235,15 +238,17 @@ def _j_stack(w: np.ndarray, tol: float) -> _JStack:
                    np.fmax(np.abs(w[..., 0]), np.abs(w[..., -1])))
 
 
-def _j_arrowhead(corner: np.ndarray, z: np.ndarray, d: np.ndarray, tol: float) -> _JStack:
-    """_JStack of Abar stacks in the arrowhead form [[corner, z.T], [z, diag(d)]].
+def _j_arrowhead(adj: np.ndarray, corner: np.ndarray, z: np.ndarray, d: np.ndarray,
+                 tol: float) -> _JStack:
+    """_JStack of the complements of a (k, n, n) adjacency stack, whose Abar
+    has the arrowhead form [[corner, z.T], [z, diag(d)]].
 
     A row is certified when lambda_max from ``linalg.arrowhead_top`` clears
     max d by the clustering gap tol * max(1, lambda_max): by Cauchy
     interlacing lambda_2 <= max d, and Abar >= 0 makes lambda_max its largest
     |eigenvalue|, so the top group is lambda_max alone (spread 0, dim_J =
     n - 1). Only the other rows, among them any that Newton gave up on, run
-    ``arrowhead_eigvalsh`` and ``_j_stack``.
+    an eigvalsh of Abar and ``_j_stack``.
     """
     k, n = d.shape[0], d.shape[-1] + 1
     top = linalg.arrowhead_top(corner, z, d)
@@ -251,7 +256,7 @@ def _j_arrowhead(corner: np.ndarray, z: np.ndarray, d: np.ndarray, tol: float) -
     uncertified = ~(top - d.max(axis=-1) > tol * np.maximum(1.0, top))  # and NaN rows
     if np.count_nonzero(uncertified):
         rest = np.flatnonzero(uncertified)
-        js = _j_stack(linalg.arrowhead_eigvalsh(corner[rest], z[rest], d[rest]), tol)
+        js = _j_stack(np.linalg.eigvalsh(complement_adjacency(adj[rest]).astype(float)), tol)
         top, scale = top.copy(), top.copy()
         top[rest], spread[rest], dim_j[rest], scale[rest] = js.top, js.spread, js.dim_j, js.scale
     with np.errstate(divide="ignore"):
@@ -259,9 +264,9 @@ def _j_arrowhead(corner: np.ndarray, z: np.ndarray, d: np.ndarray, tol: float) -
     return _JStack(n, top, spread, delta, dim_j, scale)
 
 
-def j_spherical(g: Graph, cls: Optional[GraphClass] = None) -> JSpherical:
+def j_spherical(g: Graph) -> JSpherical:
     """The unique J-spherical representation: unit sphere, first distance 2."""
-    _require_nondegenerate(g, cls)
+    _require_nondegenerate(g)
     w, q = np.linalg.eigh(adjacency_matrix(complement(g))[None])
     js = _j_stack(w, linalg.EIG_TOL).check()
     dim_j = int(js.dim_j[0])
@@ -278,18 +283,17 @@ def same_second_distance(g1: Graph, g2: Graph, tol: float = 1e-9) -> bool:
     not one eigenvalue) but builds no J points."""
     top = []
     for g in (g1, g2):
-        _require_nondegenerate(g, None)
+        _require_nondegenerate(g)
         w = np.linalg.eigvalsh(adjacency_matrix(complement(g))[None])
         top.append(_j_stack(w, linalg.EIG_TOL).check().top[0])
     return abs(top[0] - top[1]) <= tol
 
 
-def euclidean_representation(g: Graph, beta: float,
-                             cls: Optional[GraphClass] = None) -> Configuration:
+def euclidean_representation(g: Graph, beta: float) -> Configuration:
     """A centroid-centered configuration realizing the EDM A + beta*Abar: the
     pass's configuration builder on one eigh of V.T A V, columns in
     decreasing order of the eigenvalues of X(beta) = (beta I + (beta - 1) V.T A V)/2."""
-    _require_nondegenerate(g, cls)
+    _require_nondegenerate(g)
     v = build_v(g.n)
     w, u = np.linalg.eigh(project_adjacency(g.adj, v))
     x = 0.5 * (beta + (beta - 1.0) * w)
@@ -356,8 +360,8 @@ class _Stack:
     integer and flag fields are meaningless there.
     ``errors[i]`` is the InternalConsistencyError that ``analyze_graph`` raises
     for graph i, or None. The spectrum, its eigenvectors (when the pass ran
-    eigh) and an interior beta_i stay for the sweep and ``embed``, which
-    build the configurations from them.
+    eigh) and an interior beta_i stay for the sweep, ``embed`` and
+    ``dim_spherical``, which build the configurations from them.
     """
 
     n: int
@@ -377,7 +381,6 @@ class _Stack:
     spherical_at_u: np.ndarray
     rho_l: np.ndarray
     rho_u: np.ndarray
-    rho_s: np.ndarray
     delta: np.ndarray
     beta_j: np.ndarray
     dim_j: np.ndarray
@@ -447,10 +450,9 @@ def _analyze_stack(adj: np.ndarray, tol: float = linalg.EIG_TOL,
     or eigvalsh when every graph is regular and ``vectors`` does not ask for
     the eigenvectors that configurations need), and then array operations:
     Abar's top eigenvalue comes from its arrowhead form by Newton, and only
-    the rows it does not certify run an eigvalsh of the part of Abar that
-    V.T A V does not already diagonalise. Each fault that ``analyze_graph``
-    reports becomes a per-row error, so one graph's fault leaves the other
-    rows untouched.
+    the rows it does not certify run an eigvalsh of Abar. Each fault that
+    ``analyze_graph`` reports becomes a per-row error, so one graph's fault
+    leaves the other rows untouched.
     """
     adj = np.asarray(adj, dtype=bool)
     k, n = adj.shape[0], adj.shape[-1]
@@ -458,8 +460,7 @@ def _analyze_stack(adj: np.ndarray, tol: float = linalg.EIG_TOL,
     errors = np.empty(k, dtype=object)  # all None
     if n < 2:  # one node: the complete graph, and no spectrum
         nan = np.full(k, np.nan)
-        return _Stack(n, classes, errors, rho_s=nan,
-                      **{f.name: nan for f in fields(ReprReport)[3:-2]})
+        return _Stack(n, classes, errors, **{f.name: nan for f in fields(ReprReport)[3:-2]})
     nondeg = ~classes.degenerate
 
     # s = V.T (d - mean d) for the degree vector d is exactly 0 for a regular
@@ -521,12 +522,11 @@ def _analyze_stack(adj: np.ndarray, tol: float = linalg.EIG_TOL,
     d_u, d_l = np.where(spherical, r, n)
     at_l = spherical_l & (d_l <= d_u)
     at_u = spherical_u & ~at_l
-    rho_i = radius(beta_i, None, nondeg & ~(at_l | at_u))
     dim_s = np.where(at_l, d_l, np.where(at_u, d_u, n - 1))
 
     # In the orthonormal basis [e/sqrt(n), V U], Abar = J - I - A is the
     # arrowhead [[n - 1 - 2|E|/n, -q.T/sqrt(n)], [-q/sqrt(n), -I - diag(w)]].
-    js = _j_arrowhead(n - 1.0 - mean_deg, -q / math.sqrt(n), -1.0 - w, tol)
+    js = _j_arrowhead(adj, n - 1.0 - mean_deg, -q / math.sqrt(n), -1.0 - w, tol)
 
     # The faults, in the order a row reports the first of them.
     merged = grp.spreads > _merge_tol(n)
@@ -561,7 +561,6 @@ def _analyze_stack(adj: np.ndarray, tol: float = linalg.EIG_TOL,
         dim_e_witness_beta=np.where(use_l, beta_l, beta_u),
         dim_s=dim_s, dim_s_witness_beta=np.where(at_l, beta_l, np.where(at_u, beta_u, beta_i)),
         spherical_at_l=spherical_l, spherical_at_u=spherical_u, rho_l=rho_l, rho_u=rho_u,
-        rho_s=np.where(at_l, rho_l, np.where(at_u, rho_u, rho_i)),
         delta=js.delta, beta_j=2.0 + 2.0 * js.delta, dim_j=js.dim_j,
         eigenvalues=w, groups=grp, beta_i=beta_i, basis=basis)
 

@@ -11,9 +11,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from twodist import cli, edm, linalg, oracle, representations as reps
+from twodist import cli, edm, graphs, linalg, oracle, representations as reps
 from twodist.edm import Configuration
-from twodist.graphs import cycle_graph, encode_graph6, parse_graph6
+from twodist.graphs import GRAPH6_MAX_N, cycle_graph, encode_graph6, parse_graph6
 
 
 def run(args, capsys):
@@ -47,6 +47,16 @@ class TestAnalyze:
         code, out, _ = run(["analyze", "--edges", str(path)], capsys)
         assert code == 0
         assert json.loads(out)["class"] == "complete_multipartite"
+
+    @pytest.mark.parametrize("n", [99999999999, GRAPH6_MAX_N + 1])
+    def test_order_beyond_graph6_exits_2(self, n, tmp_path, capsys):
+        # rejected before any n x n allocation; the report could not name it
+        path = tmp_path / "big.txt"
+        path.write_text(f"{n}\n0 1\n")
+        code, out, err = run(["analyze", "--edges", str(path)], capsys)
+        assert code == 2 and out == ""
+        assert err == f"error: line 1: node count {n} exceeds {GRAPH6_MAX_N}, " \
+                      "the largest graph6 order\n"
 
     def test_bad_graph6_exits_2(self, capsys):
         code, _, err = run(["analyze", "--g6", "~~~"], capsys)
@@ -225,10 +235,37 @@ class TestEmbed:
         assert code == 2 and err.startswith("error: cannot write /nonexistent/x.csv")
         assert len(err.splitlines()) == 1
 
-    def test_degenerate_exits_4(self, tmp_path, capsys):
-        code, _, _ = run(["embed", "--g6", "D~{", "--mode", "jspherical",
-                          "--out", str(tmp_path / "x.csv")], capsys)
+    MODES = {"euclidean": ["--mode", "euclidean", "--beta", "2"],
+             "spherical": ["--mode", "spherical"], "jspherical": ["--mode", "jspherical"]}
+
+    @pytest.mark.parametrize("mode", list(MODES))
+    def test_degenerate_exits_4(self, mode, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        code, _, err = run(["embed", "--g6", "D~{", *self.MODES[mode], "--out", str(out)],
+                           capsys)
         assert code == 4
+        assert err == "error: complete graph admits no two-distance representation\n"
+        assert not out.exists()
+
+    def test_degenerate_euclidean_without_beta_exits_2(self, tmp_path, capsys):
+        # the usage check comes before the graph's class test
+        code, _, err = run(["embed", "--g6", "D~{", "--mode", "euclidean",
+                            "--out", str(tmp_path / "x.csv")], capsys)
+        assert code == 2 and err == "error: --beta required for euclidean mode\n"
+
+    @pytest.mark.parametrize("mode", list(MODES))
+    @pytest.mark.parametrize("g6", ["D~{", "DqK"])
+    def test_one_class_test_per_mode(self, mode, g6, tmp_path, capsys, monkeypatch):
+        # classify and the analysis pass both run graphs.class_stack
+        calls, real = [], graphs.class_stack
+
+        def counted(adj):
+            calls.append(adj.shape)
+            return real(adj)
+        monkeypatch.setattr(graphs, "class_stack", counted)
+        monkeypatch.setattr(reps, "class_stack", counted)
+        run(["embed", "--g6", g6, *self.MODES[mode], "--out", str(tmp_path / "x.csv")], capsys)
+        assert calls == [(1, 5, 5)]
 
 
 class TestSweep:
@@ -247,7 +284,7 @@ class TestSweep:
 
     def test_violations_exit_3(self, capsys, monkeypatch):
         summary = oracle.SweepSummary()
-        summary.record("dim_chain", False, "Ch", "forced")
+        summary.violations.append({"check": "dim_chain", "graph6": "Ch", "detail": "forced"})
         monkeypatch.setattr(oracle, "invariant_sweep", lambda *args, **kwargs: summary)
         code, out, _ = run(["sweep", "--n", "3"], capsys)
         assert code == 3
