@@ -114,9 +114,11 @@ def cmd_embed(args) -> int:
             if args.beta is None:
                 print("error: --beta required for euclidean mode", file=sys.stderr)
                 return EXIT_PARSE
-            if args.beta <= 0.0 or args.beta == 1.0:
+            # verification cannot tell two distances within its tolerance
+            # (up to rounding, so that 1.0000001 counts) apart
+            if args.beta <= 0.0 or abs(args.beta - 1.0) <= oracle.VERIFY_TOL + linalg.ROUNDING:
                 print("error: beta must be positive and differ from the first "
-                      "squared distance 1", file=sys.stderr)
+                      "squared distance 1 by more than 1e-7", file=sys.stderr)
                 return EXIT_INFEASIBLE
             config = reps.euclidean_representation(g, args.beta)
             alpha, beta = 1.0, args.beta
@@ -215,7 +217,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_em.add_argument("--mode", required=True,
                       choices=["euclidean", "spherical", "jspherical"])
     p_em.add_argument("--beta", type=_finite,
-                      help="second squared distance, positive and not 1 (euclidean mode)")
+                      help="second squared distance, positive and more than 1e-7 from 1 "
+                           "(euclidean mode)")
     p_em.add_argument("--side", choices=["lower", "upper"],
                       help="feasibility endpoint (spherical mode)")
     p_em.add_argument("--out", required=True, help="output CSV path")

@@ -27,6 +27,8 @@ T_MAX = 40.0
 #: A root t is certified when lambda_min of the pencil changes sign across
 #: t (1 -/+ ROOT_CERT).
 ROOT_CERT = 1e-9
+#: Two squared distances closer than this are one to verify_two_distance.
+VERIFY_TOL = 1e-7
 
 
 @dataclass(frozen=True)
@@ -46,7 +48,7 @@ def _pair_sq_distances(points: np.ndarray) -> np.ndarray:
 
 
 def verify_two_distance(config: Configuration, g: Graph, alpha: float, beta: float,
-                        tol: float = 1e-7) -> VerificationReport:
+                        tol: float = VERIFY_TOL) -> VerificationReport:
     """Check that a configuration realizes g with squared distances alpha/beta."""
     if config.n != g.n:
         raise ValueError(f"configuration has {config.n} rows, graph has {g.n} nodes")
@@ -59,7 +61,7 @@ def verify_two_distance(config: Configuration, g: Graph, alpha: float, beta: flo
 
 
 def _verify_stack(points: np.ndarray, adj: np.ndarray, alpha, beta: np.ndarray,
-                  tol: float = 1e-7) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+                  tol: float = VERIFY_TOL) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(max_deviation, passed, sorted pair squared distances) of
     verify_two_distance for a (k, n, r) stack of configurations of the graphs
     in adj, with per-graph alpha and beta: a configuration passes when its
@@ -74,13 +76,41 @@ def _verify_stack(points: np.ndarray, adj: np.ndarray, alpha, beta: np.ndarray,
     return max_dev, (breaks == 1) & (max_dev <= tol), values
 
 
+def _bordered(x: np.ndarray) -> np.ndarray:
+    """-F X F.T with F = [-e I] for a (k, n, n) stack X, entrywise; for the
+    small integers of an adjacency stack it is the dense product bit for bit,
+    signed zeros included."""
+    return -(x[:, 1:, 1:] - x[:, 1:, :1] - x[:, :1, 1:] + x[:, :1, :1])
+
+
 def _pencil(adj: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """(M0, M1) with -F D(t) F.T = M0 + t M1 and F = [-e I] for a (k, n, n)
     adjacency stack and D(t) = A + t Abar; no V involved."""
-    n = adj.shape[-1]
-    f = np.hstack([-np.ones((n - 1, 1)), np.eye(n - 1)])
-    abar = complement_adjacency(adj).astype(float)
-    return -(f @ adj.astype(float) @ f.T), -(f @ abar @ f.T)
+    return _bordered(adj.astype(float)), _bordered(complement_adjacency(adj).astype(float))
+
+
+def _not_positive_definite(m: np.ndarray) -> np.ndarray:
+    """Where the symmetric matrices of a (..., p, p) stack are not positive
+    definite, i.e. where lambda_min <= 0.
+
+    Unpivoted Cholesky in p steps over the whole stack: a matrix fails at its
+    first pivot that is not > 0 (NaN included). Every step before that pivot
+    is ordinary Cholesky of a positive definite leading block, and the pivot
+    is a diagonal entry of that block's Schur complement S, so S is not
+    positive definite; by Sylvester's law of inertia (M is congruent to the
+    block and S side by side) neither is M. The matrix axes go first so
+    that each step is one contiguous operation over the stack.
+    """
+    p = m.shape[-1]
+    a = np.moveaxis(np.asarray(m, dtype=float), (-2, -1), (0, 1)).copy()
+    bad = np.zeros(a.shape[2:], dtype=bool)
+    # a failed matrix's later pivots and updates are never read
+    with np.errstate(invalid="ignore", over="ignore"):
+        for j in range(p):
+            bad |= ~(a[j, j] > 0.0)
+            col = a[j + 1:, j] / np.sqrt(np.where(bad, 1.0, a[j, j]))
+            a[j + 1:, j + 1:] -= col[:, None] * col[None, :]
+    return bad
 
 
 def _roots_stack(adj: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -89,8 +119,9 @@ def _roots_stack(adj: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     M0 + M1 = F F.T = I + J for every graph of order n. With I + J = L L.T
     and W = L^-1 M1 L^-T, M0 + t M1 = L (I + (t - 1) W) L.T, so the roots are
     t = 1 - 1/nu over the eigenvalues nu of W: t1 from the largest, t2 from
-    the smallest. A root counts where lambda_min(M0 + t M1) is negative at
-    the probe (t = 1e-8 for t1, T_MAX for t2) and changes sign across it.
+    the smallest. A root counts where lambda_min(M0 + t M1) is not positive
+    at the probe (t = 1e-8 for t1, T_MAX for t2) and changes sign across it;
+    each sign is read off the Cholesky pivots of the pencil.
     """
     m0, m1 = _pencil(adj)
     n = adj.shape[-1]
@@ -103,8 +134,7 @@ def _roots_stack(adj: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     ts = np.stack([np.full_like(t1, 1e-8), np.full_like(t2, T_MAX),
                    t1 * (1.0 - ROOT_CERT), t1 * (1.0 + ROOT_CERT),
                    t2 * (1.0 - ROOT_CERT), t2 * (1.0 + ROOT_CERT)])
-    lam = np.linalg.eigvalsh(m0 + np.nan_to_num(ts, nan=1.0)[..., None, None] * m1)[..., 0]
-    neg = lam < 0.0
+    neg = _not_positive_definite(m0 + np.nan_to_num(ts, nan=1.0)[..., None, None] * m1)
     t1 = np.where(neg[0] & neg[2] & ~neg[3], t1, np.nan)
     t2 = np.where(neg[1] & ~neg[4] & neg[5], t2, np.nan)
     return t1, t2

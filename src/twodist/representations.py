@@ -296,7 +296,13 @@ def euclidean_representation(g: Graph, beta: float) -> Configuration:
     _require_nondegenerate(g)
     v = build_v(g.n)
     w, u = np.linalg.eigh(project_adjacency(g.adj, v))
-    x = 0.5 * (beta + (beta - 1.0) * w)
+    # x = (beta + (beta - 1) w)/2, factored above beta = 1 so that no
+    # intermediate overflows before x does ((beta - 1) w does at 1e308):
+    # an infinite x makes sign_masks' cut infinite
+    if beta > 1.0:
+        x = 0.5 * beta * (1.0 + (1.0 - 1.0 / beta) * w)
+    else:
+        x = 0.5 * (beta + (beta - 1.0) * w)
     if linalg.sign_masks(x, linalg.EIG_TOL)[0].any():
         raise InfeasibleBetaError(beta, float(x.min()))
     if beta > 1.0:  # x ascends with w

@@ -213,6 +213,28 @@ class TestEmbed:
                             "--out", str(tmp_path / "x.csv")], capsys)
         assert code == 4 and "beta must be positive" in err
 
+    @pytest.mark.filterwarnings("error")
+    def test_huge_beta_exits_4(self, tmp_path, capsys):
+        # no intermediate of x may overflow: an infinite x would make the
+        # sign test's cut infinite and let the negative entries through
+        out = tmp_path / "x.csv"
+        code, _, err = run(["embed", "--g6", "Dug", "--mode", "euclidean", "--beta", "1e308",
+                            "--out", str(out)], capsys)
+        assert code == 4 and not out.exists()
+        assert err == "error: beta=1e+308 infeasible: projected Gram eigenvalue -2e+307 < 0\n"
+
+    @pytest.mark.parametrize("beta,code", [("1.0000001", 4), ("1.00000005", 4),
+                                           ("1.0000000999", 4), ("0.9999999", 4),
+                                           ("1.0000002", 0), ("0.9999998", 0)])
+    def test_beta_within_verify_tolerance_of_1(self, beta, code, tmp_path, capsys):
+        # verification cannot tell squared distances 1e-7 apart, so such a
+        # beta is excluded like beta = 1; just outside it the embedding verifies
+        got, _, err = run(["embed", "--g6", "Dug", "--mode", "euclidean", "--beta", beta,
+                           "--out", str(tmp_path / "x.csv")], capsys)
+        assert got == code
+        assert err == ("" if code == 0 else "error: beta must be positive and differ from "
+                       "the first squared distance 1 by more than 1e-7\n")
+
     def test_nonspherical_endpoint_exits_4(self, tmp_path, capsys, bow_tie):
         code, _, err = run(["embed", "--g6", encode_graph6(bow_tie), "--mode",
                             "spherical", "--side", "upper",

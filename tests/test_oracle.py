@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from twodist import oracle, representations as reps
+from twodist import linalg, oracle, representations as reps
 from twodist.edm import Configuration
 from twodist.graphs import (Graph, classify, cluster_graph, complement,
                             complete_graph, complete_multipartite_graph,
@@ -98,6 +98,75 @@ class TestDiscriminatingRoots:
                     assert bt1 == pytest.approx(t1, abs=1e-9)
                 if t2 is not None:
                     assert bt2 == pytest.approx(t2, abs=1e-9)
+
+
+class TestPencil:
+    def test_matches_triple_product(self):
+        # the entrywise border against -F X F.T with F = [-e I], bit for bit
+        # (signed zeros included), on every order-5 graph
+        n = 5
+        adj = oracle._mask_stack(n, np.arange(1 << (n * (n - 1) // 2)))
+        f = np.hstack([-np.ones((n - 1, 1)), np.eye(n - 1)])
+        abar = (~adj & ~np.eye(n, dtype=bool)).astype(float)
+        m0, m1 = oracle._pencil(adj)
+        assert m0.tobytes() == (-(f @ adj.astype(float) @ f.T)).tobytes()
+        assert m1.tobytes() == (-(f @ abar @ f.T)).tobytes()
+
+
+def _eigvalsh_verdicts(m: np.ndarray):
+    """(lambda_min < 0, clear) for a stack: clear where |lambda_min| is above
+    rounding level, so that its sign is decided."""
+    lam = np.linalg.eigvalsh(m)[..., 0]
+    return lam < 0.0, np.abs(lam) > linalg.ROUNDING * np.abs(m).max(axis=(-2, -1))
+
+
+class TestNotPositiveDefinite:
+    @pytest.mark.parametrize("p", range(1, 9))
+    def test_matches_eigvalsh(self, p, rng):
+        k = 400
+        g = rng.standard_normal((k, p, p))
+        gram = g @ g.swapaxes(-1, -2)
+        sym = 0.5 * (g + g.swapaxes(-1, -2))
+        # rank-deficient Gram matrices, shifted by +/- 1e-6 of their scale
+        # to either side of the PSD boundary
+        r = rng.integers(0, p, size=k)
+        low = np.where(np.arange(p) < r[:, None, None], g, 0.0) @ g.swapaxes(-1, -2)
+        shift = 1e-6 * np.abs(low).max(axis=(-2, -1), initial=1.0)[:, None, None] * np.eye(p)
+        for m, want in ((gram + 0.1 * np.eye(p), False), (sym, None),
+                        (low + shift, False), (low - shift, True)):
+            got = oracle._not_positive_definite(m)
+            ref, clear = _eigvalsh_verdicts(m)
+            assert np.array_equal(got[clear], ref[clear])
+            if want is not None:
+                assert clear.all() and (got == want).all()
+
+    def test_singular_and_nan(self):
+        # an exact zero pivot and a NaN pivot both count as not definite
+        m = np.stack([np.diag([1.0, 0.0, 2.0]), np.diag([1.0, np.nan, 2.0]), np.eye(3)])
+        assert oracle._not_positive_definite(m).tolist() == [True, True, False]
+
+    def test_sweep_probes_match_eigvalsh(self, monkeypatch):
+        # every pencil probe the sweep certifies its roots with
+        real, seen = oracle._not_positive_definite, []
+
+        def recorded(m):
+            seen.append((m, real(m)))
+            return seen[-1][1]
+        monkeypatch.setattr(oracle, "_not_positive_definite", recorded)
+        summary = oracle.invariant_sweep(6, 500, seed=0)
+        probes = exceptions = 0
+        for m, got in seen:
+            ref, clear = _eigvalsh_verdicts(m)
+            assert np.array_equal(got[clear], ref[clear])
+            probes += clear.size
+            exceptions += int(np.count_nonzero(~clear))
+        assert probes == 6 * summary.check_counts["dispoly_roots_exist"]
+        assert exceptions == 0, f"{exceptions} probes with |lambda_min| at rounding level"
+
+    def test_roots_stack_decompositions(self, decompositions):
+        # one eigvalsh for the roots; the probes run no decomposition
+        oracle._roots_stack(oracle._mask_stack(5, np.arange(1, (1 << 10) - 1)))
+        assert decompositions == ["eigvalsh"]
 
 
 class TestMinimalRankSearch:
