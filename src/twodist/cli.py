@@ -143,7 +143,7 @@ def cmd_embed(args) -> int:
                       file=sys.stderr)
                 return EXIT_INFEASIBLE
             points = st.configuration(side[0])[0]
-            config = edm.Configuration(points[:, points.any(axis=0)], edm.CENTERING_CENTROID)
+            config = edm.Configuration(points[:, points.any(axis=0)])
             alpha = 1.0
             sidecar = {"mode": "spherical", "side": side, "alpha": alpha, "beta": beta,
                        "radius": radius}

@@ -22,10 +22,6 @@ import numpy as np
 from . import linalg
 from .centering import build_v, lift, projected_gram
 
-CENTERING_CENTROID = "centroid"
-CENTERING_CIRCUMCENTER = "circumcenter"
-
-
 class NotEdmError(ValueError):
     """Input matrix is not a Euclidean distance matrix."""
 
@@ -49,7 +45,6 @@ class Configuration:
     """n x r coordinate matrix, one point per row."""
 
     points: np.ndarray
-    centering: str
 
     @property
     def n(self) -> int:
@@ -93,20 +88,20 @@ def _validate_hollow(d: np.ndarray) -> np.ndarray:
     return 0.5 * (d + d.T)
 
 
-def _gram(d: np.ndarray, tol: float) -> tuple:
+def _gram(d: np.ndarray) -> tuple:
     """The projected Grams -1/2 V.T D V of a (k, n, n) stack, n >= 2: their
     ascending eigenvalues w (k, n-1), eigenvectors u, and the (negative,
     positive) masks of w under ``linalg.sign_masks``; the rest are zero."""
     w, u = np.linalg.eigh(projected_gram(d, build_v(d.shape[-1])))
-    return (w, u, *linalg.sign_masks(w, tol))
+    return (w, u, *linalg.sign_masks(w))
 
 
-def is_edm(d: np.ndarray, tol: float = linalg.EIG_TOL) -> EdmCheck:
+def is_edm(d: np.ndarray) -> EdmCheck:
     """Decide the EDM property and embedding dimension via the projected Gram."""
     d = _validate_hollow(d)
     if d.shape[0] == 1:
         return EdmCheck(True, 0)
-    _, _, neg, pos = _gram(d[None], tol)
+    _, _, neg, pos = _gram(d[None])
     psd = not neg.any()
     return EdmCheck(psd, int(np.count_nonzero(pos)) if psd else 0)
 
@@ -132,21 +127,21 @@ def _circumcenter(p: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     return c, resid, diag_b
 
 
-def recover_configuration(d: np.ndarray, tol: float = linalg.EIG_TOL) -> Configuration:
+def recover_configuration(d: np.ndarray) -> Configuration:
     """Recover a centroid-centered n x r configuration whose squared distances equal d."""
     d = _validate_hollow(d)
-    w, u, neg, pos = _gram(d[None], tol)
+    w, u, neg, pos = _gram(d[None])
     if neg.any():
         raise NotEdmError(f"not an EDM: min projected eigenvalue {w[0, 0]:.3e}")
-    return Configuration(_centroid_points(w[0], u[0], pos[0]), CENTERING_CENTROID)
+    return Configuration(_centroid_points(w[0], u[0], pos[0]))
 
 
-def gale_matrix(d: np.ndarray, tol: float = linalg.EIG_TOL) -> GaleMatrix:
+def gale_matrix(d: np.ndarray) -> GaleMatrix:
     """Gale matrix Z = V @ U, with U spanning the null space of the projected
     Gram: the eigenvectors whose eigenvalues are neither negative nor positive."""
     d = _validate_hollow(d)
     if d.shape[0] > 1:  # one point has no projected Gram and no Gale space
-        _, u, neg, pos = _gram(d[None], tol)
+        _, u, neg, pos = _gram(d[None])
         if neg.any():
             raise NotEdmError("Gale matrix requires an EDM")
         zero = ~neg[0] & ~pos[0]
@@ -168,7 +163,7 @@ class SphereStack:
     gram: tuple  # ``_gram`` of the stack
 
 
-def sphere_stack(d: np.ndarray, tol: float = linalg.EIG_TOL) -> SphereStack:
+def sphere_stack(d: np.ndarray) -> SphereStack:
     """Sphericity of a (k, n, n) stack of hollow symmetric matrices.
 
     The EDM test and embedding dimension r come from ``_gram``; w
@@ -179,9 +174,9 @@ def sphere_stack(d: np.ndarray, tol: float = linalg.EIG_TOL) -> SphereStack:
     """
     d = 0.5 * (d + d.swapaxes(-1, -2))
     k, n = d.shape[0], d.shape[-1]
-    _, xu, neg, pos = gram = _gram(d, tol)
+    _, xu, neg, pos = gram = _gram(d)
     r = np.count_nonzero(pos, axis=-1)
-    d_pinv = linalg.pinv(d, tol)
+    d_pinv = linalg.pinv(d)
     w = d_pinv.sum(axis=-1)
     ew = w.sum(axis=-1)
     # D pinv(D) projects onto the range of D, so its trace is rank(D)
@@ -212,10 +207,10 @@ def sphere_stack(d: np.ndarray, tol: float = linalg.EIG_TOL) -> SphereStack:
     return SphereStack(radius, w, ew, errors, gram)
 
 
-def spherical_info(d: np.ndarray, tol: float = linalg.EIG_TOL) -> Optional[SphereInfo]:
+def spherical_info(d: np.ndarray) -> Optional[SphereInfo]:
     """Radius, center and the Dw = e solution of a spherical EDM, else None."""
     d = _validate_hollow(d)
-    st = sphere_stack(d[None], tol)
+    st = sphere_stack(d[None])
     if st.errors[0] is not None:
         raise st.errors[0]
     if np.isnan(st.radius[0]):

@@ -15,9 +15,11 @@ from typing import NamedTuple, Tuple
 
 import numpy as np
 
-#: Default relative tolerance for eigenvalue clustering and rank decisions.
+#: Relative zero threshold of ``sign_masks``, clustering tolerance of ``eigh``
+#: and default clustering tolerance of the analysis (``analyze --tol-eig``).
 EIG_TOL = 1e-9
-#: Default relative residual tolerance for solves and eigenvector residuals.
+#: Relative residual bound of ``in_colspace``; times sqrt(n), the largest
+#: spread of a trusted eigenvalue group and sphericity residual of an endpoint.
 RESIDUAL_TOL = 1e-8
 #: Relative rounding level: a quantity within ROUNDING times the largest
 #: |entry| it was computed from is rounding residue of zero.
@@ -75,7 +77,7 @@ class ExtremeGroups(NamedTuple):
     spreads: np.ndarray
 
 
-def extreme_groups(w: np.ndarray, tol: float = EIG_TOL) -> ExtremeGroups:
+def extreme_groups(w: np.ndarray, tol: float) -> ExtremeGroups:
     """ExtremeGroups of ascending spectra w of shape (..., m), m >= 1."""
     m = w.shape[-1]
     idx = np.arange(m)
@@ -149,11 +151,11 @@ def arrowhead_top(corner: np.ndarray, z: np.ndarray, d: np.ndarray) -> np.ndarra
     return np.maximum(top, np.where(coupled, -np.inf, d).max(axis=-1, initial=-np.inf))
 
 
-def eigh(m: np.ndarray, tol: float = EIG_TOL) -> Spectrum:
+def eigh(m: np.ndarray) -> Spectrum:
     """Clustered spectral decomposition of a symmetric matrix.
 
-    Eigenvalues within ``tol * max(1, max|lambda|)`` of each other are merged
-    into one group, whose value is their mean, whose basis is their
+    Eigenvalues within ``EIG_TOL * max(1, max|lambda|)`` of each other are
+    merged into one group, whose value is their mean, whose basis is their
     eigenvector columns and whose spread is their largest distance from the
     mean.
     """
@@ -166,7 +168,7 @@ def eigh(m: np.ndarray, tol: float = EIG_TOL) -> Spectrum:
     sym = 0.5 * (m + m.T)
     w, q = np.linalg.eigh(sym)
     w, q = w[::-1], q[:, ::-1]  # descending
-    gap = cluster_gap(w, tol)
+    gap = cluster_gap(w, EIG_TOL)
     starts = np.r_[0, np.flatnonzero(w[:-1] - w[1:] > gap) + 1]
     ends = np.r_[starts[1:], n]
     means = np.add.reduceat(w, starts) / (ends - starts)
@@ -176,29 +178,28 @@ def eigh(m: np.ndarray, tol: float = EIG_TOL) -> Spectrum:
                                                           ends.tolist(), spreads.tolist())))
 
 
-def sign_masks(w: np.ndarray, tol: float = EIG_TOL) -> Tuple[np.ndarray, np.ndarray]:
+def sign_masks(w: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """(negative, positive) masks of eigenvalues w (..., m): those beyond
-    ``tol * max(1, max|lambda|)`` from 0, the zero threshold of every PSD,
+    ``EIG_TOL * max(1, max|lambda|)`` from 0, the zero threshold of every PSD,
     rank and pseudoinverse decision; the rest count as zero."""
-    cut = tol * np.maximum(1.0, np.abs(w).max(axis=-1, keepdims=True, initial=0.0))
+    cut = EIG_TOL * np.maximum(1.0, np.abs(w).max(axis=-1, keepdims=True, initial=0.0))
     return w < -cut, w > cut
 
 
-def pinv(m: np.ndarray, tol: float = EIG_TOL) -> np.ndarray:
+def pinv(m: np.ndarray) -> np.ndarray:
     """Spectral Moore-Penrose pseudoinverse of a symmetric matrix, or of each
     matrix in a stack (..., n, n)."""
     m = np.asarray(m, dtype=float)
     w, q = np.linalg.eigh(0.5 * (m + m.swapaxes(-1, -2)))
-    neg, pos = sign_masks(w, tol)
+    neg, pos = sign_masks(w)
     nonzero = neg | pos
     inv = np.where(nonzero, 1.0 / np.where(nonzero, w, 1.0), 0.0)
     return (q * inv[..., None, :]) @ q.swapaxes(-1, -2)
 
 
-def in_colspace(d: np.ndarray, b: np.ndarray, w: np.ndarray,
-                rtol: float = RESIDUAL_TOL) -> np.ndarray:
-    """Whether d @ w = b within ``rtol * max(1, |b|)``, per system of a stack
-    (..., n, n), (..., n): for w = pinv(d) @ b, whether b lies in the column
-    space of d."""
+def in_colspace(d: np.ndarray, b: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Whether d @ w = b within ``RESIDUAL_TOL * max(1, |b|)``, per system of
+    a stack (..., n, n), (..., n): for w = pinv(d) @ b, whether b lies in the
+    column space of d."""
     miss = np.linalg.norm(np.einsum("...ij,...j->...i", d, w) - b, axis=-1)
-    return miss <= rtol * np.maximum(1.0, np.linalg.norm(b, axis=-1))
+    return miss <= RESIDUAL_TOL * np.maximum(1.0, np.linalg.norm(b, axis=-1))

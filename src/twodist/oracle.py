@@ -29,6 +29,8 @@ T_MAX = 40.0
 ROOT_CERT = 1e-9
 #: Two squared distances closer than this are one to verify_two_distance.
 VERIFY_TOL = 1e-7
+#: Largest error the sweep's root, configuration and radius checks accept.
+SWEEP_TOL = 1e-7
 
 
 @dataclass(frozen=True)
@@ -47,33 +49,33 @@ def _pair_sq_distances(points: np.ndarray) -> np.ndarray:
     return np.maximum(d[..., iu, ju], 0.0)
 
 
-def verify_two_distance(config: Configuration, g: Graph, alpha: float, beta: float,
-                        tol: float = VERIFY_TOL) -> VerificationReport:
+def verify_two_distance(config: Configuration, g: Graph, alpha: float,
+                        beta: float) -> VerificationReport:
     """Check that a configuration realizes g with squared distances alpha/beta."""
     if config.n != g.n:
         raise ValueError(f"configuration has {config.n} rows, graph has {g.n} nodes")
     max_dev, passed, values = _verify_stack(config.points[None], g.adj[None], alpha,
-                                            np.array([beta]), tol)
+                                            np.array([beta]))
     values = values[0]
-    bounds = [0, *(np.flatnonzero(np.diff(values) > tol) + 1).tolist(), values.size]
+    bounds = [0, *(np.flatnonzero(np.diff(values) > VERIFY_TOL) + 1).tolist(), values.size]
     distinct = tuple((float(values[a:b].mean()), b - a) for a, b in zip(bounds, bounds[1:]))
     return VerificationReport(distinct, float(max_dev[0]), bool(passed[0]))
 
 
-def _verify_stack(points: np.ndarray, adj: np.ndarray, alpha, beta: np.ndarray,
-                  tol: float = VERIFY_TOL) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _verify_stack(points: np.ndarray, adj: np.ndarray, alpha,
+                  beta: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(max_deviation, passed, sorted pair squared distances) of
     verify_two_distance for a (k, n, r) stack of configurations of the graphs
     in adj, with per-graph alpha and beta: a configuration passes when its
     distances form two groups, breaking where neighbours differ by more than
-    tol, and each pair lies within tol of its target."""
+    VERIFY_TOL, and each pair lies within VERIFY_TOL of its target."""
     values = _pair_sq_distances(points)
     iu, ju = triu_pairs(adj.shape[-1])
     targets = np.where(adj[:, iu, ju], np.asarray(alpha)[..., None], beta[:, None])
     max_dev = np.abs(values - targets).max(axis=-1)
     values = np.sort(values, axis=-1)
-    breaks = np.count_nonzero(np.diff(values, axis=-1) > tol, axis=-1)
-    return max_dev, (breaks == 1) & (max_dev <= tol), values
+    breaks = np.count_nonzero(np.diff(values, axis=-1) > VERIFY_TOL, axis=-1)
+    return max_dev, (breaks == 1) & (max_dev <= VERIFY_TOL), values
 
 
 def _bordered(x: np.ndarray) -> np.ndarray:
@@ -211,7 +213,7 @@ class _Check:
 
 
 def _sweep_stack(summary: SweepSummary, adj: np.ndarray, comp: np.ndarray,
-                 checked: np.ndarray, tol: float = 1e-7) -> None:
+                 checked: np.ndarray) -> None:
     """Analyse one stack of graphs of order n and record every invariant for
     the rows in ``checked``; ``comp[i]`` is the row of graph i's complement."""
     k, n = adj.shape[0], adj.shape[-1]
@@ -304,13 +306,13 @@ def _sweep_stack(summary: SweepSummary, adj: np.ndarray, comp: np.ndarray,
         _Check("endpoint_sphericity_duality", dual & has_l & c(has_u),
                st.spherical_at_l == c(st.spherical_at_u)),
         _Check("dispoly_roots_exist", pair, root_presence_ok),
-        _Check("dispoly_roots_match", pair, root_err <= tol, root_err,
+        _Check("dispoly_roots_match", pair, root_err <= SWEEP_TOL, root_err,
                lambda i: f"err={root_err[i]:.2e}"),
-        _Check("configurations_verify", pair, config_ok & (config_dev <= tol), config_dev,
-               lambda i: f"dev={config_dev[i]:.2e}"),
+        _Check("configurations_verify", pair, config_ok & (config_dev <= SWEEP_TOL),
+               config_dev, lambda i: f"dev={config_dev[i]:.2e}"),
         _Check("j_rows_unit_norm", pair, row_norm_err <= 1e-8, row_norm_err),
         _Check("radius_consistency", pair & st.spherical_at_u,
-               radius_err <= tol, radius_err, lambda i: f"err={radius_err[i]:.2e}"),
+               radius_err <= SWEEP_TOL, radius_err, lambda i: f"err={radius_err[i]:.2e}"),
     ]
     found = []
     for order, chk in enumerate(checks):

@@ -272,21 +272,20 @@ def j_spherical(g: Graph) -> JSpherical:
     dim_j = int(js.dim_j[0])
     delta = float(js.delta[0])
     return JSpherical(delta, 2.0 + 2.0 * delta, dim_j,
-                      Configuration(_j_points(w, q, js.delta, js.dim_j)[0][:, :dim_j],
-                                    edm.CENTERING_CIRCUMCENTER))
+                      Configuration(_j_points(w, q, js.delta, js.dim_j)[0][:, :dim_j]))
 
 
-def same_second_distance(g1: Graph, g2: Graph, tol: float = 1e-9) -> bool:
+def same_second_distance(g1: Graph, g2: Graph) -> bool:
     """Whether the two J-spherical representations share the second distance:
-    lambda_max(Abar) = 1/delta from an eigvalsh of each Abar, which raises for
-    either graph as ``j_spherical`` does (degenerate graph, top group of Abar
-    not one eigenvalue) but builds no J points."""
+    whether lambda_max(Abar) = 1/delta, from an eigvalsh of each Abar, agrees
+    to 1e-9. Raises for either graph as ``j_spherical`` does (degenerate graph,
+    top group of Abar not one eigenvalue) but builds no J points."""
     top = []
     for g in (g1, g2):
         _require_nondegenerate(g)
         w = np.linalg.eigvalsh(adjacency_matrix(complement(g))[None])
         top.append(_j_stack(w, linalg.EIG_TOL).check().top[0])
-    return abs(top[0] - top[1]) <= tol
+    return abs(top[0] - top[1]) <= 1e-9
 
 
 def euclidean_representation(g: Graph, beta: float) -> Configuration:
@@ -296,19 +295,22 @@ def euclidean_representation(g: Graph, beta: float) -> Configuration:
     _require_nondegenerate(g)
     v = build_v(g.n)
     w, u = np.linalg.eigh(project_adjacency(g.adj, v))
-    # x = (beta + (beta - 1) w)/2, factored above beta = 1 so that no
-    # intermediate overflows before x does ((beta - 1) w does at 1e308):
-    # an infinite x makes sign_masks' cut infinite
+    # x = (beta + (beta - 1) w)/2 is the spectrum of X(beta). Above beta = 1
+    # it is beta/2 times y = 1 + (1 - 1/beta) w, which has x's signs and does
+    # not overflow: where x does, y's signs decide, as an infinite cut would
+    # count no x negative.
     if beta > 1.0:
-        x = 0.5 * beta * (1.0 + (1.0 - 1.0 / beta) * w)
+        y = 1.0 + (1.0 - 1.0 / beta) * w
+        with np.errstate(over="ignore"):
+            x = 0.5 * beta * y
     else:
-        x = 0.5 * (beta + (beta - 1.0) * w)
-    if linalg.sign_masks(x, linalg.EIG_TOL)[0].any():
+        x = y = 0.5 * (beta + (beta - 1.0) * w)
+    if linalg.sign_masks(x if np.isfinite(x).all() else y)[0].any():
         raise InfeasibleBetaError(beta, float(x.min()))
     if beta > 1.0:  # x ascends with w
-        w, u = w[::-1], u[:, ::-1]
-    points = _configurations(lift(u, v)[None], w[None], np.array([beta]), None)[0]
-    return Configuration(points[:, points.any(axis=0)], edm.CENTERING_CENTROID)
+        x, u = x[::-1], u[:, ::-1]
+    points = _configurations(lift(u, v)[None], x[None], None)[0]
+    return Configuration(points[:, points.any(axis=0)])
 
 
 def lower_bounds(n: int) -> Tuple[float, float]:
@@ -404,10 +406,11 @@ class _Stack:
         beta_i (side "l", "u" or "i") of the graphs ``rows`` (all by default),
         zero columns where X(beta) vanishes. Needs the eigenvectors: a pass
         run with ``vectors=True``, or on a stack with an irregular graph."""
-        beta = {"l": self.beta_l, "u": self.beta_u, "i": self.beta_i}[side][rows]
+        beta = {"l": self.beta_l, "u": self.beta_u, "i": self.beta_i}[side][rows, None]
         zero = {"l": self.groups.masks[1], "u": self.groups.masks[0]}.get(side)
-        return _configurations(lift(self.basis[rows], build_v(self.n)), self.eigenvalues[rows],
-                               beta, None if zero is None else zero[rows])
+        return _configurations(lift(self.basis[rows], build_v(self.n)),
+                               0.5 * (beta + (beta - 1.0) * self.eigenvalues[rows]),
+                               None if zero is None else zero[rows])
 
     def report(self, i: int) -> ReprReport:
         """The ReprReport of graph i; raises its error if it has one."""
@@ -431,20 +434,19 @@ class _Stack:
             num("rho_l"), num("rho_u"), num("delta"), num("beta_j"), num("dim_j"), *lbs)
 
 
-def _configurations(z: np.ndarray, w: np.ndarray, beta: np.ndarray,
-                    zero: Optional[np.ndarray]) -> np.ndarray:
+def _configurations(z: np.ndarray, x: np.ndarray, zero: Optional[np.ndarray]) -> np.ndarray:
     """(k, n, n-1) centroid-centered configurations realizing A + beta*Abar,
-    from the lifted eigenvectors z and eigenvalues w (k, n-1) of V.T A V.
+    from the lifted eigenvectors z of V.T A V and the eigenvalues x (k, n-1)
+    of X(beta) = (beta I + (beta - 1) V.T A V)/2 on them.
 
-    X(beta) = (beta I + (beta - 1) V.T A V)/2 shares those eigenvectors, so
-    the points are the columns z sqrt(x) for its eigenvalues x; the extreme
-    group ``zero`` is exactly 0 at its own endpoint, and every x that
-    ``linalg.sign_masks`` does not count positive gives a zero column.
+    X(beta) is the projected Gram of the configuration, so the points are the
+    columns z sqrt(x); the extreme group ``zero`` is exactly 0 at its own
+    endpoint, and every x that ``linalg.sign_masks`` does not count positive
+    gives a zero column.
     """
-    x = 0.5 * (beta[:, None] + (beta[:, None] - 1.0) * w)
     if zero is not None:
         x = np.where(zero, 0.0, x)
-    _, pos = linalg.sign_masks(x, linalg.EIG_TOL)
+    _, pos = linalg.sign_masks(x)
     return z * np.sqrt(np.where(pos, x, 0.0))[:, None, :]
 
 

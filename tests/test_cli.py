@@ -1,5 +1,6 @@
 import argparse
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -124,7 +125,7 @@ class TestEmbed:
     def read_config(self, path):
         with open(path, newline="") as fh:
             rows = [[float(x) for x in row] for row in csv.reader(fh)]
-        return Configuration(np.array(rows), "centroid")
+        return Configuration(np.array(rows))
 
     def test_euclidean_round_trip(self, tmp_path, capsys):
         out = tmp_path / "c5.csv"
@@ -223,6 +224,17 @@ class TestEmbed:
         assert code == 4 and not out.exists()
         assert err == "error: beta=1e+308 infeasible: projected Gram eigenvalue -2e+307 < 0\n"
 
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_x_exits_4(self, tmp_path, capsys):
+        # here x itself overflows, to -inf and +inf (beta_u = 1.433): an
+        # infinite cut would count no entry negative, so the signs of
+        # x/(beta/2) decide
+        out = tmp_path / "x.csv"
+        code, _, err = run(["embed", "--g6", "KnN]yZqzNtA|", "--mode", "euclidean",
+                            "--beta", "1.7e308", "--out", str(out)], capsys)
+        assert code == 4 and not out.exists()
+        assert err == "error: beta=1.7e+308 infeasible: projected Gram eigenvalue -inf < 0\n"
+
     @pytest.mark.parametrize("beta,code", [("1.0000001", 4), ("1.00000005", 4),
                                            ("1.0000000999", 4), ("0.9999999", 4),
                                            ("1.0000002", 0), ("0.9999998", 0)])
@@ -240,6 +252,43 @@ class TestEmbed:
                             "spherical", "--side", "upper",
                             "--out", str(tmp_path / "x.csv")], capsys)
         assert code == 4 and "not spherical" in err
+
+    @pytest.mark.parametrize("g6,side", [("DwC", "upper"), ("D]o", "lower")],
+                             ids=["cluster", "K23"])
+    def test_absent_endpoint_exits_4(self, g6, side, tmp_path, capsys):
+        # a cluster graph has no upper endpoint, a complete multipartite one
+        # no lower endpoint
+        out = tmp_path / "x.csv"
+        code, _, err = run(["embed", "--g6", g6, "--mode", "spherical", "--side", side,
+                            "--out", str(out)], capsys)
+        assert code == 4 and not out.exists()
+        assert err == f"error: {side} endpoint does not exist for this graph\n"
+
+    @pytest.mark.parametrize("source", [["--g6", "~~~"], ["--edges", "/nonexistent/g.txt"]],
+                             ids=["bad-graph6", "missing-file"])
+    def test_unreadable_graph_exits_2(self, source, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        code, _, err = run(["embed", *source, "--mode", "jspherical", "--out", str(out)],
+                           capsys)
+        assert code == 2 and not out.exists()
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+
+    def test_failed_verification_exits_3(self, tmp_path, capsys, monkeypatch, bow_tie):
+        real = reps.j_spherical
+
+        def perturbed(g):
+            js = real(g)
+            points = js.config.points.copy()
+            points[0, 0] += 1e-3
+            return dataclasses.replace(js, config=Configuration(points))
+        monkeypatch.setattr(reps, "j_spherical", perturbed)
+        out = tmp_path / "x.csv"
+        code, _, err = run(["embed", "--g6", encode_graph6(bow_tie), "--mode", "jspherical",
+                            "--out", str(out)], capsys)
+        assert code == 3 and not out.exists()
+        assert err.startswith("error: configuration failed two-distance verification "
+                              "(max deviation ")
+        assert len(err.splitlines()) == 1
 
     def test_internal_consistency_exits_3(self, tmp_path, capsys, bow_tie, monkeypatch):
         def fail(*args, **kwargs):
@@ -432,7 +481,7 @@ class TestOutputText:
         }[name]
         sidecar = {"mode": "euclidean", "alpha": 1.0, "beta": 2.5, "radius": None}
         path = tmp_path / "x.csv"
-        cli._write_coordinates(str(path), Configuration(points, "centroid"), sidecar)
+        cli._write_coordinates(str(path), Configuration(points), sidecar)
         assert path.read_bytes() == _csv_reference(points).encode("utf-8")
         want = io.StringIO()
         json.dump(sidecar, want, indent=2)

@@ -52,6 +52,10 @@ class TestIsEdm:
         chk = edm.is_edm(adjacency_matrix(cycle_graph(5)))
         assert not chk.is_edm and chk.embedding_dim == 0
 
+    def test_one_point(self):
+        # one point has no projected Gram: an EDM of dimension 0
+        assert edm.is_edm(np.zeros((1, 1))) == edm.EdmCheck(True, 0)
+
     def test_against_pivoted_cholesky(self, rng):
         # reference rank from LAPACK's pivoted Cholesky of the projected Gram
         for _ in range(100):
@@ -111,6 +115,10 @@ class TestGaleMatrix:
         with pytest.raises(edm.FullDimensionError):
             edm.gale_matrix(np.zeros((1, 1)))
 
+    def test_rejects_non_edm(self):
+        with pytest.raises(edm.NotEdmError, match="Gale matrix requires an EDM"):
+            edm.gale_matrix(adjacency_matrix(cycle_graph(5)))
+
     def test_bow_tie_endpoint_gale_vectors(self, bow_tie):
         # the two endpoint EDMs have one-dimensional Gale spaces with known
         # direction (node 0 is the shared center)
@@ -150,6 +158,10 @@ class TestSphericalInfo:
 
     def test_zero_matrix(self):
         assert edm.spherical_info(np.zeros((3, 3))) is None
+
+    def test_rejects_non_edm(self):
+        with pytest.raises(edm.NotEdmError, match="sphericity query requires an EDM"):
+            edm.spherical_info(adjacency_matrix(cycle_graph(5)))
 
     def test_stack_matches_single_queries(self, rng, bow_tie):
         raw = rng.standard_normal((5, 3))

@@ -14,7 +14,7 @@ from twodist.graphs import (Graph, classify, cluster_graph, complement,
 class TestVerifyTwoDistance:
     def test_unit_square_realizes_c4(self):
         pts = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
-        config = Configuration(pts, "centroid")
+        config = Configuration(pts)
         g = cycle_graph(4)
         rep = oracle.verify_two_distance(config, g, 1.0, 2.0)
         assert rep.passed
@@ -24,7 +24,7 @@ class TestVerifyTwoDistance:
 
     def test_wrong_beta_fails(self):
         pts = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
-        rep = oracle.verify_two_distance(Configuration(pts, "centroid"),
+        rep = oracle.verify_two_distance(Configuration(pts),
                                          cycle_graph(4), 1.0, 3.0)
         assert not rep.passed
         assert rep.max_deviation == pytest.approx(1.0)
@@ -36,7 +36,7 @@ class TestVerifyTwoDistance:
         r = 1.0 / (2.0 * math.sin(math.pi / 5.0))
         pts = r * np.column_stack([np.cos(angles), np.sin(angles)])
         beta = (2.0 * r * math.sin(2.0 * math.pi / 5.0)) ** 2
-        rep = oracle.verify_two_distance(Configuration(pts, "centroid"),
+        rep = oracle.verify_two_distance(Configuration(pts),
                                          cycle_graph(5), 1.0, beta)
         assert rep.passed
 
@@ -44,12 +44,12 @@ class TestVerifyTwoDistance:
         config = reps.euclidean_representation(bow_tie, 2.0)
         pts = config.points.copy()
         pts[0, 0] += 1e-3
-        rep = oracle.verify_two_distance(Configuration(pts, "centroid"), bow_tie, 1.0, 2.0)
+        rep = oracle.verify_two_distance(Configuration(pts), bow_tie, 1.0, 2.0)
         assert not rep.passed
 
     def test_size_mismatch(self):
         with pytest.raises(ValueError):
-            oracle.verify_two_distance(Configuration(np.zeros((3, 1)), "centroid"),
+            oracle.verify_two_distance(Configuration(np.zeros((3, 1))),
                                        cycle_graph(4), 1.0, 2.0)
 
 

@@ -218,7 +218,7 @@ class TestEuclideanRepresentation:
             points = st.configuration(side)
             for i in np.flatnonzero(~np.isnan(beta)):
                 config = reps.euclidean_representation(graphs[i], float(beta[i]))
-                want = edm.Configuration(points[i], edm.CENTERING_CENTROID)
+                want = edm.Configuration(points[i])
                 assert config.dim == np.count_nonzero(points[i].any(axis=0)), (side, i)
                 assert np.allclose(config.squared_distances(), want.squared_distances(),
                                    rtol=0.0, atol=1e-12), (side, i)
@@ -248,6 +248,16 @@ class TestDimSpherical:
         assert r == 3
         info = edm.spherical_info(reps._edm_at(g, beta))
         assert info is not None and rho == pytest.approx(info.radius, abs=1e-9)
+
+    def test_endpoint_sphericity_faults(self):
+        with pytest.raises(ValueError, match="unknown side 'middle'"):
+            reps.endpoint_sphericity(cycle_graph(5), "middle")
+        # K_{2,3} has mu_max = 0 and no lower endpoint; a cluster graph has
+        # mu_min = -1 and no upper one
+        with pytest.raises(reps.EndpointError, match="lower endpoint requires mu_max > 0"):
+            reps.endpoint_sphericity(complete_multipartite_graph([2, 3]), reps.SIDE_LOWER)
+        with pytest.raises(reps.EndpointError, match="upper endpoint requires mu_min < -1"):
+            reps.endpoint_sphericity(cluster_graph([3, 2]), reps.SIDE_UPPER)
 
     def test_chain_with_dim_e(self, rng):
         for _ in range(20):
