@@ -32,8 +32,7 @@ def test_only_the_tol_eig_path_takes_a_tolerance():
     found = set()
     for info in pkgutil.iter_modules(twodist.__path__):
         module = importlib.import_module(f"twodist.{info.name}")
-        short = info.name
         for name, fn in _callables(module):
             if {"tol", "rtol"} & set(inspect.signature(fn).parameters):
-                found.add(f"{short}.{name}")
+                found.add(f"{info.name}.{name}")
     assert found == TOL_EIG_PATH
