@@ -122,9 +122,7 @@ def cmd_embed(args) -> int:
                 return EXIT_INFEASIBLE
             config = reps.euclidean_representation(g, args.beta)
             alpha, beta = 1.0, args.beta
-            radius = float(reps._witness_radius(config.points))
-            sidecar = {"mode": "euclidean", "alpha": alpha, "beta": beta,
-                       "radius": None if math.isnan(radius) else radius}
+            sidecar = {"mode": "euclidean", "alpha": alpha, "beta": beta, "radius": None}
         elif args.mode == "spherical":
             # the analysis pass answers every question here, as for analyze;
             # its eigh gives the points, also for a regular graph
@@ -147,15 +145,12 @@ def cmd_embed(args) -> int:
             alpha = 1.0
             sidecar = {"mode": "spherical", "side": side, "alpha": alpha, "beta": beta,
                        "radius": radius}
-        elif args.mode == "jspherical":
+        else:  # jspherical
             js = reps.j_spherical(g)
             config = js.config
             alpha, beta = 2.0, js.beta
             sidecar = {"mode": "jspherical", "alpha": alpha, "beta": beta,
                        "delta": js.delta, "radius": 1.0}
-        else:
-            print(f"error: unknown mode {args.mode!r}", file=sys.stderr)
-            return EXIT_PARSE
     except (reps.InfeasibleBetaError, reps.DegenerateGraphError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
@@ -167,6 +162,9 @@ def cmd_embed(args) -> int:
         print(f"error: configuration failed two-distance verification "
               f"(max deviation {report.max_deviation:.3e})", file=sys.stderr)
         return EXIT_DIAGNOSTIC
+    if args.mode == "euclidean":  # the circumradius of a verified configuration, if spherical
+        radius = float(reps._witness_radius(config.points))
+        sidecar["radius"] = None if math.isnan(radius) else radius
     try:
         _write_coordinates(args.out, config, sidecar)
     except OSError as exc:

@@ -324,12 +324,16 @@ def complete_multipartite_graph(sizes: Sequence[int]) -> Graph:
     return complement(cluster_graph(sizes))
 
 
+def mask_stack(n: int, masks: np.ndarray) -> np.ndarray:
+    """(k, n, n) adjacency stack of edge bitmasks: bit j is the j-th pair of ``triu_pairs``.
+    int64 masks hold orders n <= 11, object-dtype masks (Python ints) any order."""
+    iu, ju = triu_pairs(n)
+    bits = (masks[:, None] >> np.arange(iu.size)) & 1 == 1
+    adj = np.zeros((len(masks), n, n), dtype=bool)
+    adj[:, iu, ju] = bits
+    return adj | adj.swapaxes(-1, -2)
+
+
 def from_mask(n: int, mask: int) -> Graph:
     """Graph from an edge bitmask over combinations(range(n), 2) order."""
-    iu, ju = triu_pairs(n)
-    raw = np.frombuffer(mask.to_bytes((iu.size + 7) // 8, "little"), dtype=np.uint8)
-    bits = np.unpackbits(raw, bitorder="little")[:iu.size].astype(bool)
-    adj = np.zeros((n, n), dtype=bool)
-    adj[iu[bits], ju[bits]] = True
-    return Graph(n, adj | adj.T)
-
+    return Graph(n, mask_stack(n, np.array([mask], dtype=object))[0])

@@ -20,9 +20,9 @@ import numpy as np
 
 from . import edm, representations as reps
 from .edm import Configuration
-from .graphs import Graph, classify, complement_adjacency, encode_graph6, triu_pairs
+from .graphs import Graph, classify, complement_adjacency, encode_graph6, mask_stack, triu_pairs
 
-# Whenever an upper root exists, mu_min <= -4/3, so t2 <= 4; bracket with slack.
+# Whenever an upper root exists, mu_min <= -4/3, so t2 <= 4; T_MAX brackets it widely.
 T_MAX = 40.0
 #: A root t is certified when lambda_min of the pencil changes sign across
 #: t (1 -/+ ROOT_CERT).
@@ -58,7 +58,8 @@ def verify_two_distance(config: Configuration, g: Graph, alpha: float,
                                             np.array([beta]))
     values = values[0]
     bounds = [0, *(np.flatnonzero(np.diff(values) > VERIFY_TOL) + 1).tolist(), values.size]
-    distinct = tuple((float(values[a:b].mean()), b - a) for a, b in zip(bounds, bounds[1:]))
+    with np.errstate(over="ignore"):  # the sum of a group near the float limit reads inf
+        distinct = tuple((float(values[a:b].mean()), b - a) for a, b in zip(bounds, bounds[1:]))
     return VerificationReport(distinct, float(max_dev[0]), bool(passed[0]))
 
 
@@ -191,15 +192,6 @@ class SweepSummary:
         return json.dumps(self.to_dict(), **kw)
 
 
-def _mask_stack(n: int, masks: np.ndarray) -> np.ndarray:
-    """(k, n, n) adjacency stack of edge bitmasks over combinations(range(n), 2)."""
-    iu, ju = triu_pairs(n)
-    bits = (masks[:, None] >> np.arange(iu.size)) & 1 == 1
-    adj = np.zeros((len(masks), n, n), dtype=bool)
-    adj[:, iu, ju] = bits
-    return adj | adj.swapaxes(-1, -2)
-
-
 @dataclass
 class _Check:
     """One invariant over a stack: where it applies, where it holds, its
@@ -219,7 +211,7 @@ def _sweep_stack(summary: SweepSummary, adj: np.ndarray, comp: np.ndarray,
     k, n = adj.shape[0], adj.shape[-1]
     st = reps._analyze_stack(adj, vectors=True)
     errors = st.errors.copy()
-    deg = st.degenerate
+    deg = st.classes.degenerate
     has_l, has_u = ~np.isnan(st.beta_l), ~np.isnan(st.beta_u)
     live = ~deg & (errors == None)  # noqa: E711
 
@@ -350,14 +342,14 @@ def invariant_sweep(n_max: int, sample_7_8: int = 0, seed: int = 0,
     for n in range(2, n_max + 1):
         full = (1 << (n * (n - 1) // 2)) - 1
         masks = np.arange(full + 1)
-        _sweep_stack(summary, _mask_stack(n, masks), full ^ masks, np.ones(full + 1, dtype=bool))
+        _sweep_stack(summary, mask_stack(n, masks), full ^ masks, np.ones(full + 1, dtype=bool))
     rng = np.random.default_rng(seed)
     for n, count in ((7, (sample_7_8 + 1) // 2), (8, sample_7_8 // 2)):
         full = (1 << (n * (n - 1) // 2)) - 1
         masks = np.array([int(rng.integers(0, full + 1)) for _ in range(count)], dtype=np.int64)
         if masks.size:
             s = masks.size
-            _sweep_stack(summary, _mask_stack(n, np.r_[masks, full ^ masks]),
+            _sweep_stack(summary, mask_stack(n, np.r_[masks, full ^ masks]),
                          np.r_[np.arange(s, 2 * s), np.arange(s)], np.arange(2 * s) < s)
     summary.elapsed_seconds = time.monotonic() - start
     return summary

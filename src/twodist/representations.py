@@ -26,8 +26,8 @@ import numpy as np
 from . import edm, linalg
 from .centering import build_v, lift, lift_extremes, project_adjacency, restrict
 from .edm import Configuration, _circumcenter
-from .graphs import (ClassStack, Graph, GraphClass, adjacency_matrix, class_stack,
-                     classify, complement, complement_adjacency)
+from .graphs import (ClassStack, Graph, GraphClass, adjacency_matrix, class_stack, complement,
+                     complement_adjacency)
 
 SIDE_LOWER = "lower"
 SIDE_UPPER = "upper"
@@ -57,13 +57,10 @@ class BetaIntervals:
 
     intervals: tuple  # ((lo, lo_closed, hi, hi_closed), ...)
 
-    def contains(self, beta: float, slack: float = 0.0) -> bool:
-        for lo, lo_closed, hi, hi_closed in self.intervals:
-            above = beta >= lo - slack if lo_closed else beta > lo + (-slack)
-            below = beta <= hi + slack if hi_closed else beta < hi - (-slack)
-            if above and below:
-                return True
-        return False
+    def contains(self, beta: float) -> bool:
+        return any((beta >= lo if lo_closed else beta > lo)
+                   and (beta <= hi if hi_closed else beta < hi)
+                   for lo, lo_closed, hi, hi_closed in self.intervals)
 
 
 @dataclass(frozen=True)
@@ -87,10 +84,10 @@ def _shown(value: float, scale: float) -> float:
     return 0.0 if abs(value) <= linalg.ROUNDING * scale else value
 
 
-def _require_nondegenerate(g: Graph) -> None:
-    cls = classify(g)
-    if cls.is_degenerate:
-        raise DegenerateGraphError(f"{cls.tag} graph admits no two-distance representation")
+def _require_nondegenerate(classes: ClassStack) -> None:
+    """Refuse the first graph of ``classes`` if it is complete or null."""
+    if classes.degenerate[0]:
+        raise DegenerateGraphError(f"{classes.tag[0]} graph admits no two-distance representation")
 
 
 def beta_feasible_set(g: Graph) -> BetaIntervals:
@@ -143,11 +140,11 @@ def _edm_at(g: Graph, beta: float) -> np.ndarray:
 def dim_spherical(g: Graph) -> Tuple[int, float, float]:
     """Minimal spherical dimension, witness beta and the witness radius: the
     pass's rho_l or rho_u at an endpoint witness, else the circumradius of
-    the configuration at the interior witness beta_i.
-
-    Raises as ``dim_euclidean`` does.
+    the configuration at the interior witness beta_i. Only an irregular graph
+    has that witness (q = 0 makes a regular graph's endpoints spherical), so
+    the pass ran eigh there. Raises as ``dim_euclidean`` does.
     """
-    st = _analyze_single(g, vectors=True)
+    st = _analyze_single(g)
     beta = st.dim_s_witness_beta[0]
     rho = (st.rho_l if beta == st.beta_l[0] else st.rho_u if beta == st.beta_u[0]
            else _witness_radius(st.configuration("i")))
@@ -192,9 +189,14 @@ class _JStack:
     n: int
     top: np.ndarray
     spread: np.ndarray
-    delta: np.ndarray
     dim_j: np.ndarray
     scale: np.ndarray  # largest |eigenvalue| of each Abar
+
+    @property
+    def delta(self) -> np.ndarray:
+        """1/lambda_max(Abar), inf where the top eigenvalue is 0."""
+        with np.errstate(divide="ignore"):
+            return 1.0 / self.top
 
     @property
     def bad(self) -> np.ndarray:
@@ -231,10 +233,7 @@ def _j_stack(w: np.ndarray, tol: float) -> _JStack:
     dim_J read only the eigenvalues."""
     n = w.shape[-1]
     grp = linalg.extreme_groups(w, tol)
-    top = grp.means[1]
-    with np.errstate(divide="ignore"):
-        delta = 1.0 / top
-    return _JStack(n, top, grp.spreads[1], delta, n - grp.counts[1],
+    return _JStack(n, grp.means[1], grp.spreads[1], n - grp.counts[1],
                    np.fmax(np.abs(w[..., 0]), np.abs(w[..., -1])))
 
 
@@ -259,20 +258,17 @@ def _j_arrowhead(adj: np.ndarray, corner: np.ndarray, z: np.ndarray, d: np.ndarr
         js = _j_stack(np.linalg.eigvalsh(complement_adjacency(adj[rest]).astype(float)), tol)
         top, scale = top.copy(), top.copy()
         top[rest], spread[rest], dim_j[rest], scale[rest] = js.top, js.spread, js.dim_j, js.scale
-    with np.errstate(divide="ignore"):
-        delta = 1.0 / top
-    return _JStack(n, top, spread, delta, dim_j, scale)
+    return _JStack(n, top, spread, dim_j, scale)
 
 
 def j_spherical(g: Graph) -> JSpherical:
     """The unique J-spherical representation: unit sphere, first distance 2."""
-    _require_nondegenerate(g)
+    _require_nondegenerate(class_stack(g.adj[None]))
     w, q = np.linalg.eigh(adjacency_matrix(complement(g))[None])
     js = _j_stack(w, linalg.EIG_TOL).check()
-    dim_j = int(js.dim_j[0])
-    delta = float(js.delta[0])
-    return JSpherical(delta, 2.0 + 2.0 * delta, dim_j,
-                      Configuration(_j_points(w, q, js.delta, js.dim_j)[0][:, :dim_j]))
+    dim_j, delta = int(js.dim_j[0]), js.delta
+    return JSpherical(float(delta[0]), 2.0 + 2.0 * float(delta[0]), dim_j,
+                      Configuration(_j_points(w, q, delta, js.dim_j)[0][:, :dim_j]))
 
 
 def same_second_distance(g1: Graph, g2: Graph) -> bool:
@@ -282,7 +278,7 @@ def same_second_distance(g1: Graph, g2: Graph) -> bool:
     top group of Abar not one eigenvalue) but builds no J points."""
     top = []
     for g in (g1, g2):
-        _require_nondegenerate(g)
+        _require_nondegenerate(class_stack(g.adj[None]))
         w = np.linalg.eigvalsh(adjacency_matrix(complement(g))[None])
         top.append(_j_stack(w, linalg.EIG_TOL).check().top[0])
     return abs(top[0] - top[1]) <= 1e-9
@@ -292,7 +288,7 @@ def euclidean_representation(g: Graph, beta: float) -> Configuration:
     """A centroid-centered configuration realizing the EDM A + beta*Abar: the
     pass's configuration builder on one eigh of V.T A V, columns in
     decreasing order of the eigenvalues of X(beta) = (beta I + (beta - 1) V.T A V)/2."""
-    _require_nondegenerate(g)
+    _require_nondegenerate(class_stack(g.adj[None]))
     v = build_v(g.n)
     w, u = np.linalg.eigh(project_adjacency(g.adj, v))
     # x = (beta + (beta - 1) w)/2 is the spectrum of X(beta). Above beta = 1
@@ -359,6 +355,10 @@ class ReprReport:
         return doc
 
 
+#: A report's per-graph answers in field order, each read off the _Stack array of its name.
+_COLUMNS = tuple(f.name for f in fields(ReprReport)[3:-2])
+
+
 @dataclass
 class _Stack:
     """One analysis pass over a (k, n, n) stack of graphs of order n.
@@ -397,10 +397,6 @@ class _Stack:
     beta_i: np.ndarray = None
     basis: Optional[np.ndarray] = None  # eigenvectors of V.T A V, if the pass ran eigh
 
-    @property
-    def degenerate(self) -> np.ndarray:
-        return self.classes.degenerate
-
     def configuration(self, side: str, rows=slice(None)) -> np.ndarray:
         """(k, n, n-1) centroid-centered configurations at beta_l, beta_u or
         beta_i (side "l", "u" or "i") of the graphs ``rows`` (all by default),
@@ -413,25 +409,17 @@ class _Stack:
                                None if zero is None else zero[rows])
 
     def report(self, i: int) -> ReprReport:
-        """The ReprReport of graph i; raises its error if it has one."""
+        """The ReprReport of graph i; raises its error if it has one. NaN reads None, as do
+        a degenerate graph's columns and the sphericity flag its class rules out."""
         if self.errors[i] is not None:
             raise self.errors[i]
         cls = self.classes.row(i)
-        lbs = lower_bounds(max(self.n, 2))
-        if cls.is_degenerate:
-            return ReprReport(self.n, cls, True, *([None] * 17), *lbs)
-
-        def num(name):
-            value = getattr(self, name).item(i)
-            return None if value != value else value  # NaN
-
-        l_ok, u_ok = not cls.is_multipartite, not cls.is_cluster
-        return ReprReport(
-            self.n, cls, False, num("mu_min"), num("mu_max"), num("m_min"), num("m_max"),
-            num("beta_l"), num("beta_u"), num("dim_e"), num("dim_e_witness_beta"),
-            num("dim_s"), num("dim_s_witness_beta"),
-            num("spherical_at_l") if l_ok else None, num("spherical_at_u") if u_ok else None,
-            num("rho_l"), num("rho_u"), num("delta"), num("beta_j"), num("dim_j"), *lbs)
+        degenerate = cls.is_degenerate
+        ruled_out = {"spherical_at_l": cls.is_multipartite, "spherical_at_u": cls.is_cluster}
+        row = [None if degenerate or ruled_out.get(name) else getattr(self, name).item(i)
+               for name in _COLUMNS]
+        return ReprReport(self.n, cls, degenerate, *[None if v != v else v for v in row],
+                          *lower_bounds(max(self.n, 2)))
 
 
 def _configurations(z: np.ndarray, x: np.ndarray, zero: Optional[np.ndarray]) -> np.ndarray:
@@ -468,7 +456,7 @@ def _analyze_stack(adj: np.ndarray, tol: float = linalg.EIG_TOL,
     errors = np.empty(k, dtype=object)  # all None
     if n < 2:  # one node: the complete graph, and no spectrum
         nan = np.full(k, np.nan)
-        return _Stack(n, classes, errors, **{f.name: nan for f in fields(ReprReport)[3:-2]})
+        return _Stack(n, classes, errors, **dict.fromkeys(_COLUMNS, nan))
     nondeg = ~classes.degenerate
 
     # s = V.T (d - mean d) for the degree vector d is exactly 0 for a regular
@@ -535,6 +523,7 @@ def _analyze_stack(adj: np.ndarray, tol: float = linalg.EIG_TOL,
     # In the orthonormal basis [e/sqrt(n), V U], Abar = J - I - A is the
     # arrowhead [[n - 1 - 2|E|/n, -q.T/sqrt(n)], [-q/sqrt(n), -I - diag(w)]].
     js = _j_arrowhead(adj, n - 1.0 - mean_deg, -q / math.sqrt(n), -1.0 - w, tol)
+    delta = js.delta
 
     # The faults, in the order a row reports the first of them.
     merged = grp.spreads > _merge_tol(n)
@@ -569,15 +558,14 @@ def _analyze_stack(adj: np.ndarray, tol: float = linalg.EIG_TOL,
         dim_e_witness_beta=np.where(use_l, beta_l, beta_u),
         dim_s=dim_s, dim_s_witness_beta=np.where(at_l, beta_l, np.where(at_u, beta_u, beta_i)),
         spherical_at_l=spherical_l, spherical_at_u=spherical_u, rho_l=rho_l, rho_u=rho_u,
-        delta=js.delta, beta_j=2.0 + 2.0 * js.delta, dim_j=js.dim_j,
+        delta=delta, beta_j=2.0 + 2.0 * delta, dim_j=js.dim_j,
         eigenvalues=w, groups=grp, beta_i=beta_i, basis=basis)
 
 
 def _analyze_single(g: Graph, vectors: bool = False) -> _Stack:
     """The pass on a stack of one non-degenerate graph, raising its fault."""
     st = _analyze_stack(g.adj[None], vectors=vectors)
-    if st.degenerate[0]:
-        raise DegenerateGraphError(f"{st.classes.tag[0]} graph admits no two-distance representation")
+    _require_nondegenerate(st.classes)
     if st.errors[0] is not None:
         raise st.errors[0]
     return st

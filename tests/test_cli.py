@@ -98,6 +98,7 @@ class TestAnalyze:
         ["embed", "--g6", "Dug", "--mode", "jspherical", "--out", "x.csv", "--tol-eig", "1e-9"],
         ["embed", "--g6", "Dug", "--mode", "euclidean", "--out", "x.csv", "--beta", "nan"],
         ["embed", "--g6", "Dug", "--mode", "euclidean", "--out", "x.csv", "--beta", "inf"],
+        ["embed", "--g6", "Dug", "--mode", "bogus", "--out", "x.csv"],
     ])
     def test_bad_arguments_exit_2(self, argv, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -284,6 +285,20 @@ class TestEmbed:
         monkeypatch.setattr(reps, "j_spherical", perturbed)
         out = tmp_path / "x.csv"
         code, _, err = run(["embed", "--g6", encode_graph6(bow_tie), "--mode", "jspherical",
+                            "--out", str(out)], capsys)
+        assert code == 3 and not out.exists()
+        assert err.startswith("error: configuration failed two-distance verification "
+                              "(max deviation ")
+        assert len(err.splitlines()) == 1
+
+    @pytest.mark.filterwarnings("error")
+    def test_huge_beta_failing_verification_warns_nothing(self, tmp_path, capsys):
+        # K3 + K2 admits every beta > 1, but at 1e308 its configuration loses
+        # the first distance to rounding and fails verification; the sidecar
+        # radius is computed only for a verified configuration, so nothing
+        # overflows on the way to the one stderr line
+        out = tmp_path / "x.csv"
+        code, _, err = run(["embed", "--g6", "DwC", "--mode", "euclidean", "--beta", "1e308",
                             "--out", str(out)], capsys)
         assert code == 3 and not out.exists()
         assert err.startswith("error: configuration failed two-distance verification "

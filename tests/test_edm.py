@@ -5,8 +5,7 @@ from scipy.linalg import lapack
 from twodist import edm, linalg, representations as reps
 from twodist.centering import build_v, projected_gram
 from twodist.graphs import (adjacency_matrix, complement_adjacency,
-                            complete_multipartite_graph, cycle_graph)
-from twodist.oracle import _mask_stack
+                            complete_multipartite_graph, cycle_graph, mask_stack)
 
 
 def edm_from_points(points):
@@ -23,7 +22,7 @@ def random_edm(rng, n, dim):
 def order5_edms():
     """The EDM of every non-degenerate order-5 graph at the beta_l, beta_u
     and interior beta_i of the analysis pass, where they exist."""
-    adj = _mask_stack(5, np.arange(1 << 10))
+    adj = mask_stack(5, np.arange(1 << 10))
     st = reps._analyze_stack(adj)
     a, abar = adj.astype(float), complement_adjacency(adj).astype(float)
     edms = []

@@ -8,7 +8,7 @@ from twodist import linalg, oracle, representations as reps
 from twodist.edm import Configuration
 from twodist.graphs import (Graph, classify, cluster_graph, complement,
                             complete_graph, complete_multipartite_graph,
-                            cycle_graph, from_mask)
+                            cycle_graph, from_mask, mask_stack)
 
 
 class TestVerifyTwoDistance:
@@ -105,7 +105,7 @@ class TestPencil:
         # the entrywise border against -F X F.T with F = [-e I], bit for bit
         # (signed zeros included), on every order-5 graph
         n = 5
-        adj = oracle._mask_stack(n, np.arange(1 << (n * (n - 1) // 2)))
+        adj = mask_stack(n, np.arange(1 << (n * (n - 1) // 2)))
         f = np.hstack([-np.ones((n - 1, 1)), np.eye(n - 1)])
         abar = (~adj & ~np.eye(n, dtype=bool)).astype(float)
         m0, m1 = oracle._pencil(adj)
@@ -165,7 +165,7 @@ class TestNotPositiveDefinite:
 
     def test_roots_stack_decompositions(self, decompositions):
         # one eigvalsh for the roots; the probes run no decomposition
-        oracle._roots_stack(oracle._mask_stack(5, np.arange(1, (1 << 10) - 1)))
+        oracle._roots_stack(mask_stack(5, np.arange(1, (1 << 10) - 1)))
         assert decompositions == ["eigvalsh"]
 
 

@@ -11,8 +11,8 @@ from twodist.centering import build_v, project_adjacency
 from twodist.graphs import (Graph, adjacency_matrix, class_stack, classify, cluster_graph,
                             complement, complement_adjacency, complete_graph,
                             complete_multipartite_graph, cycle_graph, from_mask,
-                            null_graph, parse_graph6)
-from twodist.oracle import _mask_stack, verify_two_distance
+                            mask_stack, null_graph, parse_graph6)
+from twodist.oracle import verify_two_distance
 
 S5 = math.sqrt(5.0)
 
@@ -82,7 +82,7 @@ def brute_force_dim_e(g, samples=400):
     closed += [iv[2] for iv in feasible.intervals if iv[3] and np.isfinite(iv[2])]
     grid = list(np.linspace(max(lo, 1e-3), hi, samples)) + closed
     for beta in grid:
-        if not feasible.contains(beta, slack=1e-12) or abs(beta - 1.0) < 1e-9:
+        if not feasible.contains(beta) or abs(beta - 1.0) < 1e-9:
             continue
         chk = edm.is_edm(a + beta * abar)
         if chk.is_edm:
@@ -126,10 +126,16 @@ class TestProjectedSpectrum:
         assert np.allclose(m @ u, u * w, atol=1e-9)
 
     def test_degenerate_rejected_downstream(self):
-        with pytest.raises(reps.DegenerateGraphError):
-            reps.dim_euclidean(complete_graph(4))
-        with pytest.raises(reps.DegenerateGraphError):
-            reps.j_spherical(null_graph(3))
+        # the pass-based answers and the single-graph constructions refuse a
+        # complete or null graph with the same words
+        answers = (reps.dim_euclidean, reps.dim_spherical, reps.beta_feasible_set,
+                   reps.j_spherical, lambda g: reps.euclidean_representation(g, 2.0),
+                   lambda g: reps.same_second_distance(g, cycle_graph(5)))
+        for g, tag in ((complete_graph(4), "complete"), (null_graph(3), "null")):
+            for answer in answers:
+                with pytest.raises(reps.DegenerateGraphError) as exc:
+                    answer(g)
+                assert str(exc.value) == f"{tag} graph admits no two-distance representation"
 
 
 class TestBetaEndpoints:
@@ -149,8 +155,9 @@ class TestBetaEndpoints:
 
     def test_feasible_set_membership(self, bow_tie):
         fs = reps.beta_feasible_set(bow_tie)
-        eps = 1e-9
-        assert fs.contains(0.5, slack=eps) and fs.contains(3.5, slack=eps)
+        rep = reps.analyze_graph(bow_tie)
+        assert fs.contains(rep.beta_l) and fs.contains(rep.beta_u)
+        assert rep.beta_l == pytest.approx(0.5, abs=1e-9) and rep.beta_u == pytest.approx(3.5, abs=1e-9)
         assert fs.contains(2.0)
         assert not fs.contains(1.0) and not fs.contains(0.4) and not fs.contains(4.0)
         cl = reps.beta_feasible_set(cluster_graph([2, 2, 2]))
@@ -258,6 +265,19 @@ class TestDimSpherical:
             reps.endpoint_sphericity(complete_multipartite_graph([2, 3]), reps.SIDE_LOWER)
         with pytest.raises(reps.EndpointError, match="upper endpoint requires mu_min < -1"):
             reps.endpoint_sphericity(cluster_graph([3, 2]), reps.SIDE_UPPER)
+
+    @pytest.mark.parametrize("name", ["c9", "paley13"])
+    def test_regular_graph_needs_no_eigenvectors(self, name, decompositions):
+        # a regular graph has q = 0, so every endpoint it has is spherical and
+        # the witness is one of them: the pass runs eigvalsh only, and rho is
+        # analyze_graph's rho_l or rho_u
+        g = cycle_graph(9) if name == "c9" else paley_graph(13)
+        r, beta, rho = reps.dim_spherical(g)
+        assert decompositions == ["eigvalsh"]
+        rep = reps.analyze_graph(g)
+        assert (r, beta) == (rep.dim_s, rep.dim_s_witness_beta)
+        assert beta in (rep.beta_l, rep.beta_u)
+        assert rho == (rep.rho_l if beta == rep.beta_l else rep.rho_u)
 
     def test_chain_with_dim_e(self, rng):
         for _ in range(20):
@@ -483,7 +503,7 @@ class TestAnalyzeGraph:
              "p3_k1": Graph.from_edges(4, [(0, 1), (0, 2)])}[name]
         calls = []
         for fn in ("_analyze_stack", "_radius2", "lift", "_configurations", "_circumcenter",
-                   "_witness_radius", "classify", "endpoint_sphericity",
+                   "_witness_radius", "_require_nondegenerate", "endpoint_sphericity",
                    "euclidean_representation", "j_spherical", "_edm_at"):
             orig = getattr(reps, fn)
 
@@ -514,6 +534,32 @@ class TestAnalyzeGraph:
         with pytest.raises(edm.InternalConsistencyError, match="lower_bound_e <= dim_e"):
             reps.analyze_graph(cycle_graph(5))
 
+    @pytest.mark.parametrize("name", ["dim_euclidean", "dim_spherical", "beta_feasible_set"])
+    def test_single_graph_answers_raise_the_pass_fault(self, name, monkeypatch):
+        # a top group of Abar that is not one positive eigenvalue faults the
+        # pass; every answer built on it raises analyze_graph's fault
+        real = reps._j_arrowhead
+
+        def broken(*args):
+            return dataclasses.replace(real(*args), top=np.full(1, -1.0))
+        monkeypatch.setattr(reps, "_j_arrowhead", broken)
+        g = cycle_graph(5)
+        with pytest.raises(edm.InternalConsistencyError) as expected:
+            reps.analyze_graph(g)
+        assert "top eigenvalue group of the complement" in str(expected.value)
+        with pytest.raises(edm.InternalConsistencyError) as got:
+            getattr(reps, name)(g)
+        assert str(got.value) == str(expected.value)
+
+    def test_report_columns_are_stack_fields(self):
+        # every per-graph report column is a _Stack array by the same name, so
+        # a ReprReport field without its column fails here
+        stack_fields = [f.name for f in dataclasses.fields(reps._Stack)]
+        assert set(reps._COLUMNS) <= set(stack_fields)
+        report_fields = [f.name for f in dataclasses.fields(reps.ReprReport)]
+        assert report_fields == ["n", "graph_class", "degenerate", *reps._COLUMNS,
+                                 "lower_bound_e", "lower_bound_s"]
+
     @pytest.mark.parametrize("mask", [4035, 15462, 26418])
     def test_rounding_residue_prints_zero(self, mask):
         # the top group of Abar merges eigenvalues around a mean that is 0 up
@@ -533,6 +579,8 @@ class TestAnalyzeGraph:
         lb_e, lb_s = reps.lower_bounds(5)
         assert lb_e == pytest.approx((math.sqrt(41) - 3) / 2)
         assert lb_s == pytest.approx((math.sqrt(49) - 3) / 2)
+        with pytest.raises(ValueError, match="n >= 2 required"):
+            reps.lower_bounds(1)
 
 
 def _stack_graphs():
@@ -588,9 +636,9 @@ class TestAnalyzeStack:
         for adj in stacks:
             st = reps._analyze_stack(adj, tol)
             js = reps._j_stack(np.linalg.eigvalsh(complement_adjacency(adj).astype(float)), tol)
-            clean = (st.errors == None) & ~st.degenerate  # noqa: E711
+            clean = (st.errors == None) & ~st.classes.degenerate  # noqa: E711
             assert not js.bad[clean].any()
-            for i in np.flatnonzero(js.bad & ~st.degenerate):
+            for i in np.flatnonzero(js.bad & ~st.classes.degenerate):
                 if "complement" in str(st.errors[i]):
                     assert str(st.errors[i]) == str(js.error(i))
             assert np.array_equal(st.dim_j[clean], js.dim_j[clean])
@@ -602,7 +650,7 @@ class TestAnalyzeStack:
         # eigvalsh of Abar on the rows it leaves, against _j_stack on an
         # eigvalsh of Abar on every graph of order 6: the same delta, dim_J
         # and fault text (at tol 0.9 Newton certifies about 1% of the rows)
-        adj = _mask_stack(6, np.arange(1 << 15))
+        adj = mask_stack(6, np.arange(1 << 15))
         fallback, real = [], reps.complement_adjacency
         monkeypatch.setattr(reps, "complement_adjacency", lambda a: fallback.append(a) or real(a))
         st = reps._analyze_stack(adj, tol)
@@ -611,7 +659,7 @@ class TestAnalyzeStack:
         k33 = complete_multipartite_graph([3, 3]).adj
         assert len(fallback) == 1 and (fallback[0] == k33).all(axis=(1, 2)).any()
         js = reps._j_stack(np.linalg.eigvalsh(complement_adjacency(adj).astype(float)), tol)
-        nondeg = ~st.degenerate
+        nondeg = ~st.classes.degenerate
         j_fault = np.array([e is not None and "complement" in str(e) for e in st.errors])
         other = (st.errors != None) & ~j_fault  # noqa: E711
         assert np.array_equal(j_fault, js.bad & nondeg & ~other)
@@ -626,7 +674,7 @@ class TestAnalyzeStack:
         # a stack of regular graphs decomposes V.T A V by eigvalsh (q = 0);
         # one irregular graph in the stack makes the pass run eigh: every
         # regular graph of order n gets the same answers and faults either way
-        adj = _mask_stack(n, np.arange(1 << (n * (n - 1) // 2)))
+        adj = mask_stack(n, np.arange(1 << (n * (n - 1) // 2)))
         deg = adj.sum(axis=-1)
         regular = adj[(deg == deg[:, :1]).all(axis=-1)]
         alone = reps._analyze_stack(regular)
