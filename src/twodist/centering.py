@@ -20,13 +20,11 @@ import numpy as np
 
 @dataclass(frozen=True)
 class VBasis:
-    """n x (n-1) matrix with orthonormal columns spanning the complement of e.
-
-    ``u`` is the rank-one part: ``columns = [0; I] + u 1.T``.
+    """n x (n-1) matrix V with orthonormal columns spanning the complement of e,
+    held as its rank-one part ``u`` only: ``V = [0; I] + u 1.T``.
     """
 
     n: int
-    columns: np.ndarray
     u: np.ndarray
 
 
@@ -34,17 +32,15 @@ class VBasis:
 def build_v(n: int) -> VBasis:
     """Orthonormal basis of the hyperplane orthogonal to the all-ones vector.
 
-    Cached per n; the returned arrays are marked read-only.
+    Cached per n; the returned ``u`` is marked read-only.
     """
     if n < 2:
         raise ValueError(f"basis requires n >= 2, got {n}")
     y = -1.0 / np.sqrt(n)
     x = -1.0 / (n + np.sqrt(n))
-    columns = np.vstack([np.full((1, n - 1), y), np.eye(n - 1) + x * np.ones((n - 1, n - 1))])
     u = np.r_[y, np.full(n - 1, x)]
-    columns.flags.writeable = False
     u.flags.writeable = False
-    return VBasis(n, columns, u)
+    return VBasis(n, u)
 
 
 def _check_shape(m: np.ndarray, v: VBasis) -> None:

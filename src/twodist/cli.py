@@ -1,9 +1,9 @@
 """Command-line front end: analyze graphs, emit coordinate files, run sweeps.
 
 Exit codes: 0 success, 2 parse/usage failure (including an unwritable
-output path), 3 internal consistency
-diagnostic (including a sweep that finds violations), 4 infeasible request
-(bad beta, degenerate graph, non-spherical endpoint).
+output path), 3 internal consistency diagnostic (including a sweep that finds
+violations), 4 infeasible request (bad beta, degenerate graph, non-spherical
+endpoint). ``_FAILURES`` maps each exception a command raises to its code.
 """
 
 from __future__ import annotations
@@ -24,15 +24,27 @@ EXIT_PARSE = 2
 EXIT_DIAGNOSTIC = 3
 EXIT_INFEASIBLE = 4
 
+#: What a command's exception means: its exit code and stderr prefix. ``main``
+#: is the one place that catches these; commands just raise.
+_FAILURES = {
+    GraphFormatError: (EXIT_PARSE, "error"),
+    edm.InternalConsistencyError: (EXIT_DIAGNOSTIC, "internal consistency diagnostic"),
+    reps.InfeasibleBetaError: (EXIT_INFEASIBLE, "error"),
+    reps.DegenerateGraphError: (EXIT_INFEASIBLE, "error"),
+    reps.EndpointError: (EXIT_INFEASIBLE, "error"),
+}
+
 
 def _load_graph(args) -> Graph:
     if args.g6 is not None:
         return parse_graph6(args.g6)
-    with open(args.edges, "r", encoding="utf-8") as fh:
-        try:
+    try:
+        with open(args.edges, "r", encoding="utf-8") as fh:
             text = fh.read()
-        except UnicodeDecodeError as exc:
-            raise GraphFormatError(f"{args.edges}: not UTF-8 text ({exc.reason})")
+    except OSError as exc:
+        raise GraphFormatError(str(exc))
+    except UnicodeDecodeError as exc:
+        raise GraphFormatError(f"{args.edges}: not UTF-8 text ({exc.reason})")
     return parse_edge_list(text)
 
 
@@ -74,89 +86,68 @@ def _emit(doc: dict, pretty: bool) -> None:
 
 
 def cmd_analyze(args) -> int:
-    try:
-        g = _load_graph(args)
-    except (GraphFormatError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    try:
-        doc = _report_document(g, args)
-    except edm.InternalConsistencyError as exc:
-        print(f"internal consistency diagnostic: {exc}", file=sys.stderr)
-        return EXIT_DIAGNOSTIC
-    _emit(doc, args.pretty)
+    _emit(_report_document(_load_graph(args), args), args.pretty)
     return EXIT_OK
 
 
-def _write_coordinates(path: str, config: edm.Configuration, sidecar: dict) -> None:
-    """The points as CSV rows of %.17g values ending in \\r\\n, as csv.writer
-    writes them, and the sidecar as indented JSON; one write per file."""
-    row = ",".join(["%.17g"] * config.dim) + "\r\n"
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write("".join([row % tuple(r) for r in config.points.tolist()]))
-    with open(path + ".json", "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(sidecar, indent=2) + "\n")
-
-
 def _unwritable(path: str, exc: OSError) -> int:
-    print(f"error: cannot write {path}: {exc.strerror or exc}", file=sys.stderr)
+    print(f"error: cannot write {exc.filename or path}: {exc.strerror or exc}", file=sys.stderr)
     return EXIT_PARSE
 
 
+def _write_coordinates(path: str, config: edm.Configuration, sidecar: dict) -> int:
+    """The points as CSV rows of %.17g values ending in \\r\\n, as csv.writer
+    writes them, and the sidecar as indented JSON, one write per file: exit 0 or 2."""
+    row = ",".join(["%.17g"] * config.dim) + "\r\n"
+    try:
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            fh.write("".join([row % tuple(r) for r in config.points.tolist()]))
+        with open(path + ".json", "w", encoding="utf-8") as fh:
+            fh.write(json.dumps(sidecar, indent=2) + "\n")
+    except OSError as exc:
+        return _unwritable(path, exc)
+    return EXIT_OK
+
+
 def cmd_embed(args) -> int:
-    try:
-        g = _load_graph(args)
-    except (GraphFormatError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    try:
-        if args.mode == "euclidean":
-            if args.beta is None:
-                print("error: --beta required for euclidean mode", file=sys.stderr)
-                return EXIT_PARSE
-            # verification cannot tell two distances within its tolerance
-            # (up to rounding, so that 1.0000001 counts) apart
-            if args.beta <= 0.0 or abs(args.beta - 1.0) <= oracle.VERIFY_TOL + linalg.ROUNDING:
-                print("error: beta must be positive and differ from the first "
-                      "squared distance 1 by more than 1e-7", file=sys.stderr)
-                return EXIT_INFEASIBLE
-            config = reps.euclidean_representation(g, args.beta)
-            alpha, beta = 1.0, args.beta
-            sidecar = {"mode": "euclidean", "alpha": alpha, "beta": beta, "radius": None}
-        elif args.mode == "spherical":
-            # the analysis pass answers every question here, as for analyze;
-            # its eigh gives the points, also for a regular graph
-            st = reps._analyze_single(g, vectors=True)
-            side = args.side or "lower"
-            beta, spherical, radius = {
-                "lower": (st.beta_l, st.spherical_at_l, st.rho_l),
-                "upper": (st.beta_u, st.spherical_at_u, st.rho_u)}[side]
-            beta, radius = float(beta[0]), float(radius[0])
-            if math.isnan(beta):
-                print(f"error: {side} endpoint does not exist for this graph",
-                      file=sys.stderr)
-                return EXIT_INFEASIBLE
-            if not spherical[0]:
-                print(f"error: EDM at the {side} endpoint is not spherical",
-                      file=sys.stderr)
-                return EXIT_INFEASIBLE
-            points = st.configuration(side[0])[0]
-            config = edm.Configuration(points[:, points.any(axis=0)])
-            alpha = 1.0
-            sidecar = {"mode": "spherical", "side": side, "alpha": alpha, "beta": beta,
-                       "radius": radius}
-        else:  # jspherical
-            js = reps.j_spherical(g)
-            config = js.config
-            alpha, beta = 2.0, js.beta
-            sidecar = {"mode": "jspherical", "alpha": alpha, "beta": beta,
-                       "delta": js.delta, "radius": 1.0}
-    except (reps.InfeasibleBetaError, reps.DegenerateGraphError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INFEASIBLE
-    except edm.InternalConsistencyError as exc:
-        print(f"internal consistency diagnostic: {exc}", file=sys.stderr)
-        return EXIT_DIAGNOSTIC
+    g = _load_graph(args)
+    if args.mode == "euclidean":
+        if args.beta is None:
+            print("error: --beta required for euclidean mode", file=sys.stderr)
+            return EXIT_PARSE
+        # verification cannot tell two distances within its tolerance
+        # (up to rounding, so that 1.0000001 counts) apart
+        if args.beta <= 0.0 or abs(args.beta - 1.0) <= oracle.VERIFY_TOL + linalg.ROUNDING:
+            print("error: beta must be positive and differ from the first "
+                  "squared distance 1 by more than 1e-7", file=sys.stderr)
+            return EXIT_INFEASIBLE
+        config = reps.euclidean_representation(g, args.beta)
+        alpha, beta = 1.0, args.beta
+        sidecar = {"mode": "euclidean", "alpha": alpha, "beta": beta, "radius": None}
+    elif args.mode == "spherical":
+        # the analysis pass answers every question here, as for analyze;
+        # its eigh gives the points, also for a regular graph
+        st = reps._analyze_single(g, vectors=True)
+        side = args.side
+        beta, spherical, radius = {
+            "lower": (st.beta_l, st.spherical_at_l, st.rho_l),
+            "upper": (st.beta_u, st.spherical_at_u, st.rho_u)}[side]
+        beta, radius = float(beta[0]), float(radius[0])
+        if math.isnan(beta):
+            raise reps.EndpointError(f"{side} endpoint does not exist for this graph")
+        if not spherical[0]:
+            raise reps.EndpointError(f"EDM at the {side} endpoint is not spherical")
+        points = st.configuration(side[0])[0]
+        config = edm.Configuration(points[:, points.any(axis=0)])
+        alpha = 1.0
+        sidecar = {"mode": "spherical", "side": side, "alpha": alpha, "beta": beta,
+                   "radius": radius}
+    else:  # jspherical
+        js = reps.j_spherical(g)
+        config = js.config
+        alpha, beta = 2.0, js.beta
+        sidecar = {"mode": "jspherical", "alpha": alpha, "beta": beta,
+                   "delta": js.delta, "radius": 1.0}
     report = oracle.verify_two_distance(config, g, alpha, beta)
     if not report.passed:
         print(f"error: configuration failed two-distance verification "
@@ -165,11 +156,7 @@ def cmd_embed(args) -> int:
     if args.mode == "euclidean":  # the circumradius of a verified configuration, if spherical
         radius = float(reps._witness_radius(config.points))
         sidecar["radius"] = None if math.isnan(radius) else radius
-    try:
-        _write_coordinates(args.out, config, sidecar)
-    except OSError as exc:
-        return _unwritable(args.out, exc)
-    return EXIT_OK
+    return _write_coordinates(args.out, config, sidecar)
 
 
 def cmd_sweep(args) -> int:
@@ -217,7 +204,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_em.add_argument("--beta", type=_finite,
                       help="second squared distance, positive and more than 1e-7 from 1 "
                            "(euclidean mode)")
-    p_em.add_argument("--side", choices=["lower", "upper"],
+    p_em.add_argument("--side", choices=["lower", "upper"], default="lower",
                       help="feasibility endpoint (spherical mode)")
     p_em.add_argument("--out", required=True, help="output CSV path")
     p_em.set_defaults(func=cmd_embed)
@@ -242,7 +229,12 @@ def main(argv: Optional[list] = None) -> int:
     if _parser is None:
         _parser = build_parser()
     args = _parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except tuple(_FAILURES) as exc:
+        code, prefix = next(v for k, v in _FAILURES.items() if isinstance(exc, k))
+        print(f"{prefix}: {exc}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import edm, representations as reps
 from .edm import Configuration
-from .graphs import Graph, classify, complement_adjacency, encode_graph6, mask_stack, triu_pairs
+from .graphs import Graph, class_stack, complement_adjacency, encode_graph6, mask_stack, triu_pairs
 
 # Whenever an upper root exists, mu_min <= -4/3, so t2 <= 4; T_MAX brackets it widely.
 T_MAX = 40.0
@@ -149,8 +149,7 @@ def discriminating_roots(g: Graph) -> Tuple[Optional[float], Optional[float]]:
     Returns (t1, t2): the largest root in (0, 1) and the smallest root above 1,
     where the smallest eigenvalue of the bordered Gram matrix changes sign.
     """
-    if classify(g).is_degenerate:
-        raise reps.DegenerateGraphError("discriminating polynomial needs a non-degenerate graph")
+    reps._require_nondegenerate(class_stack(g.adj[None]))
     t1, t2 = (float(t[0]) for t in _roots_stack(g.adj[None]))
     return None if math.isnan(t1) else t1, None if math.isnan(t2) else t2
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from twodist.centering import build_v, project_adjacency, projected_gram
+from twodist.centering import build_v, lift, project_adjacency, projected_gram
 from twodist.graphs import adjacency_matrix, cycle_graph, from_mask
 
 
@@ -14,7 +14,7 @@ class TestBasis:
     def test_orthonormal_and_perp_to_ones(self):
         for n in range(2, 13):
             v = build_v(n)
-            cols = v.columns
+            cols = lift(np.eye(n - 1), v)
             assert cols.shape == (n, n - 1)
             assert np.allclose(cols.T @ cols, np.eye(n - 1), atol=1e-12)
             assert np.allclose(np.ones(n) @ cols, 0.0, atol=1e-12)
@@ -23,15 +23,15 @@ class TestBasis:
         with pytest.raises(ValueError):
             build_v(1)
 
-    def test_cached_columns_read_only(self):
+    def test_cached_basis_read_only(self):
         v = build_v(5)
         with pytest.raises(ValueError):
-            v.columns[0, 0] = 1.0
+            v.u[0] = 1.0
         assert build_v(5) is v
 
     def test_dense_entries(self):
         # first row -1/sqrt(n), identity-plus-constant below
-        v = build_v(4).columns
+        v = lift(np.eye(3), build_v(4))
         assert np.allclose(v[0], -0.5)
         x = -1.0 / (4 + 2.0)
         assert v[1, 0] == pytest.approx(1.0 + x)

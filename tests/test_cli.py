@@ -321,6 +321,14 @@ class TestEmbed:
         assert code == 2 and err.startswith("error: cannot write /nonexistent/x.csv")
         assert len(err.splitlines()) == 1
 
+    def test_unwritable_sidecar_exits_2(self, tmp_path, capsys):
+        # the CSV is written, then the sidecar path is a directory: name the sidecar
+        out = tmp_path / "x.csv"
+        (tmp_path / "x.csv.json").mkdir()
+        code, _, err = run(["embed", "--g6", "DqK", "--mode", "jspherical", "--out", str(out)],
+                           capsys)
+        assert code == 2 and err == f"error: cannot write {out}.json: Is a directory\n"
+
     MODES = {"euclidean": ["--mode", "euclidean", "--beta", "2"],
              "spherical": ["--mode", "spherical"], "jspherical": ["--mode", "jspherical"]}
 
@@ -352,6 +360,31 @@ class TestEmbed:
         monkeypatch.setattr(reps, "class_stack", counted)
         run(["embed", "--g6", g6, *self.MODES[mode], "--out", str(tmp_path / "x.csv")], capsys)
         assert calls == [(1, 5, 5)]
+
+
+class TestFailureTable:
+    """A command that raises a class of ``cli._FAILURES`` exits with its code
+    and one stderr line, and writes nothing else."""
+
+    @pytest.mark.parametrize("cls,failure", list(cli._FAILURES.items()),
+                             ids=[cls.__name__ for cls in cli._FAILURES])
+    @pytest.mark.parametrize("command", ["analyze", "embed"])
+    def test_exception_maps_to_its_code(self, cls, failure, command, tmp_path, capsys,
+                                        monkeypatch):
+        exc = cls(2.5, -0.25) if cls is reps.InfeasibleBetaError else cls("forced")
+
+        def fail(*args, **kwargs):
+            raise exc
+        if command == "analyze":
+            monkeypatch.setattr(reps, "analyze_graph", fail)
+            argv = ["analyze", "--g6", "DqK"]
+        else:
+            monkeypatch.setattr(reps, "j_spherical", fail)
+            argv = ["embed", "--g6", "DqK", "--mode", "jspherical",
+                    "--out", str(tmp_path / "x.csv")]
+        code, out, err = run(argv, capsys)
+        assert (code, err) == (failure[0], f"{failure[1]}: {exc}\n")
+        assert out == "" and not any(tmp_path.iterdir())
 
 
 class TestSweep:

@@ -177,6 +177,33 @@ class TestSphericalInfo:
             assert (info is None) == np.isnan(radius)
             assert info is None or info.radius == radius
 
+    @staticmethod
+    def misread_rank(monkeypatch, shift):
+        """Make sphere_stack read rank(D) off by ``shift``: adding c(I - J/n) to
+        pinv(D) leaves w = pinv(D) e as it is and moves trace(D pinv(D)) by
+        -c e.T D e / n."""
+        real = linalg.pinv
+
+        def pinv(d):
+            n = d.shape[-1]
+            c = -shift * n / d.sum(axis=(-2, -1))
+            return real(d) + c[:, None, None] * (np.eye(n) - 1.0 / n)
+        monkeypatch.setattr(edm.linalg, "pinv", pinv)
+
+    def test_rank_says_spherical_cross_check_disagrees(self, monkeypatch):
+        # collinear points: e.T w = 0 contradicts a rank(D) of r + 1
+        self.misread_rank(monkeypatch, -1)
+        with pytest.raises(edm.InternalConsistencyError, match="^rank test says spherical but "):
+            edm.spherical_info(edm_from_points(np.arange(4.0)[:, None]))
+
+    def test_rank_says_nonspherical_cross_check_disagrees(self, monkeypatch):
+        # a square: DZ = 0 and e.T w = 1 contradict a rank(D) of r + 2
+        self.misread_rank(monkeypatch, 1)
+        square = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
+        with pytest.raises(edm.InternalConsistencyError,
+                           match="^rank test says non-spherical but "):
+            edm.spherical_info(edm_from_points(square))
+
     def test_center_matches_points(self, rng):
         raw = rng.standard_normal((6, 3))
         pts = raw / np.linalg.norm(raw, axis=1, keepdims=True)

@@ -8,7 +8,7 @@ from twodist import linalg, oracle, representations as reps
 from twodist.edm import Configuration
 from twodist.graphs import (Graph, classify, cluster_graph, complement,
                             complete_graph, complete_multipartite_graph,
-                            cycle_graph, from_mask, mask_stack)
+                            cycle_graph, from_mask, mask_stack, null_graph)
 
 
 class TestVerifyTwoDistance:
@@ -79,8 +79,10 @@ class TestDiscriminatingRoots:
         assert t1 is None and t2 is not None
 
     def test_degenerate_rejected(self):
-        with pytest.raises(reps.DegenerateGraphError):
-            oracle.discriminating_roots(complete_graph(4))
+        for g, tag in ((complete_graph(4), "complete"), (null_graph(4), "null")):
+            with pytest.raises(reps.DegenerateGraphError,
+                               match=f"^{tag} graph admits no two-distance representation$"):
+                oracle.discriminating_roots(g)
 
     def test_batch_matches_single(self, rng):
         # _roots_stack on a stack of one order, as the sweep runs it
