@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from typing import Optional
 
@@ -90,23 +91,37 @@ def cmd_analyze(args) -> int:
     return EXIT_OK
 
 
-def _unwritable(path: str, exc: OSError) -> int:
-    print(f"error: cannot write {exc.filename or path}: {exc.strerror or exc}", file=sys.stderr)
-    return EXIT_PARSE
+def _write(texts: dict) -> int:
+    """Write each text to its path (through a symlink; only a regular file is
+    replaced) via a temporary name beside it. All move into place once every
+    write succeeded, the first path last, so a failure leaves it as it was; a
+    failure removes what the command wrote and names its path: exit 0 or 2."""
+    real = {t: os.path.realpath(t) if os.path.islink(t) else t for t in texts}
+    made = []  # temporaries, then the targets moved into place
+    try:
+        for target, dest in real.items():
+            with open(f"{dest}.{os.getpid()}.tmp", "w", newline="", encoding="utf-8") as fh:
+                made.append(fh.name)
+                fh.write(texts[target])
+        for target, dest in reversed(real.items()):
+            if not (os.path.isfile(dest) or os.path.isdir(dest)) and os.path.exists(dest):
+                raise OSError(0, "not a regular file")  # a device or pipe, as /dev/null
+            os.replace(f"{dest}.{os.getpid()}.tmp", dest)
+            made.append(dest)
+    except OSError as exc:
+        for name in filter(os.path.lexists, made):
+            os.remove(name)
+        print(f"error: cannot write {target}: {exc.strerror or exc}", file=sys.stderr)
+        return EXIT_PARSE
+    return EXIT_OK
 
 
 def _write_coordinates(path: str, config: edm.Configuration, sidecar: dict) -> int:
     """The points as CSV rows of %.17g values ending in \\r\\n, as csv.writer
     writes them, and the sidecar as indented JSON, one write per file: exit 0 or 2."""
     row = ",".join(["%.17g"] * config.dim) + "\r\n"
-    try:
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            fh.write("".join([row % tuple(r) for r in config.points.tolist()]))
-        with open(path + ".json", "w", encoding="utf-8") as fh:
-            fh.write(json.dumps(sidecar, indent=2) + "\n")
-    except OSError as exc:
-        return _unwritable(path, exc)
-    return EXIT_OK
+    return _write({path: "".join([row % tuple(r) for r in config.points.tolist()]),
+                   path + ".json": json.dumps(sidecar, indent=2) + "\n"})
 
 
 def cmd_embed(args) -> int:
@@ -120,6 +135,10 @@ def cmd_embed(args) -> int:
         if args.beta <= 0.0 or abs(args.beta - 1.0) <= oracle.VERIFY_TOL + linalg.ROUNDING:
             print("error: beta must be positive and differ from the first "
                   "squared distance 1 by more than 1e-7", file=sys.stderr)
+            return EXIT_INFEASIBLE
+        if args.beta <= oracle.VERIFY_TOL + linalg.ROUNDING:
+            print("error: beta must exceed 1e-7: verification cannot tell a smaller "
+                  "second squared distance from 0", file=sys.stderr)
             return EXIT_INFEASIBLE
         config = reps.euclidean_representation(g, args.beta)
         alpha, beta = 1.0, args.beta
@@ -167,14 +186,10 @@ def cmd_sweep(args) -> int:
     summary = oracle.invariant_sweep(min(args.n, 6), sample_7_8=args.samples if args.n >= 7 else 0,
                                      seed=args.seed)
     text = summary.to_json(indent=2)
-    if args.out:
-        try:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(text + "\n")
-        except OSError as exc:
-            return _unwritable(args.out, exc)
-    else:
+    if not args.out:
         print(text)
+    elif _write({args.out: text + "\n"}):
+        return EXIT_PARSE
     return EXIT_OK if summary.ok else EXIT_DIAGNOSTIC
 
 
@@ -202,7 +217,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_em.add_argument("--mode", required=True,
                       choices=["euclidean", "spherical", "jspherical"])
     p_em.add_argument("--beta", type=_finite,
-                      help="second squared distance, positive and more than 1e-7 from 1 "
+                      help="second squared distance, above 1e-7 and more than 1e-7 from 1 "
                            "(euclidean mode)")
     p_em.add_argument("--side", choices=["lower", "upper"], default="lower",
                       help="feasibility endpoint (spherical mode)")

@@ -44,7 +44,8 @@ def _pair_sq_distances(points: np.ndarray) -> np.ndarray:
     """Squared distances of the pairs u < v (triu_pairs order) of
     configurations of shape (..., n, r)."""
     sq = np.einsum("...ij,...ij->...i", points, points)
-    d = sq[..., :, None] + sq[..., None, :] - 2.0 * (points @ points.swapaxes(-1, -2))
+    with np.errstate(over="ignore", invalid="ignore"):  # the unread diagonal may overflow
+        d = sq[..., :, None] + sq[..., None, :] - 2.0 * (points @ points.swapaxes(-1, -2))
     iu, ju = triu_pairs(points.shape[-2])
     return np.maximum(d[..., iu, ju], 0.0)
 
@@ -58,8 +59,8 @@ def verify_two_distance(config: Configuration, g: Graph, alpha: float,
                                             np.array([beta]))
     values = values[0]
     bounds = [0, *(np.flatnonzero(np.diff(values) > VERIFY_TOL) + 1).tolist(), values.size]
-    with np.errstate(over="ignore"):  # the sum of a group near the float limit reads inf
-        distinct = tuple((float(values[a:b].mean()), b - a) for a, b in zip(bounds, bounds[1:]))
+    distinct = tuple((float(values[a] + (values[a:b] - values[a]).mean()), b - a)  # no overflow
+                     for a, b in zip(bounds, bounds[1:]))
     return VerificationReport(distinct, float(max_dev[0]), bool(passed[0]))
 
 
@@ -232,7 +233,8 @@ def _sweep_stack(summary: SweepSummary, adj: np.ndarray, comp: np.ndarray,
             witness = reps._witness_radius(points[at_u[sel]]) ** 2
     # the J-spherical points from an eigh of Abar, with the pass's delta and dim_J
     w, q = np.linalg.eigh(complement_adjacency(sub).astype(float))
-    j_config = reps._j_points(w, q, st.delta[sel], st.dim_j[sel])
+    with np.errstate(invalid="ignore"):  # delta = inf where lambda_max(Abar) = 0
+        j_config = reps._points(q, 1.0 - st.delta[sel, None] * w, np.arange(n) >= st.dim_j[sel, None])
     d, passed, _ = _verify_stack(j_config, sub, 2.0, st.beta_j[sel])
     config_dev, config_ok, row_norm_err = np.zeros(k), np.ones(k, dtype=bool), np.zeros(k)
     config_dev[sel], config_ok[sel] = np.fmax(dev, d), ok & passed

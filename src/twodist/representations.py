@@ -216,16 +216,11 @@ class _JStack:
         return self
 
 
-def _j_points(w: np.ndarray, q: np.ndarray, delta: np.ndarray, dim_j: np.ndarray) -> np.ndarray:
-    """The J-spherical points from an eigh (w, q) of a (k, n, n) Abar stack:
-    sqrt(1 - delta*lambda) * eigenvector in ascending eigenvalue order, the
-    last n - dim_J columns (the top group) zero."""
-    # The Gram matrix I - delta*Abar shares Abar's eigenvectors; its
-    # eigenvalue 1 - delta*lambda vanishes on the top group only.
-    top = np.arange(w.shape[-1]) >= dim_j[..., None]
-    with np.errstate(invalid="ignore"):
-        gram = np.where(top, 0.0, 1.0 - delta[..., None] * w)
-        return q * np.sqrt(np.maximum(gram, 0.0))[..., None, :]
+def _points(vectors: np.ndarray, gram: np.ndarray, zero) -> np.ndarray:
+    """Points from eigenpairs (..., n, m), (..., m) of their Gram matrix: the
+    columns vectors * sqrt(gram), zero where the caller's ``zero`` holds or gram
+    is not positive (NaN included, as on a faulty row of a sweep stack)."""
+    return vectors * np.sqrt(np.where(zero | ~(gram > 0.0), 0.0, gram))[..., None, :]
 
 
 def _j_stack(w: np.ndarray, tol: float) -> _JStack:
@@ -266,9 +261,10 @@ def j_spherical(g: Graph) -> JSpherical:
     _require_nondegenerate(class_stack(g.adj[None]))
     w, q = np.linalg.eigh(adjacency_matrix(complement(g))[None])
     js = _j_stack(w, linalg.EIG_TOL).check()
-    dim_j, delta = int(js.dim_j[0]), js.delta
-    return JSpherical(float(delta[0]), 2.0 + 2.0 * float(delta[0]), dim_j,
-                      Configuration(_j_points(w, q, delta, js.dim_j)[0][:, :dim_j]))
+    dim_j, delta = int(js.dim_j[0]), float(js.delta[0])
+    # the Gram matrix I - delta*Abar has Abar's eigenvectors; it vanishes on the top group
+    points = _points(q[0], 1.0 - delta * w[0], np.arange(g.n) >= dim_j)
+    return JSpherical(delta, 2.0 + 2.0 * delta, dim_j, Configuration(points[:, :dim_j]))
 
 
 def same_second_distance(g1: Graph, g2: Graph) -> bool:
@@ -285,9 +281,9 @@ def same_second_distance(g1: Graph, g2: Graph) -> bool:
 
 
 def euclidean_representation(g: Graph, beta: float) -> Configuration:
-    """A centroid-centered configuration realizing the EDM A + beta*Abar: the
-    pass's configuration builder on one eigh of V.T A V, columns in
-    decreasing order of the eigenvalues of X(beta) = (beta I + (beta - 1) V.T A V)/2."""
+    """A centroid-centered configuration realizing the EDM A + beta*Abar from one
+    eigh of V.T A V: a column per eigenvalue of X(beta) = (beta I + (beta - 1)
+    V.T A V)/2 that ``linalg.sign_masks`` counts positive, in decreasing order."""
     _require_nondegenerate(class_stack(g.adj[None]))
     v = build_v(g.n)
     w, u = np.linalg.eigh(project_adjacency(g.adj, v))
@@ -305,7 +301,7 @@ def euclidean_representation(g: Graph, beta: float) -> Configuration:
         raise InfeasibleBetaError(beta, float(x.min()))
     if beta > 1.0:  # x ascends with w
         x, u = x[::-1], u[:, ::-1]
-    points = _configurations(lift(u, v)[None], x[None], None)[0]
+    points = _points(lift(u, v), x, ~linalg.sign_masks(x)[1])
     return Configuration(points[:, points.any(axis=0)])
 
 
@@ -400,13 +396,13 @@ class _Stack:
     def configuration(self, side: str, rows=slice(None)) -> np.ndarray:
         """(k, n, n-1) centroid-centered configurations at beta_l, beta_u or
         beta_i (side "l", "u" or "i") of the graphs ``rows`` (all by default),
-        zero columns where X(beta) vanishes. Needs the eigenvectors: a pass
+        whose projected Gram X(beta) = (beta I + (beta - 1) V.T A V)/2 vanishes
+        on the extreme group at its endpoint. Needs the eigenvectors: a pass
         run with ``vectors=True``, or on a stack with an irregular graph."""
         beta = {"l": self.beta_l, "u": self.beta_u, "i": self.beta_i}[side][rows, None]
-        zero = {"l": self.groups.masks[1], "u": self.groups.masks[0]}.get(side)
-        return _configurations(lift(self.basis[rows], build_v(self.n)),
-                               0.5 * (beta + (beta - 1.0) * self.eigenvalues[rows]),
-                               None if zero is None else zero[rows])
+        zero = {"l": self.groups.masks[1][rows], "u": self.groups.masks[0][rows]}.get(side, False)
+        return _points(lift(self.basis[rows], build_v(self.n)),
+                       0.5 * (beta + (beta - 1.0) * self.eigenvalues[rows]), zero)
 
     def report(self, i: int) -> ReprReport:
         """The ReprReport of graph i; raises its error if it has one. NaN reads None, as do
@@ -420,22 +416,6 @@ class _Stack:
                for name in _COLUMNS]
         return ReprReport(self.n, cls, degenerate, *[None if v != v else v for v in row],
                           *lower_bounds(max(self.n, 2)))
-
-
-def _configurations(z: np.ndarray, x: np.ndarray, zero: Optional[np.ndarray]) -> np.ndarray:
-    """(k, n, n-1) centroid-centered configurations realizing A + beta*Abar,
-    from the lifted eigenvectors z of V.T A V and the eigenvalues x (k, n-1)
-    of X(beta) = (beta I + (beta - 1) V.T A V)/2 on them.
-
-    X(beta) is the projected Gram of the configuration, so the points are the
-    columns z sqrt(x); the extreme group ``zero`` is exactly 0 at its own
-    endpoint, and every x that ``linalg.sign_masks`` does not count positive
-    gives a zero column.
-    """
-    if zero is not None:
-        x = np.where(zero, 0.0, x)
-    _, pos = linalg.sign_masks(x)
-    return z * np.sqrt(np.where(pos, x, 0.0))[:, None, :]
 
 
 def _analyze_stack(adj: np.ndarray, tol: float = linalg.EIG_TOL,

@@ -248,6 +248,17 @@ class TestEmbed:
         assert err == ("" if code == 0 else "error: beta must be positive and differ from "
                        "the first squared distance 1 by more than 1e-7\n")
 
+    @pytest.mark.parametrize("beta,code", [("1e-12", 4), ("1e-8", 4), ("1e-7", 4), ("2e-7", 0)])
+    def test_beta_within_verify_tolerance_of_0(self, beta, code, tmp_path, capsys):
+        # K3,2's non-adjacent pairs coincide at such a beta, which
+        # verification cannot tell from 0; just above it the embedding verifies
+        out = tmp_path / "x.csv"
+        got, _, err = run(["embed", "--g6", "DFw", "--mode", "euclidean", "--beta", beta,
+                           "--out", str(out)], capsys)
+        assert got == code and out.exists() == (code == 0)
+        assert err == ("" if code == 0 else "error: beta must exceed 1e-7: verification cannot "
+                       "tell a smaller second squared distance from 0\n")
+
     def test_nonspherical_endpoint_exits_4(self, tmp_path, capsys, bow_tie):
         code, _, err = run(["embed", "--g6", encode_graph6(bow_tie), "--mode",
                             "spherical", "--side", "upper",
@@ -296,14 +307,17 @@ class TestEmbed:
         # K3 + K2 admits every beta > 1, but at 1e308 its configuration loses
         # the first distance to rounding and fails verification; the sidecar
         # radius is computed only for a verified configuration, so nothing
-        # overflows on the way to the one stderr line
+        # overflows on the way to the one stderr line. For K3 + K1 at 1.7e308
+        # the diagonal of the pair distances overflows; verification never
+        # reads it, and it warns nothing either
         out = tmp_path / "x.csv"
-        code, _, err = run(["embed", "--g6", "DwC", "--mode", "euclidean", "--beta", "1e308",
-                            "--out", str(out)], capsys)
-        assert code == 3 and not out.exists()
-        assert err.startswith("error: configuration failed two-distance verification "
-                              "(max deviation ")
-        assert len(err.splitlines()) == 1
+        for g6, beta in (("DwC", "1e308"), ("Cw", "1.7e308")):
+            code, _, err = run(["embed", "--g6", g6, "--mode", "euclidean", "--beta", beta,
+                                "--out", str(out)], capsys)
+            assert code == 3 and not out.exists()
+            assert err.startswith("error: configuration failed two-distance verification "
+                                  "(max deviation ")
+            assert len(err.splitlines()) == 1
 
     def test_internal_consistency_exits_3(self, tmp_path, capsys, bow_tie, monkeypatch):
         def fail(*args, **kwargs):
@@ -322,12 +336,39 @@ class TestEmbed:
         assert len(err.splitlines()) == 1
 
     def test_unwritable_sidecar_exits_2(self, tmp_path, capsys):
-        # the CSV is written, then the sidecar path is a directory: name the sidecar
+        # the sidecar path is a directory: name the sidecar, leave no CSV and
+        # no temporary file behind, and leave an earlier CSV as it was
         out = tmp_path / "x.csv"
         (tmp_path / "x.csv.json").mkdir()
+        for before in (None, b"0,1\r\n"):
+            if before is not None:
+                out.write_bytes(before)
+            code, _, err = run(["embed", "--g6", "DqK", "--mode", "jspherical",
+                                "--out", str(out)], capsys)
+            assert code == 2 and err == f"error: cannot write {out}.json: Is a directory\n"
+            assert (out.read_bytes() if out.exists() else None) == before
+            assert sorted(p.name for p in tmp_path.iterdir()) == \
+                ["x.csv", "x.csv.json"][before is None:]
+
+    def test_out_through_symlink(self, tmp_path, capsys):
+        # the CSV goes to the file the link names; the link stays a link
+        (tmp_path / "real.csv").write_bytes(b"")
+        (tmp_path / "x.csv").symlink_to("real.csv")
+        code, _, _ = run(["embed", "--g6", "DqK", "--mode", "jspherical",
+                          "--out", str(tmp_path / "x.csv")], capsys)
+        assert code == 0 and (tmp_path / "x.csv").is_symlink()
+        assert len((tmp_path / "real.csv").read_text().splitlines()) == 5
+
+    def test_out_not_a_regular_file_exits_2(self, tmp_path, capsys):
+        # a pipe (like a device such as /dev/null) is never replaced, nor
+        # opened: the command writes nothing and does not block on it
+        out = tmp_path / "x.csv"
+        os.mkfifo(out)
         code, _, err = run(["embed", "--g6", "DqK", "--mode", "jspherical", "--out", str(out)],
                            capsys)
-        assert code == 2 and err == f"error: cannot write {out}.json: Is a directory\n"
+        assert code == 2 and err == f"error: cannot write {out}: not a regular file\n"
+        assert not out.is_file() and out.exists()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["x.csv"]
 
     MODES = {"euclidean": ["--mode", "euclidean", "--beta", "2"],
              "spherical": ["--mode", "spherical"], "jspherical": ["--mode", "jspherical"]}

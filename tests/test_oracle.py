@@ -8,7 +8,7 @@ from twodist import linalg, oracle, representations as reps
 from twodist.edm import Configuration
 from twodist.graphs import (Graph, classify, cluster_graph, complement,
                             complete_graph, complete_multipartite_graph,
-                            cycle_graph, from_mask, mask_stack, null_graph)
+                            cycle_graph, from_mask, mask_stack, null_graph, parse_graph6)
 
 
 class TestVerifyTwoDistance:
@@ -46,6 +46,14 @@ class TestVerifyTwoDistance:
         pts[0, 0] += 1e-3
         rep = oracle.verify_two_distance(Configuration(pts), bow_tie, 1.0, 2.0)
         assert not rep.passed
+
+    def test_group_means_finite_near_float_limit(self):
+        # K3 + K2 at beta = 1e308: a group of two pair distances near the
+        # float limit has a finite mean, though their sum overflows
+        g = parse_graph6("DwC")
+        rep = oracle.verify_two_distance(reps.euclidean_representation(g, 1e308), g, 1.0, 1e308)
+        assert all(math.isfinite(mean) for mean, _ in rep.distinct_sq_distances)
+        assert any(count > 1 and mean > 1e307 for mean, count in rep.distinct_sq_distances)
 
     def test_size_mismatch(self):
         with pytest.raises(ValueError):

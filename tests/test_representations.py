@@ -502,7 +502,7 @@ class TestAnalyzeGraph:
         g = {"c9": cycle_graph(9), "bow_tie": bow_tie,
              "p3_k1": Graph.from_edges(4, [(0, 1), (0, 2)])}[name]
         calls = []
-        for fn in ("_analyze_stack", "_radius2", "lift", "_configurations", "_circumcenter",
+        for fn in ("_analyze_stack", "_radius2", "lift", "_points", "_circumcenter",
                    "_witness_radius", "_require_nondegenerate", "endpoint_sphericity",
                    "euclidean_representation", "j_spherical", "_edm_at"):
             orig = getattr(reps, fn)
