@@ -15,7 +15,18 @@ from .representations import (BetaIntervals, DegenerateGraphError, JSpherical,
                               dim_euclidean, dim_spherical,
                               euclidean_representation, j_spherical,
                               lower_bounds, same_second_distance)
-from .oracle import discriminating_roots, invariant_sweep, verify_two_distance
+
+#: Names that ``twodist.oracle`` provides; it loads on the first use of one,
+#: so that an analysis does not pay for the cross-checks' imports.
+_ORACLE_NAMES = ("discriminating_roots", "invariant_sweep", "verify_two_distance")
+
+
+def __getattr__(name: str):
+    if name in _ORACLE_NAMES:
+        from . import oracle
+        return getattr(oracle, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "Graph", "GraphClass", "GraphFormatError", "adjacency_matrix", "classify",

@@ -12,14 +12,13 @@ along leading axes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
 
-@dataclass(frozen=True)
-class VBasis:
+class VBasis(NamedTuple):
     """n x (n-1) matrix V with orthonormal columns spanning the complement of e,
     held as its rank-one part ``u`` only: ``V = [0; I] + u 1.T``.
     """
@@ -78,7 +77,10 @@ def project_adjacency(a: np.ndarray, v: VBasis) -> np.ndarray:
     au = a @ v.u
     s = au[..., 1:]
     c = au @ v.u
-    return a[..., 1:, 1:] + (s[..., :, None] + s[..., None, :]) + c[..., None, None]
+    out = s[..., :, None] + s[..., None, :]  # the one n x n temporary, added into in place
+    out += a[..., 1:, 1:]
+    out += c[..., None, None]
+    return out
 
 
 def projected_gram(d: np.ndarray, v: VBasis) -> np.ndarray:

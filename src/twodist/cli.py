@@ -17,7 +17,7 @@ from typing import Optional
 
 import numpy as np
 
-from . import __version__, edm, linalg, oracle, representations as reps
+from . import __version__, edm, linalg, representations as reps
 from .graphs import Graph, GraphFormatError, encode_graph6, parse_edge_list, parse_graph6
 
 EXIT_OK = 0
@@ -125,6 +125,7 @@ def _write_coordinates(path: str, config: edm.Configuration, sidecar: dict) -> i
 
 
 def cmd_embed(args) -> int:
+    from . import oracle  # loaded here only: analyze never verifies
     g = _load_graph(args)
     if args.mode == "euclidean":
         if args.beta is None:
@@ -179,6 +180,7 @@ def cmd_embed(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    from . import oracle
     if not 2 <= args.n <= 8:
         print(f"error: n_max too {'large' if args.n > 8 else 'small'} (must be 2..8)",
               file=sys.stderr)

@@ -14,8 +14,7 @@ and the tests check it against.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -34,14 +33,12 @@ class InternalConsistencyError(RuntimeError):
     """The program's own answers contradict each other beyond tolerance."""
 
 
-@dataclass(frozen=True)
-class EdmCheck:
+class EdmCheck(NamedTuple):
     is_edm: bool
     embedding_dim: int
 
 
-@dataclass(frozen=True)
-class Configuration:
+class Configuration(NamedTuple):
     """n x r coordinate matrix, one point per row."""
 
     points: np.ndarray
@@ -62,13 +59,11 @@ class Configuration:
         return np.maximum(d, 0.0)
 
 
-@dataclass(frozen=True)
-class GaleMatrix:
+class GaleMatrix(NamedTuple):
     z: np.ndarray  # n x (n - r - 1)
 
 
-@dataclass(frozen=True)
-class SphereInfo:
+class SphereInfo(NamedTuple):
     radius: float
     center: np.ndarray  # in the centroid-origin frame
     w: np.ndarray
@@ -150,8 +145,7 @@ def gale_matrix(d: np.ndarray) -> GaleMatrix:
     raise FullDimensionError("full embedding dimension: empty Gale space")
 
 
-@dataclass(frozen=True)
-class SphereStack:
+class SphereStack(NamedTuple):
     """``spherical_info``'s decisions for a stack of matrices, one entry each:
     the Dw = e radius (NaN where not spherical), w, e.T w, and the error the
     single-matrix query raises, or None."""

@@ -94,8 +94,7 @@ class Graph:
         return frozenset(zip(iu.tolist(), ju.tolist()))
 
 
-@dataclass(frozen=True)
-class GraphClass:
+class GraphClass(NamedTuple):
     """Most specific structural label plus the two family membership flags.
 
     Tag precedence: complete > null > cluster > complete_multipartite > general.
@@ -125,7 +124,7 @@ def parse_edge_list(text: str) -> Graph:
             continue
         if n is None:
             try:
-                n = int(line.split()[0])
+                n = int(line)
             except ValueError:
                 raise GraphFormatError(f"line {lineno}: expected node count, got {line!r}")
             _check_order(n, f"line {lineno}: ")
@@ -283,8 +282,8 @@ def class_stack(adj: np.ndarray) -> ClassStack:
     np.logical_or(adj, np.eye(n, dtype=bool), out=closed[0])
     np.logical_not(adj, out=closed[1])  # the complement's adjacency with a true diagonal
     labels = closed.argmax(axis=-1)
-    members = np.logical_and.reduce(closed == (labels[..., :, None] == labels[..., None, :]),
-                                    axis=(-2, -1))
+    same = labels[..., :, None] == labels[..., None, :]
+    members = np.logical_and.reduce(np.equal(closed, same, out=same), axis=(-2, -1))
     null = ~np.logical_or.reduce(adj, axis=(-2, -1)) & (n > 1)
     return ClassStack(_TAGS[_FAMILY_CODE @ members + null], members, labels, *members)
 

@@ -10,7 +10,6 @@ records how far the merged eigenvalues lie from the group value.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple, Tuple
 
 import numpy as np
@@ -37,8 +36,7 @@ class NotInColumnSpaceError(ValueError):
     """Right-hand side is not in the column space of the matrix."""
 
 
-@dataclass(frozen=True)
-class SpectralGroup:
+class SpectralGroup(NamedTuple):
     value: float
     multiplicity: int
     basis: np.ndarray  # order x multiplicity, orthonormal columns
@@ -47,8 +45,7 @@ class SpectralGroup:
     spread: float
 
 
-@dataclass(frozen=True)
-class Spectrum:
+class Spectrum(NamedTuple):
     """Clustered spectral decomposition, groups in strictly decreasing order."""
 
     groups: tuple

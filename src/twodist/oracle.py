@@ -14,7 +14,7 @@ import json
 import math
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -33,8 +33,7 @@ VERIFY_TOL = 1e-7
 SWEEP_TOL = 1e-7
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(NamedTuple):
     distinct_sq_distances: tuple  # ((value, pair_count), ...)
     max_deviation: float
     passed: bool
@@ -192,8 +191,7 @@ class SweepSummary:
         return json.dumps(self.to_dict(), **kw)
 
 
-@dataclass
-class _Check:
+class _Check(NamedTuple):
     """One invariant over a stack: where it applies, where it holds, its
     error per graph (or None) and the violation detail of graph i."""
 

@@ -18,8 +18,7 @@ graph of an order at once.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
-from typing import Optional, Tuple
+from typing import NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -51,8 +50,7 @@ class InfeasibleBetaError(ValueError):
         self.eigenvalue = eigenvalue
 
 
-@dataclass(frozen=True)
-class BetaIntervals:
+class BetaIntervals(NamedTuple):
     """Feasible second-distance values as closed/open intervals excluding 1."""
 
     intervals: tuple  # ((lo, lo_closed, hi, hi_closed), ...)
@@ -63,8 +61,7 @@ class BetaIntervals:
                    for lo, lo_closed, hi, hi_closed in self.intervals)
 
 
-@dataclass(frozen=True)
-class JSpherical:
+class JSpherical(NamedTuple):
     delta: float
     beta: float  # second squared distance 2 + 2*delta
     dim_j: int
@@ -181,8 +178,7 @@ def _radius2(beta: np.ndarray, w: np.ndarray, q: np.ndarray, mean_deg: np.ndarra
     return (beta * (n - 1) + (1.0 - beta) * (mean_deg + terms.sum(axis=-1) / n)) / (2.0 * n)
 
 
-@dataclass(frozen=True)
-class _JStack:
+class _JStack(NamedTuple):
     """J-spherical data of a stack of order-n graphs: the top eigenvalue group
     of each Abar."""
 
@@ -314,8 +310,7 @@ def lower_bounds(n: int) -> Tuple[float, float]:
     return lb_e, lb_s
 
 
-@dataclass(frozen=True)
-class ReprReport:
+class ReprReport(NamedTuple):
     """Aggregated analysis of one graph; None marks inapplicable fields."""
 
     n: int
@@ -347,16 +342,15 @@ class ReprReport:
         doc = {"n": self.n, "class": cls.tag,
                "partition": list(cls.partition) if cls.partition else None,
                "is_cluster": cls.is_cluster, "is_multipartite": cls.is_multipartite}
-        doc.update((f.name, getattr(self, f.name)) for f in fields(self)[2:])
+        doc.update(zip(self._fields[2:], self[2:]))
         return doc
 
 
 #: A report's per-graph answers in field order, each read off the _Stack array of its name.
-_COLUMNS = tuple(f.name for f in fields(ReprReport)[3:-2])
+_COLUMNS = ReprReport._fields[3:-2]
 
 
-@dataclass
-class _Stack:
+class _Stack(NamedTuple):
     """One analysis pass over a (k, n, n) stack of graphs of order n.
 
     Every ReprReport field but the lower bounds, which depend on n only, is

@@ -1,6 +1,5 @@
 import argparse
 import csv
-import dataclasses
 import io
 import json
 import math
@@ -292,7 +291,7 @@ class TestEmbed:
             js = real(g)
             points = js.config.points.copy()
             points[0, 0] += 1e-3
-            return dataclasses.replace(js, config=Configuration(points))
+            return js._replace(config=Configuration(points))
         monkeypatch.setattr(reps, "j_spherical", perturbed)
         out = tmp_path / "x.csv"
         code, _, err = run(["embed", "--g6", encode_graph6(bow_tie), "--mode", "jspherical",
@@ -602,4 +601,22 @@ def test_no_scipy_at_runtime(tmp_path):
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     proc = subprocess.run([sys.executable, "-c", code, encode_graph6(cycle_graph(9)),
                            str(tmp_path / "x.csv")], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_analysis_does_not_load_the_oracle():
+    # oracle (and its json) loads on first use: analyze_graph loads neither,
+    # and twodist analyze does not load oracle
+    code = "\n".join([
+        "import sys",
+        "from twodist import analyze_graph, parse_graph6",
+        "analyze_graph(parse_graph6('Dug'))",
+        "loaded = [m for m in ('twodist.oracle', 'json') if m in sys.modules]",
+        "assert not loaded, loaded",
+        "from twodist import cli",
+        "assert cli.main(['analyze', '--g6', 'Dug']) == 0",
+        "assert 'twodist.oracle' not in sys.modules"])
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr

@@ -98,6 +98,7 @@ class TestEdgeListParsing:
     @pytest.mark.parametrize("text,fragment", [
         ("", "empty"),
         ("x\n", "line 1"),
+        ("2 3\n0 1\n", "line 1"),
         ("3\n0 1 2\n", "line 2"),
         ("3\n0 a\n", "line 2"),
         ("3\n1 1\n", "loop"),

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 from itertools import combinations
 
@@ -529,7 +528,7 @@ class TestAnalyzeGraph:
 
         def broken(*args):
             js = real(*args)
-            return dataclasses.replace(js, dim_j=np.ones_like(js.dim_j))
+            return js._replace(dim_j=np.ones_like(js.dim_j))
         monkeypatch.setattr(reps, "_j_arrowhead", broken)
         with pytest.raises(edm.InternalConsistencyError, match="lower_bound_e <= dim_e"):
             reps.analyze_graph(cycle_graph(5))
@@ -541,7 +540,7 @@ class TestAnalyzeGraph:
         real = reps._j_arrowhead
 
         def broken(*args):
-            return dataclasses.replace(real(*args), top=np.full(1, -1.0))
+            return real(*args)._replace(top=np.full(1, -1.0))
         monkeypatch.setattr(reps, "_j_arrowhead", broken)
         g = cycle_graph(5)
         with pytest.raises(edm.InternalConsistencyError) as expected:
@@ -554,9 +553,9 @@ class TestAnalyzeGraph:
     def test_report_columns_are_stack_fields(self):
         # every per-graph report column is a _Stack array by the same name, so
         # a ReprReport field without its column fails here
-        stack_fields = [f.name for f in dataclasses.fields(reps._Stack)]
+        stack_fields = list(reps._Stack._fields)
         assert set(reps._COLUMNS) <= set(stack_fields)
-        report_fields = [f.name for f in dataclasses.fields(reps.ReprReport)]
+        report_fields = list(reps.ReprReport._fields)
         assert report_fields == ["n", "graph_class", "degenerate", *reps._COLUMNS,
                                  "lower_bound_e", "lower_bound_s"]
 
@@ -593,12 +592,12 @@ def _stack_graphs():
 
 def _assert_same_report(got, want):
     """Integer, flag and class fields equal; float fields within 1e-12."""
-    for f in dataclasses.fields(want):
-        a, b = getattr(got, f.name), getattr(want, f.name)
+    for name in want._fields:
+        a, b = getattr(got, name), getattr(want, name)
         if isinstance(b, float):
-            assert a == pytest.approx(b, abs=1e-12), f.name
+            assert a == pytest.approx(b, abs=1e-12), name
         else:
-            assert type(a) is type(b) and a == b, f.name
+            assert type(a) is type(b) and a == b, name
 
 
 def _assert_same_row(st1, st2, i):
