@@ -225,6 +225,20 @@ def complement_adjacency(adj: np.ndarray) -> np.ndarray:
     return ~adj & ~np.eye(adj.shape[-1], dtype=bool)
 
 
+def connected_stack(adj: np.ndarray) -> np.ndarray:
+    """Whether each graph of a (k, n, n) boolean adjacency stack is connected:
+    whether the nodes reached from node 0, grown n - 2 times by their
+    neighbours, are all n. The matrix axes go first so that each step is one
+    contiguous operation over the stack."""
+    n = adj.shape[-1]
+    a = adj.transpose(1, 2, 0).copy()  # a[i, j] is the (k,) row of edges ij
+    reached = a[0].copy()
+    reached[0] = True
+    for _ in range(n - 2):
+        reached |= np.logical_or.reduce(a & reached, axis=1)
+    return np.logical_and.reduce(reached, axis=0)
+
+
 def complement(g: Graph) -> Graph:
     """Graph with an edge exactly where g has none."""
     return Graph(g.n, complement_adjacency(g.adj))

@@ -20,7 +20,9 @@ import numpy as np
 
 from . import edm, representations as reps
 from .edm import Configuration
-from .graphs import Graph, class_stack, complement_adjacency, encode_graph6, mask_stack, triu_pairs
+from .centering import build_v, lift
+from .graphs import (Graph, class_stack, complement_adjacency, connected_stack, encode_graph6,
+                     mask_stack, triu_pairs)
 
 # Whenever an upper root exists, mu_min <= -4/3, so t2 <= 4; T_MAX brackets it widely.
 T_MAX = 40.0
@@ -213,30 +215,33 @@ def _sweep_stack(summary: SweepSummary, adj: np.ndarray, comp: np.ndarray,
     has_l, has_u = ~np.isnan(st.beta_l), ~np.isnan(st.beta_u)
     live = ~deg & (errors == None)  # noqa: E711
 
-    # Constructive checks, built only for the rows in ``checked``: the
-    # configurations at each endpoint and at the interior beta (the spherical
-    # witness is one of these), the J-spherical configuration's distances and
-    # unit rows; and the circumradius of the configuration at a spherical
-    # upper endpoint, for the radius check.
+    # Constructive checks, built only for the rows in ``checked`` from one
+    # lift of the pass's eigenvectors: the configurations at each endpoint
+    # and at the interior beta (the spherical witness is one of these), the
+    # J-spherical configuration's distances and unit rows; and the
+    # circumradius of the configuration at a spherical upper endpoint, for
+    # the radius check. The J points are a closed form in the pass's
+    # eigenpairs, q and delta: their unit rows check delta and their
+    # distances dim_J. dim_j_connected_complement checks dim_J with no
+    # eigensolver.
     sel = np.flatnonzero(checked)
     sub = adj[sel]
+    lifted = lift(st.basis[sel], build_v(n))
     at_u = live & st.spherical_at_u & checked
     dev, ok = np.zeros(sel.size), np.ones(sel.size, dtype=bool)
-    for side, beta, has in (("l", st.beta_l, has_l), ("u", st.beta_u, has_u), ("i", st.beta_i, live)):
-        points = st.configuration(side, sel)
-        d, passed, _ = _verify_stack(points, sub, 1.0, beta[sel])
+    row_norm_err = np.zeros(k)
+    for side, alpha, beta, has in (("l", 1.0, st.beta_l, has_l), ("u", 1.0, st.beta_u, has_u),
+                                   ("i", 1.0, st.beta_i, live), ("j", 2.0, st.beta_j, live)):
+        points = st.configuration(side, sel, lifted)
+        d, passed, _ = _verify_stack(points, sub, alpha, beta[sel])
         dev = np.where(has[sel], np.fmax(dev, d), dev)
         ok &= ~has[sel] | passed
         if side == "u":
             witness = reps._witness_radius(points[at_u[sel]]) ** 2
-    # the J-spherical points from an eigh of Abar, with the pass's delta and dim_J
-    w, q = np.linalg.eigh(complement_adjacency(sub).astype(float))
-    with np.errstate(invalid="ignore"):  # delta = inf where lambda_max(Abar) = 0
-        j_config = reps._points(q, 1.0 - st.delta[sel, None] * w, np.arange(n) >= st.dim_j[sel, None])
-    d, passed, _ = _verify_stack(j_config, sub, 2.0, st.beta_j[sel])
-    config_dev, config_ok, row_norm_err = np.zeros(k), np.ones(k, dtype=bool), np.zeros(k)
-    config_dev[sel], config_ok[sel] = np.fmax(dev, d), ok & passed
-    row_norm_err[sel] = np.abs(np.einsum("kij,kij->ki", j_config, j_config) - 1.0).max(axis=-1)
+        elif side == "j":
+            row_norm_err[sel] = np.abs(np.einsum("kij,kij->ki", points, points) - 1.0).max(axis=-1)
+    config_dev, config_ok = np.zeros(k), np.ones(k, dtype=bool)
+    config_dev[sel], config_ok[sel] = dev, ok
 
     # Radius consistency at a spherical upper endpoint: the reported radius
     # (the closed form) and that circumradius vs the Dw = e radius.
@@ -287,6 +292,8 @@ def _sweep_stack(summary: SweepSummary, adj: np.ndarray, comp: np.ndarray,
         _Check("dim_chain", pair, (st.dim_e <= st.dim_s) & (st.dim_s <= st.dim_j),
                detail=lambda i: f"{st.dim_e[i]},{st.dim_s[i]},{st.dim_j[i]}"),
         _Check("dim_e_at_most_n-2", pair, st.dim_e <= n - 2),
+        _Check("dim_j_connected_complement", pair & c(connected_stack(adj)), st.dim_j == n - 1,
+               detail=lambda i: f"dim_j={st.dim_j[i]}"),
         _Check("lower_bounds", pair, (st.dim_e >= lb_e - 1e-9) & (st.dim_s >= lb_s - 1e-9),
                detail=lambda i: f"dims=({st.dim_e[i]},{st.dim_s[i]}) lbs=({lb_e:.4f},{lb_s:.4f})"),
         _Check("dim_e_complement", dual, st.dim_e == c(st.dim_e)),

@@ -10,9 +10,15 @@ The analysis is one pass over a stack of graphs of one order
 is one stacked eigendecomposition of V.T A V followed by array operations.
 The radii are closed forms in its eigenpairs, and the complement adjacency
 is an arrowhead matrix in its eigenbasis, whose top eigenvalue is a root of
-its secular equation; a regular graph needs only the eigenvalues.
-``analyze_graph`` is that pass on a stack of one; the sweep runs it on every
-graph of an order at once.
+its secular equation; a regular graph needs only the eigenvalues. That root
+is always lambda_max: the complement adjacency is nonnegative, so it has a
+nonnegative top eigenvector (Perron-Frobenius), which is not orthogonal to
+the all-ones vector. So the J-spherical points are a closed form in the same
+eigenpairs too (``_Stack.configuration``). ``analyze_graph`` is that pass on
+a stack of one; the sweep runs it on every graph of an order at once.
+``j_spherical`` decomposes the complement adjacency of one graph instead,
+which is cheaper there than the pass, and is the tests' reference for the
+closed form.
 """
 
 from __future__ import annotations
@@ -253,7 +259,12 @@ def _j_arrowhead(adj: np.ndarray, corner: np.ndarray, z: np.ndarray, d: np.ndarr
 
 
 def j_spherical(g: Graph) -> JSpherical:
-    """The unique J-spherical representation: unit sphere, first distance 2."""
+    """The unique J-spherical representation: unit sphere, first distance 2.
+
+    One eigh of Abar, whose eigenvectors give the points. On one graph that
+    is cheaper than the analysis pass, whose eigenpairs give the same points
+    in closed form (``_Stack.configuration("j")``, which the sweep builds);
+    the tests compare the two."""
     _require_nondegenerate(class_stack(g.adj[None]))
     w, q = np.linalg.eigh(adjacency_matrix(complement(g))[None])
     js = _j_stack(w, linalg.EIG_TOL).check()
@@ -358,8 +369,11 @@ class _Stack(NamedTuple):
     integer and flag fields are meaningless there.
     ``errors[i]`` is the InternalConsistencyError that ``analyze_graph`` raises
     for graph i, or None. The spectrum, its eigenvectors (when the pass ran
-    eigh) and an interior beta_i stay for the sweep, ``embed`` and
-    ``dim_spherical``, which build the configurations from them.
+    eigh), q and an interior beta_i stay for the sweep, ``embed`` and
+    ``dim_spherical``, which build the configurations from them: those at
+    beta_l, beta_u and beta_i and, for the sweep, the J-spherical one, which
+    needs no decomposition of Abar since Perron-Frobenius makes
+    lambda_max(Abar) the root of its secular equation (see ``configuration``).
     """
 
     n: int
@@ -385,18 +399,44 @@ class _Stack(NamedTuple):
     eigenvalues: np.ndarray = None   # (k, n-1) of V.T A V, ascending
     groups: Optional[linalg.ExtremeGroups] = None
     beta_i: np.ndarray = None
-    basis: Optional[np.ndarray] = None  # eigenvectors of V.T A V, if the pass ran eigh
+    basis: Optional[np.ndarray] = None  # eigenvectors U of V.T A V, if the pass ran eigh
+    q: np.ndarray = None  # U.T V.T (d - mean d) for the degree vector d; 0 without U
 
-    def configuration(self, side: str, rows=slice(None)) -> np.ndarray:
-        """(k, n, n-1) centroid-centered configurations at beta_l, beta_u or
-        beta_i (side "l", "u" or "i") of the graphs ``rows`` (all by default),
-        whose projected Gram X(beta) = (beta I + (beta - 1) V.T A V)/2 vanishes
-        on the extreme group at its endpoint. Needs the eigenvectors: a pass
-        run with ``vectors=True``, or on a stack with an irregular graph."""
+    def configuration(self, side: str, rows=slice(None), lifted=None) -> np.ndarray:
+        """(k, n, n-1) configurations of the graphs ``rows`` (all by default):
+        the centroid-centered ones at beta_l, beta_u or beta_i (side "l", "u"
+        or "i"), whose projected Gram X(beta) = (beta I + (beta - 1) V.T A V)/2
+        vanishes on the extreme group at its endpoint, or the J-spherical one
+        (side "j"). ``lifted`` is V U of those rows, for a caller that builds
+        several. Needs the eigenvectors: a pass run with ``vectors=True``, or
+        on a stack with an irregular graph.
+
+        The J points come from the same eigensystem. In the basis
+        [e/sqrt(n), V U], the Gram matrix I - delta Abar is I - delta H for
+        the arrowhead H of ``_analyze_stack``. With g_j = 1 + delta (1 + w_j)
+        it is F F.T for the n - 1 columns sqrt(g_j) (delta q_j/(sqrt(n) g_j), e_j):
+        their corner sum_j delta^2 q_j^2/(n g_j) is 1 - delta H[0, 0] because
+        lambda_max(Abar) = 1/delta solves H's secular equation. It always
+        does: Abar >= 0 has a nonnegative top eigenvector (Perron-Frobenius),
+        which is not orthogonal to e. So the points are the rows of
+        (V U + e (delta q/(n g)).T) sqrt(g). g vanishes exactly on the columns
+        of a tie for lambda_max, the n - 1 - dim_J smallest w; they are zero,
+        and the head term delta q/(n g) is formed only on the other columns.
+        """
+        if lifted is None:
+            lifted = lift(self.basis[rows], build_v(self.n))
+        w = self.eigenvalues[rows]
+        if side == "j":
+            delta = self.delta[rows, None]
+            with np.errstate(invalid="ignore"):  # delta = inf where lambda_max(Abar) = 0
+                gram = 1.0 + delta * (1.0 + w)
+                keep = (np.arange(self.n - 1) >= self.n - 1 - self.dim_j[rows, None]) & (gram > 0.0)
+                head = np.divide(delta * self.q[rows], self.n * gram, out=np.zeros_like(gram),
+                                 where=keep)
+            return _points(lifted + head[..., None, :], gram, ~keep)
         beta = {"l": self.beta_l, "u": self.beta_u, "i": self.beta_i}[side][rows, None]
         zero = {"l": self.groups.masks[1][rows], "u": self.groups.masks[0][rows]}.get(side, False)
-        return _points(lift(self.basis[rows], build_v(self.n)),
-                       0.5 * (beta + (beta - 1.0) * self.eigenvalues[rows]), zero)
+        return _points(lifted, 0.5 * (beta + (beta - 1.0) * w), zero)
 
     def report(self, i: int) -> ReprReport:
         """The ReprReport of graph i; raises its error if it has one. NaN reads None, as do
@@ -533,7 +573,7 @@ def _analyze_stack(adj: np.ndarray, tol: float = linalg.EIG_TOL,
         dim_s=dim_s, dim_s_witness_beta=np.where(at_l, beta_l, np.where(at_u, beta_u, beta_i)),
         spherical_at_l=spherical_l, spherical_at_u=spherical_u, rho_l=rho_l, rho_u=rho_u,
         delta=delta, beta_j=2.0 + 2.0 * delta, dim_j=js.dim_j,
-        eigenvalues=w, groups=grp, beta_i=beta_i, basis=basis)
+        eigenvalues=w, groups=grp, beta_i=beta_i, basis=basis, q=q)
 
 
 def _analyze_single(g: Graph, vectors: bool = False) -> _Stack:

@@ -15,15 +15,26 @@ def rng() -> np.random.Generator:
     return np.random.default_rng(20260825)
 
 
-@pytest.fixture
-def decompositions(monkeypatch) -> list:
-    """The numpy.linalg decompositions called during the test, by name, in order."""
+def _record_decompositions(monkeypatch, entry) -> list:
+    """entry(name, args) of each numpy.linalg decomposition called during the test, in order."""
     calls = []
     for fn in ("eigh", "eigvalsh", "svd", "lstsq"):
         orig = getattr(np.linalg, fn)
 
         def counted(*args, _fn=fn, _orig=orig, **kwargs):
-            calls.append(_fn)
+            calls.append(entry(_fn, args))
             return _orig(*args, **kwargs)
         monkeypatch.setattr(np.linalg, fn, counted)
     return calls
+
+
+@pytest.fixture
+def decompositions(monkeypatch) -> list:
+    """The numpy.linalg decompositions called during the test, by name, in order."""
+    return _record_decompositions(monkeypatch, lambda fn, args: fn)
+
+
+@pytest.fixture
+def decomposition_inputs(monkeypatch) -> list:
+    """(name, matrix stack) of each numpy.linalg decomposition called during the test."""
+    return _record_decompositions(monkeypatch, lambda fn, args: (fn, np.asarray(args[0])))

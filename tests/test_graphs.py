@@ -7,7 +7,7 @@ import pytest
 
 from twodist.graphs import (Graph, GraphFormatError, adjacency_matrix, classify,
                             cluster_graph, complement, complete_graph,
-                            complete_multipartite_graph,
+                            complete_multipartite_graph, connected_stack,
                             encode_graph6, from_mask, mask_stack, null_graph,
                             parse_edge_list, parse_graph6, triu_pairs)
 
@@ -84,6 +84,15 @@ class TestGraphBasics:
             assert sum(1 << j for j, edge in enumerate(g.adj[iu, ju]) if edge) == mask
             if n <= 11:
                 assert np.array_equal(mask_stack(n, np.array([mask]))[0], g.adj)
+
+    def test_connected_stack_against_networkx(self, rng):
+        # every labelled graph on 1-5 nodes, then random ones on 8 and 12
+        stacks = [mask_stack(n, np.arange(1 << (n * (n - 1) // 2))) for n in range(1, 6)]
+        stacks += [np.array([random_graph(rng, n, p).adj for p in (0.1, 0.2, 0.3) * 10])
+                   for n in (8, 12)]
+        for adj in stacks:
+            want = [nx.is_connected(nx.from_numpy_array(a.astype(int))) for a in adj]
+            assert connected_stack(adj).tolist() == want
 
 
 class TestEdgeListParsing:

@@ -228,12 +228,47 @@ class TestInvariantSweep:
         assert checks == {"radius_consistency"}
         assert len(summary.violations) == summary.check_counts["radius_consistency"]
 
+    def test_j_check_sees_delta(self, monkeypatch):
+        # the J points are a closed form in delta, so their distances agree
+        # with beta_j = 2 + 2 delta whatever delta is; a relative error of
+        # 1e-6 in lambda_max(Abar) shows in the unit rows of every graph
+        real = linalg.arrowhead_top
+        monkeypatch.setattr(linalg, "arrowhead_top", lambda *args: real(*args) * (1 + 1e-6))
+        summary = oracle.invariant_sweep(4)
+        flagged = {v["graph6"] for v in summary.violations if v["check"] == "j_rows_unit_norm"}
+        assert len(flagged) == summary.check_counts["j_rows_unit_norm"] == 68
+
+    def test_j_check_sees_dim_j(self, monkeypatch):
+        # one J column fewer than the pass should keep: the graphs whose
+        # dimension chain still holds fail configurations_verify
+        real = reps._j_arrowhead
+
+        def one_fewer(*args):
+            js = real(*args)
+            return js._replace(dim_j=js.dim_j - 1)
+        monkeypatch.setattr(reps, "_j_arrowhead", one_fewer)
+        summary = oracle.invariant_sweep(4)
+        flagged = [v for v in summary.violations if v["check"] == "configurations_verify"]
+        assert len(flagged) == summary.check_counts["configurations_verify"] > 0
+
+    def test_no_eigh_of_complement(self, decomposition_inputs):
+        # every eigh of the sweep decomposes V.T A V or an EDM, never a stack
+        # of complement adjacencies: those are 0/1 with a zero diagonal
+        assert oracle.invariant_sweep(5, sample_7_8=10, seed=1).ok
+        eighs = [m for fn, m in decomposition_inputs if fn == "eigh"]
+        assert eighs
+        for m in eighs:
+            zero_one = np.isin(m, (0.0, 1.0)).all()
+            assert not (zero_one and (np.diagonal(m, axis1=-2, axis2=-1) == 0).all())
+
     @pytest.mark.parametrize("args,kwargs,counts,per_n", [
         ((4,), {}, {"degenerate_complement": 6, "endpoint_sphericity_duality": 52,
-                    "radius_consistency": 15}, {2: 2, 3: 8, 4: 64}),
+                    "radius_consistency": 15, "dim_j_connected_complement": 40},
+         {2: 2, 3: 8, 4: 64}),
         ((3,), {"sample_7_8": 6, "seed": 7}, {"degenerate_complement": 4,
                                               "endpoint_sphericity_duality": 9,
-                                              "radius_consistency": 1},
+                                              "radius_consistency": 1,
+                                              "dim_j_connected_complement": 8},
          {2: 2, 3: 8, 7: 3, 8: 3}),
     ], ids=["n4", "n3-samples"])
     def test_no_check_dropped(self, args, kwargs, counts, per_n):

@@ -371,6 +371,24 @@ class TestJSpherical:
                 assert rep.dim_j == js.dim_j
                 assert rep.delta == pytest.approx(js.delta, abs=1e-12)
 
+    def test_pass_points_match_reference(self):
+        # the pass's closed-form J points against j_spherical's eigh of Abar,
+        # on every labelled graph of order 3-5: unit rows, dim_J nonzero
+        # columns and the Gram matrix I - delta Abar; degenerate rows hold
+        # finite points and raise no floating-point warning
+        for n in range(3, 6):
+            adj = mask_stack(n, np.arange(1 << (n * (n - 1) // 2)))
+            st = reps._analyze_stack(adj, vectors=True)
+            with np.errstate(all="raise"):
+                points = st.configuration("j")
+            assert np.isfinite(points).all()
+            for i in np.flatnonzero(~st.classes.degenerate):
+                p, js = points[i], reps.j_spherical(Graph(n, adj[i]))
+                assert np.abs(np.einsum("ij,ij->i", p, p) - 1.0).max() <= 1e-12
+                assert np.count_nonzero(p.any(axis=0)) == st.dim_j[i] == js.dim_j
+                ref = js.config.points
+                assert np.abs(p @ p.T - ref @ ref.T).max() <= 1e-12
+
 
 class TestClosedFormFamilies:
     @pytest.mark.parametrize("q", [13, 29, 101])
