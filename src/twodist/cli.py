@@ -9,6 +9,7 @@ endpoint). ``_FAILURES`` maps each exception a command raises to its code.
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import math
 import os
@@ -94,8 +95,9 @@ def cmd_analyze(args) -> int:
 def _write(texts: dict) -> int:
     """Write each text to its path (through a symlink; only a regular file is
     replaced) via a temporary name beside it. All move into place once every
-    write succeeded, the first path last, so a failure leaves it as it was; a
-    failure removes what the command wrote and names its path: exit 0 or 2."""
+    write succeeded and every path was found replaceable, the first path
+    last, so a failure leaves every path as it was; a failure removes what
+    the command wrote and names its path: exit 0 or 2."""
     real = {t: os.path.realpath(t) if os.path.islink(t) else t for t in texts}
     made = []  # temporaries, then the targets moved into place
     try:
@@ -104,8 +106,13 @@ def _write(texts: dict) -> int:
                 made.append(fh.name)
                 fh.write(texts[target])
         for target, dest in reversed(real.items()):
-            if not (os.path.isfile(dest) or os.path.isdir(dest)) and os.path.exists(dest):
+            if os.path.isfile(dest):
+                continue
+            if os.path.isdir(dest):
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
+            if os.path.exists(dest):
                 raise OSError(0, "not a regular file")  # a device or pipe, as /dev/null
+        for target, dest in reversed(real.items()):
             os.replace(f"{dest}.{os.getpid()}.tmp", dest)
             made.append(dest)
     except OSError as exc:

@@ -160,21 +160,19 @@ class SphereStack(NamedTuple):
 def sphere_stack(d: np.ndarray) -> SphereStack:
     """Sphericity of a (k, n, n) stack of hollow symmetric matrices.
 
-    The EDM test and embedding dimension r come from ``_gram``; w
-    solves Dw = e by the pseudoinverse of D, whose trace against D gives
-    rank(D); the EDM is spherical when r = n - 1 or rank(D) = r + 1. The
-    Gale matrix Z (V times the projected Gram's null space) and the sign of
-    e.T w cross-check the rank test: only clear contradictions are errors.
+    The EDM test and embedding dimension r come from ``_gram``; one eigh of
+    D gives w = pinv(D) e, which solves Dw = e, and rank(D), the count of its
+    nonzero eigenvalues, without forming pinv(D). The EDM is spherical when
+    r = n - 1 or rank(D) = r + 1. The Gale matrix Z (V times the projected
+    Gram's null space) and the sign of e.T w cross-check the rank test: only
+    clear contradictions are errors.
     """
     d = 0.5 * (d + d.swapaxes(-1, -2))
     k, n = d.shape[0], d.shape[-1]
     _, xu, neg, pos = gram = _gram(d)
     r = np.count_nonzero(pos, axis=-1)
-    d_pinv = linalg.pinv(d)
-    w = d_pinv.sum(axis=-1)
+    w, rank_d = linalg.pinv_solve(d, np.ones((k, n)))
     ew = w.sum(axis=-1)
-    # D pinv(D) projects onto the range of D, so its trace is rank(D)
-    rank_d = np.rint(np.einsum("kij,kji->k", d, d_pinv))
     full = r == n - 1
     spherical = full | (rank_d == r + 1)
     z = lift((~neg & ~pos)[:, None, :] * xu, build_v(n))

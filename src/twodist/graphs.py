@@ -307,7 +307,8 @@ def classify(g: Graph) -> GraphClass:
     return class_stack(g.adj[None]).row(0)
 
 
-# Common constructions, used heavily by the test-suite and the sweep driver.
+# Common constructions for the test-suite and callers of the package; the sweep
+# builds its graphs as adjacency stacks with ``mask_stack`` instead.
 
 def complete_graph(n: int) -> Graph:
     return Graph.from_edges(n, combinations(range(n), 2))

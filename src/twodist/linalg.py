@@ -55,11 +55,27 @@ class Spectrum(NamedTuple):
         return self.groups[0].value
 
 
+def reduce_last(ufunc, a: np.ndarray, initial=None, keepdims: bool = False,
+                dtype=None) -> np.ndarray:
+    """ufunc.reduce(a, axis=-1) for a reduction whose result does not depend
+    on the order: maximum, minimum, logical and/or, and sums of integers.
+
+    NumPy reduces the rows of a C-ordered stack one at a time, about ten times
+    slower than a whole-stack operation when they are short, so a stack with
+    more rows than entries per row is reduced from a Fortran-ordered copy.
+    """
+    if a.shape[-1] ** 2 < a.size:
+        a = np.asfortranarray(a)
+    if initial is None:
+        return ufunc.reduce(a, -1, dtype, None, keepdims)
+    return ufunc.reduce(a, -1, dtype, None, keepdims, initial)
+
+
 def cluster_gap(w: np.ndarray, tol: float) -> np.ndarray:
     """Largest gap between neighbouring eigenvalues of one group, per sorted
     spectrum along the last axis: ``tol * max(1, max|lambda|)``."""
     ends = w[..., ::max(w.shape[-1] - 1, 1)]  # the first and last eigenvalue
-    return tol * np.abs(ends).max(axis=-1, initial=1.0)
+    return tol * reduce_last(np.maximum, np.abs(ends), initial=1.0)
 
 
 class ExtremeGroups(NamedTuple):
@@ -80,14 +96,15 @@ def extreme_groups(w: np.ndarray, tol: float) -> ExtremeGroups:
     idx = np.arange(m)
     # brk[..., j] = j + 1 where w[j + 1] - w[j] exceeds the gap, else 0
     brk = (w[..., 1:] - w[..., :-1] > cluster_gap(w, tol)[..., None]) * idx[1:]
+    # the bottom group ends at the first break, the top group starts at the last
+    lo = reduce_last(np.minimum, np.where(brk, brk, m), initial=m)
+    hi = reduce_last(np.maximum, brk, initial=0)
     masks = np.empty((2,) + w.shape, dtype=bool)
-    # (the ufuncs' own reductions: the ndarray methods wrap them in Python)
-    np.less(idx, np.minimum.reduce(np.where(brk, brk, m), axis=-1, initial=m)[..., None],
-            out=masks[0])
-    np.greater_equal(idx, np.maximum.reduce(brk, axis=-1, initial=0)[..., None], out=masks[1])
-    counts = np.add.reduce(masks, axis=-1)
+    np.less(idx, lo[..., None], out=masks[0])
+    np.greater_equal(idx, hi[..., None], out=masks[1])
+    counts = np.array([lo, m - hi])
     means = np.add.reduce(w * masks, axis=-1) / counts
-    spreads = np.maximum.reduce(np.abs(w - means[..., None]) * masks, axis=-1)
+    spreads = reduce_last(np.maximum, np.abs(w - means[..., None]) * masks)
     return ExtremeGroups(masks, counts, means, spreads)
 
 
@@ -110,14 +127,14 @@ def arrowhead_top(corner: np.ndarray, z: np.ndarray, d: np.ndarray) -> np.ndarra
     the root) or, after the first step, no longer rises. A row whose step is
     not finite, or that is still moving after NEWTON_CAP steps, is NaN.
     """
-    scale = np.fmax(np.abs(corner), np.maximum.reduce(np.abs(d), axis=-1, initial=0.0))
+    scale = np.fmax(np.abs(corner), reduce_last(np.maximum, np.abs(d), initial=0.0))
     coupled = np.abs(z) > ROUNDING * scale[:, None]
     z2 = np.where(coupled, z * z, 0.0)
     poles = np.where(coupled, d, -np.inf)  # a decoupled term is 0/inf
     c = corner[:, None]  # x, c and size are (rows, 1) columns
     half = 0.5 * (c - d)
-    x = c + np.maximum.reduce(np.where(coupled, np.sqrt(half * half + z2) - half, 0.0),
-                              axis=-1, keepdims=True, initial=0.0)
+    x = c + reduce_last(np.maximum, np.where(coupled, np.sqrt(half * half + z2) - half, 0.0),
+                        keepdims=True, initial=0.0)
     top = np.full_like(corner, np.nan)
     rows, size = None, np.abs(c)  # rows: the stack rows still iterated, None for all
     r = np.empty((2,) + z2.shape)  # z_j^2/(x - d_j) and z_j^2/(x - d_j)^2
@@ -138,14 +155,16 @@ def arrowhead_top(corner: np.ndarray, z: np.ndarray, d: np.ndarray) -> np.ndarra
             top[settled if rows is None else rows[settled]] = x[settled, 0]
             if not np.count_nonzero(going):
                 break
-            going = going[:, 0]
-            rows = np.flatnonzero(going) if rows is None else rows[going]
-            x, c, size, z2, poles = (a[going] for a in (x, c, size, z2, poles))
-            r = r[:, going]
+            # the rows still going by index: take is much faster than a boolean mask
+            keep = np.flatnonzero(going)
+            rows = keep if rows is None else rows.take(keep)
+            x, c, size, z2, poles = (a.take(keep, axis=0) for a in (x, c, size, z2, poles))
+            r = np.empty((2,) + z2.shape)
     if np.count_nonzero(coupled) == coupled.size:
         return top
     # a decoupled d_j is an eigenvalue exactly; NaN stays NaN
-    return np.maximum(top, np.where(coupled, -np.inf, d).max(axis=-1, initial=-np.inf))
+    return np.maximum(top, reduce_last(np.maximum, np.where(coupled, -np.inf, d),
+                                       initial=-np.inf))
 
 
 def eigh(m: np.ndarray) -> Spectrum:
@@ -179,19 +198,35 @@ def sign_masks(w: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """(negative, positive) masks of eigenvalues w (..., m): those beyond
     ``EIG_TOL * max(1, max|lambda|)`` from 0, the zero threshold of every PSD,
     rank and pseudoinverse decision; the rest count as zero."""
-    cut = EIG_TOL * np.maximum(1.0, np.abs(w).max(axis=-1, keepdims=True, initial=0.0))
+    cut = EIG_TOL * np.maximum(1.0, reduce_last(np.maximum, np.abs(w), keepdims=True,
+                                                 initial=0.0))
     return w < -cut, w > cut
+
+
+def _pinv_spectrum(m: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """(1/lambda, eigenvectors) of the symmetric part of m (..., n, n): 1/lambda
+    on the eigenvalues ``sign_masks`` counts nonzero, 0 on the rest."""
+    w, q = np.linalg.eigh(0.5 * (m + m.swapaxes(-1, -2)))
+    neg, pos = sign_masks(w)
+    nonzero = neg | pos
+    return np.where(nonzero, 1.0 / np.where(nonzero, w, 1.0), 0.0), q
 
 
 def pinv(m: np.ndarray) -> np.ndarray:
     """Spectral Moore-Penrose pseudoinverse of a symmetric matrix, or of each
     matrix in a stack (..., n, n)."""
-    m = np.asarray(m, dtype=float)
-    w, q = np.linalg.eigh(0.5 * (m + m.swapaxes(-1, -2)))
-    neg, pos = sign_masks(w)
-    nonzero = neg | pos
-    inv = np.where(nonzero, 1.0 / np.where(nonzero, w, 1.0), 0.0)
+    inv, q = _pinv_spectrum(np.asarray(m, dtype=float))
     return (q * inv[..., None, :]) @ q.swapaxes(-1, -2)
+
+
+def pinv_solve(m: np.ndarray, b: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """(pinv(m) @ b, rank(m)) per system of a stack (..., n, n), (..., n) of
+    symmetric matrices, from the eigenpairs of m without forming pinv(m).
+    rank(m) counts the eigenvalues ``pinv`` inverts, which is what
+    trace(m pinv(m)) rounds to."""
+    inv, q = _pinv_spectrum(np.asarray(m, dtype=float))
+    x = np.einsum("...ij,...j->...i", q, inv * np.einsum("...ij,...i->...j", q, b))
+    return x, np.count_nonzero(inv, axis=-1)
 
 
 def in_colspace(d: np.ndarray, b: np.ndarray, w: np.ndarray) -> np.ndarray:

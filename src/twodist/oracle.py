@@ -14,11 +14,12 @@ import json
 import math
 import time
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
-from . import edm, representations as reps
+from . import edm, linalg, representations as reps
 from .edm import Configuration
 from .centering import build_v, lift
 from .graphs import (Graph, class_stack, complement_adjacency, connected_stack, encode_graph6,
@@ -75,9 +76,9 @@ def _verify_stack(points: np.ndarray, adj: np.ndarray, alpha,
     values = _pair_sq_distances(points)
     iu, ju = triu_pairs(adj.shape[-1])
     targets = np.where(adj[:, iu, ju], np.asarray(alpha)[..., None], beta[:, None])
-    max_dev = np.abs(values - targets).max(axis=-1)
+    max_dev = linalg.reduce_last(np.maximum, np.abs(values - targets))
     values = np.sort(values, axis=-1)
-    breaks = np.count_nonzero(np.diff(values, axis=-1) > VERIFY_TOL, axis=-1)
+    breaks = linalg.reduce_last(np.add, np.diff(values, axis=-1) > VERIFY_TOL, dtype=np.intp)
     return max_dev, (breaks == 1) & (max_dev <= VERIFY_TOL), values
 
 
@@ -118,6 +119,15 @@ def _not_positive_definite(m: np.ndarray) -> np.ndarray:
     return bad
 
 
+@lru_cache(maxsize=128)
+def _ones_cholesky_inverse(p: int) -> np.ndarray:
+    """L^-1 for the Cholesky factor L of I + J of order p; cached per order
+    and read-only."""
+    l_inv = np.linalg.inv(np.linalg.cholesky(np.eye(p) + 1.0))
+    l_inv.flags.writeable = False
+    return l_inv
+
+
 def _roots_stack(adj: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """(t1, t2) for a (k, n, n) stack of non-degenerate graphs, NaN where absent.
 
@@ -129,8 +139,7 @@ def _roots_stack(adj: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     each sign is read off the Cholesky pivots of the pencil.
     """
     m0, m1 = _pencil(adj)
-    n = adj.shape[-1]
-    l_inv = np.linalg.inv(np.linalg.cholesky(np.eye(n - 1) + 1.0))
+    l_inv = _ones_cholesky_inverse(adj.shape[-1] - 1)
     nu = np.linalg.eigvalsh(l_inv @ m1 @ l_inv.T)
     with np.errstate(divide="ignore"):
         t1, t2 = 1.0 - 1.0 / nu[:, -1], 1.0 - 1.0 / nu[:, 0]
@@ -139,7 +148,7 @@ def _roots_stack(adj: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     ts = np.stack([np.full_like(t1, 1e-8), np.full_like(t2, T_MAX),
                    t1 * (1.0 - ROOT_CERT), t1 * (1.0 + ROOT_CERT),
                    t2 * (1.0 - ROOT_CERT), t2 * (1.0 + ROOT_CERT)])
-    neg = _not_positive_definite(m0 + np.nan_to_num(ts, nan=1.0)[..., None, None] * m1)
+    neg = _not_positive_definite(m0 + np.where(np.isnan(ts), 1.0, ts)[..., None, None] * m1)
     t1 = np.where(neg[0] & neg[2] & ~neg[3], t1, np.nan)
     t2 = np.where(neg[1] & ~neg[4] & neg[5], t2, np.nan)
     return t1, t2
@@ -215,44 +224,44 @@ def _sweep_stack(summary: SweepSummary, adj: np.ndarray, comp: np.ndarray,
     has_l, has_u = ~np.isnan(st.beta_l), ~np.isnan(st.beta_u)
     live = ~deg & (errors == None)  # noqa: E711
 
-    # Constructive checks, built only for the rows in ``checked`` from one
-    # lift of the pass's eigenvectors: the configurations at each endpoint
-    # and at the interior beta (the spherical witness is one of these), the
-    # J-spherical configuration's distances and unit rows; and the
-    # circumradius of the configuration at a spherical upper endpoint, for
-    # the radius check. The J points are a closed form in the pass's
-    # eigenpairs, q and delta: their unit rows check delta and their
-    # distances dim_J. dim_j_connected_complement checks dim_J with no
-    # eigensolver.
-    sel = np.flatnonzero(checked)
-    sub = adj[sel]
-    lifted = lift(st.basis[sel], build_v(n))
-    at_u = live & st.spherical_at_u & checked
-    dev, ok = np.zeros(sel.size), np.ones(sel.size, dtype=bool)
-    row_norm_err = np.zeros(k)
-    for side, alpha, beta, has in (("l", 1.0, st.beta_l, has_l), ("u", 1.0, st.beta_u, has_u),
-                                   ("i", 1.0, st.beta_i, live), ("j", 2.0, st.beta_j, live)):
-        points = st.configuration(side, sel, lifted)
-        d, passed, _ = _verify_stack(points, sub, alpha, beta[sel])
-        dev = np.where(has[sel], np.fmax(dev, d), dev)
-        ok &= ~has[sel] | passed
-        if side == "u":
-            witness = reps._witness_radius(points[at_u[sel]]) ** 2
-        elif side == "j":
-            row_norm_err[sel] = np.abs(np.einsum("kij,kij->ki", points, points) - 1.0).max(axis=-1)
+    # Constructive checks, built only for the live rows in ``checked``, and
+    # not at all for a stack with none, from one lift of the pass's
+    # eigenvectors: the configurations at each endpoint and at the interior
+    # beta (the spherical witness is one of these), the J-spherical
+    # configuration's distances and unit rows; and the circumradius of the
+    # configuration at a spherical upper endpoint, for the radius check. The
+    # J points are a closed form in the pass's eigenpairs, q and delta: their
+    # unit rows check delta and their distances dim_J.
+    # dim_j_connected_complement checks dim_J with no eigensolver.
     config_dev, config_ok = np.zeros(k), np.ones(k, dtype=bool)
-    config_dev[sel], config_ok[sel] = dev, ok
+    row_norm_err, radius_err = np.zeros(k), np.full(k, np.nan)
+    sel = np.flatnonzero(live & checked)
+    if sel.size:
+        lifted = lift(st.basis[sel], build_v(n))
+        sub, dev, ok = adj[sel], np.zeros(sel.size), np.ones(sel.size, dtype=bool)
+        at_u = st.spherical_at_u[sel]
+        for side, alpha, beta, has in (("l", 1.0, st.beta_l, has_l), ("u", 1.0, st.beta_u, has_u),
+                                       ("i", 1.0, st.beta_i, live), ("j", 2.0, st.beta_j, live)):
+            points = st.configuration(side, sel, lifted)
+            d, passed, _ = _verify_stack(points, sub, alpha, beta[sel])
+            dev = np.where(has[sel], np.fmax(dev, d), dev)
+            ok &= ~has[sel] | passed
+            if side == "u":
+                witness = reps._witness_radius(points[at_u]) ** 2
+        config_dev[sel], config_ok[sel] = dev, ok
+        row_norm_err[sel] = linalg.reduce_last(
+            np.maximum, np.abs(np.einsum("kij,kij->ki", points, points) - 1.0))
 
-    # Radius consistency at a spherical upper endpoint: the reported radius
-    # (the closed form) and that circumradius vs the Dw = e radius.
-    radius_err = np.full(k, np.nan)
-    rad = np.flatnonzero(at_u)
-    if rad.size:
-        abar = complement_adjacency(adj[rad]).astype(float)
-        sphere = edm.sphere_stack(adj[rad] + st.beta_u[rad, None, None] * abar)
-        errors[rad] = sphere.errors
-        rho2_w = sphere.radius ** 2
-        radius_err[rad] = np.maximum(np.abs(witness - rho2_w), np.abs(st.rho_u[rad] ** 2 - rho2_w))
+        # Radius consistency at a spherical upper endpoint: the reported
+        # radius (the closed form) and that circumradius vs the Dw = e radius.
+        if np.count_nonzero(at_u):
+            rad = sel[at_u]
+            abar = complement_adjacency(adj[rad]).astype(float)
+            sphere = edm.sphere_stack(adj[rad] + st.beta_u[rad, None, None] * abar)
+            errors[rad] = sphere.errors
+            rho2_w = sphere.radius ** 2
+            radius_err[rad] = np.maximum(np.abs(witness - rho2_w),
+                                         np.abs(st.rho_u[rad] ** 2 - rho2_w))
     live &= errors == None  # noqa: E711
 
     # the roots only feed checks recorded for the rows in ``checked``, not
@@ -312,19 +321,20 @@ def _sweep_stack(summary: SweepSummary, adj: np.ndarray, comp: np.ndarray,
         _Check("radius_consistency", pair & st.spherical_at_u,
                radius_err <= SWEEP_TOL, radius_err, lambda i: f"err={radius_err[i]:.2e}"),
     ]
-    found = []
-    for order, chk in enumerate(checks):
-        rows = chk.applies & checked
-        count = int(np.count_nonzero(rows))
-        if not count:
-            continue
-        # a NaN error fails its check but, as in max(), never becomes the largest
-        summary.tally(chk.name, count, None if chk.error is None else
-                      float(np.max(np.nan_to_num(chk.error[rows], nan=0.0), initial=0.0)))
-        found += [(i, order, chk) for i in np.flatnonzero(rows & ~chk.ok).tolist()]
-    for i, _, chk in sorted(found, key=lambda t: t[:2]):
-        summary.violations.append({"check": chk.name, "graph6": encode_graph6(Graph(n, adj[i])),
-                                   "detail": chk.detail(i)})
+    # one (checks, rows) table: the rows each check records, those it fails
+    # and their largest error (a NaN error fails its check but, as in max(),
+    # never becomes the largest)
+    rows = np.array([chk.applies for chk in checks]) & checked
+    bad = rows & ~np.array([chk.ok for chk in checks])
+    errs = np.array([np.zeros(k) if chk.error is None else chk.error for chk in checks])
+    largest = np.fmax.reduce(np.where(rows, errs, 0.0), axis=1, initial=0.0).tolist()
+    for chk, count, err in zip(checks, np.count_nonzero(rows, axis=1).tolist(), largest):
+        if count:
+            summary.tally(chk.name, count, None if chk.error is None else err)
+    for i, order in np.argwhere(bad.T).tolist():
+        summary.violations.append({"check": checks[order].name,
+                                   "graph6": encode_graph6(Graph(n, adj[i])),
+                                   "detail": checks[order].detail(i)})
     n_checked = int(np.count_nonzero(checked))
     summary.graphs_checked += n_checked
     summary.per_n[n] = summary.per_n.get(n, 0) + n_checked
@@ -352,7 +362,7 @@ def invariant_sweep(n_max: int, sample_7_8: int = 0, seed: int = 0,
     rng = np.random.default_rng(seed)
     for n, count in ((7, (sample_7_8 + 1) // 2), (8, sample_7_8 // 2)):
         full = (1 << (n * (n - 1) // 2)) - 1
-        masks = np.array([int(rng.integers(0, full + 1)) for _ in range(count)], dtype=np.int64)
+        masks = rng.integers(0, full + 1, size=count)
         if masks.size:
             s = masks.size
             _sweep_stack(summary, mask_stack(n, np.r_[masks, full ^ masks]),

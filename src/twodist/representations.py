@@ -237,7 +237,8 @@ def _j_stack(w: np.ndarray, tol: float) -> _JStack:
 def _j_arrowhead(adj: np.ndarray, corner: np.ndarray, z: np.ndarray, d: np.ndarray,
                  tol: float) -> _JStack:
     """_JStack of the complements of a (k, n, n) adjacency stack, whose Abar
-    has the arrowhead form [[corner, z.T], [z, diag(d)]].
+    has the arrowhead form [[corner, z.T], [z, diag(d)]], d descending (the
+    pass's -1 - w), so that max d is d[:, 0].
 
     A row is certified when lambda_max from ``linalg.arrowhead_top`` clears
     max d by the clustering gap tol * max(1, lambda_max): by Cauchy
@@ -249,7 +250,7 @@ def _j_arrowhead(adj: np.ndarray, corner: np.ndarray, z: np.ndarray, d: np.ndarr
     k, n = d.shape[0], d.shape[-1] + 1
     top = linalg.arrowhead_top(corner, z, d)
     spread, dim_j, scale = np.zeros(k), np.full(k, n - 1), top
-    uncertified = ~(top - d.max(axis=-1) > tol * np.maximum(1.0, top))  # and NaN rows
+    uncertified = ~(top - d[:, 0] > tol * np.maximum(1.0, top))  # and NaN rows
     if np.count_nonzero(uncertified):
         rest = np.flatnonzero(uncertified)
         js = _j_stack(np.linalg.eigvalsh(complement_adjacency(adj[rest]).astype(float)), tol)
@@ -462,16 +463,19 @@ def _analyze_stack(adj: np.ndarray, tol: float = linalg.EIG_TOL,
     Abar's top eigenvalue comes from its arrowhead form by Newton, and only
     the rows it does not certify run an eigvalsh of Abar. Each fault that
     ``analyze_graph`` reports becomes a per-row error, so one graph's fault
-    leaves the other rows untouched.
+    leaves the other rows untouched. A stack of only complete and null graphs
+    has no answer to compute: it runs the class test alone, its float columns
+    NaN and its sphericity flags False.
     """
     adj = np.asarray(adj, dtype=bool)
     k, n = adj.shape[0], adj.shape[-1]
     classes = class_stack(adj)
     errors = np.empty(k, dtype=object)  # all None
-    if n < 2:  # one node: the complete graph, and no spectrum
-        nan = np.full(k, np.nan)
-        return _Stack(n, classes, errors, **dict.fromkeys(_COLUMNS, nan))
     nondeg = ~classes.degenerate
+    if not np.count_nonzero(nondeg):  # one node is the complete graph
+        no = np.zeros(k, dtype=bool)
+        return _Stack(n, classes, errors, **{**dict.fromkeys(_COLUMNS, np.full(k, np.nan)),
+                                             "spherical_at_l": no, "spherical_at_u": no})
 
     # s = V.T (d - mean d) for the degree vector d is exactly 0 for a regular
     # graph, whose degrees are integers. q = U.T s for the eigenvectors U of
@@ -522,7 +526,7 @@ def _analyze_stack(adj: np.ndarray, tol: float = linalg.EIG_TOL,
         resid = np.abs(q / n)
         if np.count_nonzero(off):
             resid = np.abs(off[:, None] * np.array(lift_extremes(basis, v)) + q / n).max(axis=1)
-        resid = (resid * grp.masks).max(axis=-1)
+        resid = linalg.reduce_last(np.maximum, resid * grp.masks)
     spherical_u, spherical_l = spherical = has & (resid <= _merge_tol(n))
     rho_u = radius(beta_u, grp.masks[0], spherical_u)
     rho_l = radius(beta_l, grp.masks[1], spherical_l)

@@ -349,6 +349,19 @@ class TestEmbed:
             assert sorted(p.name for p in tmp_path.iterdir()) == \
                 ["x.csv", "x.csv.json"][before is None:]
 
+    def test_unwritable_csv_keeps_old_sidecar(self, tmp_path, capsys):
+        # the CSV path is a directory: every destination is checked before the
+        # first move, so an earlier sidecar keeps its bytes
+        out = tmp_path / "out.csv"
+        out.mkdir()
+        sidecar = tmp_path / "out.csv.json"
+        sidecar.write_bytes(b'{"old": true}\n')
+        code, _, err = run(["embed", "--g6", "Dug", "--mode", "jspherical", "--out", str(out)],
+                           capsys)
+        assert code == 2 and err == f"error: cannot write {out}: Is a directory\n"
+        assert sidecar.read_bytes() == b'{"old": true}\n'
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["out.csv", "out.csv.json"]
+
     def test_out_through_symlink(self, tmp_path, capsys):
         # the CSV goes to the file the link names; the link stays a link
         (tmp_path / "real.csv").write_bytes(b"")

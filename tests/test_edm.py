@@ -177,18 +177,43 @@ class TestSphericalInfo:
             assert (info is None) == np.isnan(radius)
             assert info is None or info.radius == radius
 
+    def test_stack_matches_pinv_reference(self):
+        # sphere_stack reads w = pinv(D) e and rank(D) off one eigh of D; the
+        # dense pseudoinverse is the reference, on every spherical upper
+        # endpoint EDM A + beta_u Abar of order n <= 5 (orders 2 and 3 have none)
+        checked = 0
+        for n in range(2, 6):
+            adj = mask_stack(n, np.arange(1 << (n * (n - 1) // 2)))
+            st = reps._analyze_stack(adj)
+            rows = st.spherical_at_u
+            if not rows.any():
+                continue
+            ds = adj[rows] + st.beta_u[rows, None, None] * complement_adjacency(adj[rows])
+            sphere = edm.sphere_stack(ds)
+            p = linalg.pinv(ds)
+            w = p.sum(axis=-1)
+            ew = w.sum(axis=-1)
+            rank = np.rint(np.einsum("kij,kji->k", ds, p))
+            r = np.count_nonzero(edm._gram(ds)[3], axis=-1)
+            assert (sphere.errors == None).all()  # noqa: E711
+            assert np.all(np.abs(sphere.w - w) <= 1e-12 * np.abs(w).max(axis=-1, keepdims=True))
+            assert np.all(np.abs(sphere.ew - ew) <= 1e-12 * np.abs(ew))
+            assert np.array_equal(linalg.pinv_solve(ds, np.ones(ds.shape[:2]))[1], rank)
+            assert np.array_equal(~np.isnan(sphere.radius), (r == n - 1) | (rank == r + 1))
+            assert np.allclose(sphere.radius, np.sqrt(0.5 / ew), rtol=1e-12, atol=0.0)
+            checked += len(ds)
+        assert checked > 0
+
     @staticmethod
     def misread_rank(monkeypatch, shift):
-        """Make sphere_stack read rank(D) off by ``shift``: adding c(I - J/n) to
-        pinv(D) leaves w = pinv(D) e as it is and moves trace(D pinv(D)) by
-        -c e.T D e / n."""
-        real = linalg.pinv
+        """Make sphere_stack read rank(D) off by ``shift``, leaving w = pinv(D) e
+        as it is."""
+        real = linalg.pinv_solve
 
-        def pinv(d):
-            n = d.shape[-1]
-            c = -shift * n / d.sum(axis=(-2, -1))
-            return real(d) + c[:, None, None] * (np.eye(n) - 1.0 / n)
-        monkeypatch.setattr(edm.linalg, "pinv", pinv)
+        def pinv_solve(d, b):
+            w, rank = real(d, b)
+            return w, rank + shift
+        monkeypatch.setattr(edm.linalg, "pinv_solve", pinv_solve)
 
     def test_rank_says_spherical_cross_check_disagrees(self, monkeypatch):
         # collinear points: e.T w = 0 contradicts a rank(D) of r + 1
@@ -218,7 +243,7 @@ class TestOneGramReading:
     # every query reads one eigendecomposition of the projected Gram
     @pytest.mark.parametrize("query,want", [
         ("is_edm", ["eigh"]), ("recover_configuration", ["eigh"]), ("gale_matrix", ["eigh"]),
-        ("spherical_info", ["eigh", "eigh"]),  # the projected Gram, then pinv(D)
+        ("spherical_info", ["eigh", "eigh"]),  # the projected Gram, then D
     ], ids=["is_edm", "recover_configuration", "gale_matrix", "spherical_info"])
     def test_decompositions(self, query, want, rng, decompositions):
         raw = rng.standard_normal((7, 3))

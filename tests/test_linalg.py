@@ -76,6 +76,19 @@ class TestPinvAndSolve:
             [False, True, True]
 
 
+@pytest.mark.parametrize("shape", [(1024, 4), (2, 300, 7), (1, 599), (2, 1, 12), (5,), (6, 0)])
+def test_reduce_last_matches_numpy(rng, shape):
+    # both memory orders give numpy's own reduction over the last axis exactly
+    a = np.round(rng.standard_normal(shape) * 4.0)
+    for ufunc, x, kwargs in (
+            (np.maximum, a, {"initial": -np.inf}), (np.minimum, a, {"initial": np.inf}),
+            (np.maximum, np.abs(a), {"keepdims": True, "initial": 0.0}),
+            (np.add, a > 0.0, {"dtype": np.intp}), (np.add, a.astype(np.int64), {})):
+        want = ufunc.reduce(x, axis=-1, **kwargs)
+        got = linalg.reduce_last(ufunc, x, **kwargs)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
 def _arrowhead(corner, z, d):
     """Dense (k, m+1, m+1) arrowhead matrices."""
     k, m = d.shape
@@ -105,6 +118,20 @@ class TestArrowheadTop:
         assert np.allclose(got, want, rtol=1e-14, atol=1e-14 * scale)
         # with no direction coupled, the top is max(corner, max d) exactly
         assert np.array_equal(got[:20], np.fmax(corner[:20], d[:20].max(axis=-1)))
+
+    @pytest.mark.parametrize("m", [4, 12])
+    def test_stack_matches_single_rows(self, rng, m):
+        # rows settle at different Newton steps, so the stack drops rows as it
+        # goes; each row's lambda_max is the one it gets alone, bit for bit
+        k = 400
+        corner = rng.standard_normal(k)
+        d = rng.standard_normal((k, m)) * 3.0
+        z = rng.standard_normal((k, m)) * (10.0 ** rng.uniform(-6, 1, (k, m)))
+        z[rng.random((k, m)) < 0.2] = 0.0
+        got = linalg.arrowhead_top(corner, z, d)
+        alone = [linalg.arrowhead_top(corner[i:i + 1], z[i:i + 1], d[i:i + 1])[0]
+                 for i in range(k)]
+        assert np.array_equal(got, alone, equal_nan=True)
 
     def test_gives_up_as_nan(self):
         # the 2x2 start of the second row rounds onto its pole d = 1, where

@@ -261,6 +261,14 @@ class TestInvariantSweep:
             zero_one = np.isin(m, (0.0, 1.0)).all()
             assert not (zero_one and (np.diagonal(m, axis1=-2, axis2=-1) == 0).all())
 
+    def test_degenerate_stack_decomposes_nothing(self, decompositions):
+        # order 2 is K2 and its complement, both degenerate: the stack runs the
+        # class test and the degenerate-complement check, and no eigensolver
+        summary = oracle.invariant_sweep(2)
+        assert decompositions == []
+        assert summary.check_counts == {"degenerate_complement": 2}
+        assert summary.per_n == {2: 2} and summary.degenerate == 2 and summary.ok
+
     @pytest.mark.parametrize("args,kwargs,counts,per_n", [
         ((4,), {}, {"degenerate_complement": 6, "endpoint_sphericity_duality": 52,
                     "radius_consistency": 15, "dim_j_connected_complement": 40},

@@ -459,6 +459,16 @@ class TestAnalyzeGraph:
         assert rep.degenerate and rep.dim_e is None and rep.mu_min is None
         assert rep.to_dict()["class"] == "complete"
 
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_degenerate_analysis_decomposes_nothing(self, n, decompositions):
+        # complete and null graphs have no answer to compute: the report is
+        # the class and the lower bounds, every other column None
+        for g in (complete_graph(n), null_graph(n)):
+            want = reps.ReprReport(n, classify(g), True, *[None] * len(reps._COLUMNS),
+                                   *reps.lower_bounds(n))
+            assert reps.analyze_graph(g) == want
+        assert decompositions == []
+
     def test_c5_report_round_trip(self):
         rep = reps.analyze_graph(cycle_graph(5))
         doc = rep.to_dict()
