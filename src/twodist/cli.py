@@ -16,8 +16,6 @@ import os
 import sys
 from typing import Optional
 
-import numpy as np
-
 from . import __version__, edm, linalg, representations as reps
 from .graphs import Graph, GraphFormatError, encode_graph6, parse_edge_list, parse_graph6
 

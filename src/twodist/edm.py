@@ -33,6 +33,20 @@ class InternalConsistencyError(RuntimeError):
     """The program's own answers contradict each other beyond tolerance."""
 
 
+def first_faults(faults, rows: np.ndarray) -> np.ndarray:
+    """The error of each row's first fault: for each (mask, error) pair of
+    ``faults`` in order, error(i) on each row i that ``rows`` marks, where
+    mask holds and no earlier pair did; None on the other rows."""
+    errors = np.empty(rows.shape, dtype=object)  # all None
+    open_rows = rows & np.logical_or.reduce([mask for mask, _ in faults])  # the rows at fault
+    if np.count_nonzero(open_rows):
+        for mask, error in faults:
+            for i in np.flatnonzero(mask & open_rows):
+                errors[i] = error(i)
+                open_rows[i] = False
+    return errors
+
+
 class EdmCheck(NamedTuple):
     is_edm: bool
     embedding_dim: int
@@ -189,11 +203,8 @@ def sphere_stack(d: np.ndarray) -> SphereStack:
          lambda i: InternalConsistencyError(
              f"rank test says non-spherical but ||DZ||={dz[i]:.3e}, e.T w={ew[i]:.3e}")),
     )
-    errors = np.full(k, None, dtype=object)
     present = d.any(axis=(-2, -1))  # the zero matrix is no sphere, and no fault
-    for mask, fault in faults:
-        for i in np.flatnonzero(mask & present & (errors == None)):  # noqa: E711
-            errors[i] = fault(i)
+    errors = first_faults(faults, present)
     with np.errstate(divide="ignore", invalid="ignore"):
         radius = np.where(spherical & present & (errors == None), np.sqrt(0.5 / ew), np.nan)  # noqa: E711
     return SphereStack(radius, w, ew, errors, gram)

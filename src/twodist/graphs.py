@@ -113,6 +113,14 @@ class GraphClass(NamedTuple):
         return self.tag in (TAG_COMPLETE, TAG_NULL)
 
 
+def _integer(token: str) -> int:
+    """int(token) for ASCII digits with an optional leading minus, else
+    ValueError: int() itself also reads 1_0, +2 and non-ASCII digits."""
+    if not (token.isascii() and token[token.startswith("-"):].isdigit()):
+        raise ValueError(token)
+    return int(token)
+
+
 def parse_edge_list(text: str) -> Graph:
     """Parse the edge-list format: first line n, then one "u v" pair per line."""
     lines = text.splitlines()
@@ -124,7 +132,7 @@ def parse_edge_list(text: str) -> Graph:
             continue
         if n is None:
             try:
-                n = int(line)
+                n = _integer(line)
             except ValueError:
                 raise GraphFormatError(f"line {lineno}: expected node count, got {line!r}")
             _check_order(n, f"line {lineno}: ")
@@ -133,7 +141,7 @@ def parse_edge_list(text: str) -> Graph:
         if len(parts) != 2:
             raise GraphFormatError(f"line {lineno}: expected 'u v', got {line!r}")
         try:
-            u, v = int(parts[0]), int(parts[1])
+            u, v = _integer(parts[0]), _integer(parts[1])
         except ValueError:
             raise GraphFormatError(f"line {lineno}: non-integer node id in {line!r}")
         if u == v:

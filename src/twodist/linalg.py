@@ -1,11 +1,10 @@
-"""Dense symmetric eigendecomposition with eigenvalue clustering, the zero
-threshold of every PSD, rank and pseudoinverse decision, and the top
-eigenvalue of an arrowhead matrix.
+"""Eigenvalue clustering, the zero threshold of every PSD, rank and
+pseudoinverse decision, and the top eigenvalue of an arrowhead matrix.
 
-Multiplicity counting drives every dimension formula downstream, so eigenvalues
-are clustered into groups under a relative tolerance; each group's basis is the
-matching block of LAPACK's orthonormal eigenvector columns, and its spread
-records how far the merged eigenvalues lie from the group value.
+Multiplicity counting drives every dimension formula downstream, so the
+extreme eigenvalues of each spectrum are clustered into groups under a
+relative tolerance (``extreme_groups``); each group's spread records how far
+the merged eigenvalues lie from the group mean.
 """
 
 from __future__ import annotations
@@ -14,8 +13,8 @@ from typing import NamedTuple, Tuple
 
 import numpy as np
 
-#: Relative zero threshold of ``sign_masks``, clustering tolerance of ``eigh``
-#: and default clustering tolerance of the analysis (``analyze --tol-eig``).
+#: Relative zero threshold of ``sign_masks`` and default clustering tolerance
+#: of the analysis (``analyze --tol-eig``).
 EIG_TOL = 1e-9
 #: Relative residual bound of ``in_colspace``; times sqrt(n), the largest
 #: spread of a trusted eigenvalue group and sphericity residual of an endpoint.
@@ -34,25 +33,6 @@ class NotFiniteError(ValueError):
 
 class NotInColumnSpaceError(ValueError):
     """Right-hand side is not in the column space of the matrix."""
-
-
-class SpectralGroup(NamedTuple):
-    value: float
-    multiplicity: int
-    basis: np.ndarray  # order x multiplicity, orthonormal columns
-    #: Largest |eigenvalue - value| over the merged eigenvalues: the 2-norm
-    #: residual of each basis column as an eigenvector for ``value``.
-    spread: float
-
-
-class Spectrum(NamedTuple):
-    """Clustered spectral decomposition, groups in strictly decreasing order."""
-
-    groups: tuple
-
-    @property
-    def max_value(self) -> float:
-        return self.groups[0].value
 
 
 def reduce_last(ufunc, a: np.ndarray, initial=None, keepdims: bool = False,
@@ -79,10 +59,11 @@ def cluster_gap(w: np.ndarray, tol: float) -> np.ndarray:
 
 
 class ExtremeGroups(NamedTuple):
-    """The bottom and top groups of a stack of ascending spectra (..., m)
-    under the clustering rule of ``eigh``. Each field is a (2, ...) array,
-    the bottom group first: masks over the eigenvalue axis, multiplicities,
-    group means and spreads."""
+    """The bottom and top groups of a stack of ascending spectra (..., m):
+    neighbouring eigenvalues at most ``cluster_gap`` apart share a group, whose
+    value is their mean and whose spread is their largest distance from it.
+    Each field is a (2, ...) array, the bottom group first: masks over the
+    eigenvalue axis, multiplicities, group means and spreads."""
 
     masks: np.ndarray
     counts: np.ndarray
@@ -165,33 +146,6 @@ def arrowhead_top(corner: np.ndarray, z: np.ndarray, d: np.ndarray) -> np.ndarra
     # a decoupled d_j is an eigenvalue exactly; NaN stays NaN
     return np.maximum(top, reduce_last(np.maximum, np.where(coupled, -np.inf, d),
                                        initial=-np.inf))
-
-
-def eigh(m: np.ndarray) -> Spectrum:
-    """Clustered spectral decomposition of a symmetric matrix.
-
-    Eigenvalues within ``EIG_TOL * max(1, max|lambda|)`` of each other are
-    merged into one group, whose value is their mean, whose basis is their
-    eigenvector columns and whose spread is their largest distance from the
-    mean.
-    """
-    m = np.asarray(m, dtype=float)
-    if not np.all(np.isfinite(m)):
-        raise NotFiniteError("matrix has non-finite entries")
-    n = m.shape[0]
-    if n == 0:
-        return Spectrum(())
-    sym = 0.5 * (m + m.T)
-    w, q = np.linalg.eigh(sym)
-    w, q = w[::-1], q[:, ::-1]  # descending
-    gap = cluster_gap(w, EIG_TOL)
-    starts = np.r_[0, np.flatnonzero(w[:-1] - w[1:] > gap) + 1]
-    ends = np.r_[starts[1:], n]
-    means = np.add.reduceat(w, starts) / (ends - starts)
-    spreads = np.maximum.reduceat(np.abs(w - np.repeat(means, ends - starts)), starts)
-    return Spectrum(tuple(SpectralGroup(mean, hi - lo, q[:, lo:hi], spread)
-                          for mean, lo, hi, spread in zip(means.tolist(), starts.tolist(),
-                                                          ends.tolist(), spreads.tolist())))
 
 
 def sign_masks(w: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:

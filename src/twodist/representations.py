@@ -24,6 +24,7 @@ closed form.
 from __future__ import annotations
 
 import math
+from functools import partial
 from typing import NamedTuple, Optional, Tuple
 
 import numpy as np
@@ -116,18 +117,21 @@ def dim_euclidean(g: Graph) -> Tuple[int, float]:
 def endpoint_sphericity(g: Graph, side: str) -> bool:
     """Whether the EDM at the requested feasibility endpoint is spherical: the
     lifted extreme eigenvectors z satisfy A z = mu z. A direct reference for
-    the pass's test, on the clustered ``linalg.eigh`` of V.T A V."""
+    the pass's test, on its own eigh of V.T A V, whose extreme group is that
+    of ``linalg.extreme_groups``."""
     if side not in (SIDE_LOWER, SIDE_UPPER):
         raise ValueError(f"unknown side {side!r}")
     v = build_v(g.n)
-    groups = linalg.eigh(project_adjacency(g.adj, v)).groups
-    grp = groups[0] if side == SIDE_LOWER else groups[-1]
-    if side == SIDE_LOWER and grp.value <= 1e-9:
+    w, u = np.linalg.eigh(project_adjacency(g.adj, v))
+    grp = linalg.extreme_groups(w, linalg.EIG_TOL)
+    end = 1 if side == SIDE_LOWER else 0
+    mu = grp.means[end]
+    if side == SIDE_LOWER and mu <= 1e-9:
         raise EndpointError("lower endpoint requires mu_max > 0")
-    if side == SIDE_UPPER and grp.value > -1.0 - 1e-9:
+    if side == SIDE_UPPER and mu > -1.0 - 1e-9:
         raise EndpointError("upper endpoint requires mu_min < -1")
-    z = lift(grp.basis, v)
-    return float(np.max(np.abs(adjacency_matrix(g) @ z - grp.value * z))) <= _merge_tol(g.n)
+    z = lift(u[:, grp.masks[end]], v)
+    return float(np.max(np.abs(adjacency_matrix(g) @ z - mu * z))) <= _merge_tol(g.n)
 
 
 def _adjacency_pair(g: Graph) -> Tuple[np.ndarray, np.ndarray]:
@@ -293,8 +297,7 @@ def euclidean_representation(g: Graph, beta: float) -> Configuration:
     eigh of V.T A V: a column per eigenvalue of X(beta) = (beta I + (beta - 1)
     V.T A V)/2 that ``linalg.sign_masks`` counts positive, in decreasing order."""
     _require_nondegenerate(class_stack(g.adj[None]))
-    v = build_v(g.n)
-    w, u = np.linalg.eigh(project_adjacency(g.adj, v))
+    (w,), (u,), _, _ = _spectrum(g.adj[None], vectors=True)
     # x = (beta + (beta - 1) w)/2 is the spectrum of X(beta). Above beta = 1
     # it is beta/2 times y = 1 + (1 - 1/beta) w, which has x's signs and does
     # not overflow: where x does, y's signs decide, as an infinite cut would
@@ -309,7 +312,7 @@ def euclidean_representation(g: Graph, beta: float) -> Configuration:
         raise InfeasibleBetaError(beta, float(x.min()))
     if beta > 1.0:  # x ascends with w
         x, u = x[::-1], u[:, ::-1]
-    points = _points(lift(u, v), x, ~linalg.sign_masks(x)[1])
+    points = _points(lift(u, build_v(g.n)), x, ~linalg.sign_masks(x)[1])
     return Configuration(points[:, points.any(axis=0)])
 
 
@@ -453,34 +456,17 @@ class _Stack(NamedTuple):
                           *lower_bounds(max(self.n, 2)))
 
 
-def _analyze_stack(adj: np.ndarray, tol: float = linalg.EIG_TOL,
-                   vectors: bool = False) -> _Stack:
-    """The analysis of every graph in a (k, n, n) boolean adjacency stack.
+def _spectrum(adj: np.ndarray, vectors: bool) -> tuple:
+    """(w, basis, q, mean_deg) of a (k, n, n) boolean adjacency stack: the
+    ascending eigenvalues w of V.T A V, its eigenvectors U or None, q =
+    U.T V.T (d - mean d) for the degree vector d (0 without U), and 2|E|/n.
 
-    Runs the class test, one stacked O(n^3) decomposition of V.T A V (eigh,
-    or eigvalsh when every graph is regular and ``vectors`` does not ask for
-    the eigenvectors that configurations need), and then array operations:
-    Abar's top eigenvalue comes from its arrowhead form by Newton, and only
-    the rows it does not certify run an eigvalsh of Abar. Each fault that
-    ``analyze_graph`` reports becomes a per-row error, so one graph's fault
-    leaves the other rows untouched. A stack of only complete and null graphs
-    has no answer to compute: it runs the class test alone, its float columns
-    NaN and its sphericity flags False.
+    V.T (d - mean d) is exactly 0 for a regular graph, whose degrees are
+    integers, and q is all the pass reads of U. So a stack of regular graphs
+    runs eigvalsh, unless ``vectors`` asks for the eigenvectors that
+    configurations need.
     """
-    adj = np.asarray(adj, dtype=bool)
-    k, n = adj.shape[0], adj.shape[-1]
-    classes = class_stack(adj)
-    errors = np.empty(k, dtype=object)  # all None
-    nondeg = ~classes.degenerate
-    if not np.count_nonzero(nondeg):  # one node is the complete graph
-        no = np.zeros(k, dtype=bool)
-        return _Stack(n, classes, errors, **{**dict.fromkeys(_COLUMNS, np.full(k, np.nan)),
-                                             "spherical_at_l": no, "spherical_at_u": no})
-
-    # s = V.T (d - mean d) for the degree vector d is exactly 0 for a regular
-    # graph, whose degrees are integers. q = U.T s for the eigenvectors U of
-    # V.T A V is all the pass reads of them, so a stack of regular graphs
-    # needs only the eigenvalues, unless the caller builds configurations.
+    n = adj.shape[-1]
     v = build_v(n)
     vav = project_adjacency(adj, v)
     deg = adj.sum(axis=-1, dtype=float)
@@ -488,96 +474,136 @@ def _analyze_stack(adj: np.ndarray, tol: float = linalg.EIG_TOL,
     s = restrict(deg - mean_deg[:, None], v)
     if vectors or np.count_nonzero(s):
         w, basis = np.linalg.eigh(vav)
-        q = np.einsum("ki,kij->kj", s, basis)
-    else:
-        w, basis, q = np.linalg.eigvalsh(vav), None, np.zeros_like(s)
-    # The upper endpoint comes from the bottom group and the lower one from
-    # the top group: (2, k) arrays in that order. -mu/(-mu - 1) = mu/(mu + 1)
-    # exactly, so one division gives beta_u and beta_l.
+        return w, basis, np.einsum("ki,kij->kj", s, basis), mean_deg
+    return np.linalg.eigvalsh(vav), None, np.zeros_like(s), mean_deg
+
+
+def _endpoints(w: np.ndarray, classes: ClassStack, tol: float) -> tuple:
+    """(groups, betas, dim_e, dim_e_witness_beta, beta_i) from the extreme
+    groups of ascending spectra w (k, n-1) of V.T A V. ``betas`` (2, k) is
+    beta_u, which comes from the bottom group, and beta_l, NaN where the
+    endpoint does not exist. beta_i is a feasible beta strictly inside the
+    interval next to an existing endpoint, the lower one if it exists: there
+    the EDM is full-dimensional."""
+    n = w.shape[-1] + 1
     grp = linalg.extreme_groups(w, tol)
-    (mu_min, mu_max), (m_min, m_max) = grp.means, grp.counts
-    has = nondeg & ~classes.members
-    betas = np.divide(grp.means, grp.means + 1.0, out=np.full((2, k), np.nan), where=has)
-    beta_u, beta_l = betas
-    r_u, r_l = r = n - 1 - grp.counts
+    # -mu/(-mu - 1) = mu/(mu + 1) exactly, so one division gives both
+    # endpoints; a cluster graph has no upper one, a multipartite no lower one
+    betas = np.divide(grp.means, grp.means + 1.0, out=np.full(grp.means.shape, np.nan),
+                      where=~classes.members)
+    r_u, r_l = n - 1 - grp.counts
     use_l = classes.is_cluster | (~classes.is_multipartite & (r_l <= r_u))
-    dim_e = np.where(use_l, r_l, r_u)
-    # a feasible beta strictly inside the interval next to an existing
-    # endpoint, the lower one if it exists: there the EDM is full-dimensional
     mid = 0.5 * (betas + 1.0)
-    beta_i = np.where(np.isnan(beta_l), mid[0], mid[1])
+    return (grp, betas, np.where(use_l, r_l, r_u), np.where(use_l, betas[1], betas[0]),
+            np.where(np.isnan(betas[1]), mid[0], mid[1]))
 
-    def radius(beta, zero, rows):
-        """Radii at beta for the rows, NaN elsewhere: also where a faulty
-        row's spectrum makes the EDM there no EDM."""
-        if not np.count_nonzero(rows):
-            return np.full(k, np.nan)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return np.where(rows, np.sqrt(_radius2(beta, w, q, mean_deg, zero)), np.nan)
 
-    # A z - mu z = (w_j - mu) z + e q_j/n for a lifted eigenvector z = V u_j,
-    # so an endpoint is spherical when q vanishes on its eigenspace. Each
-    # column's largest |entry| is at its largest or smallest z; on a group
-    # of one eigenvalue w_j - mu is 0, and the residual is |q_j|/n. With
-    # q = 0 it is at most the group's spread, which the merge check bounds.
+def _sphericity(w: np.ndarray, basis: Optional[np.ndarray], q: np.ndarray,
+                mean_deg: np.ndarray, grp: linalg.ExtremeGroups, betas: np.ndarray,
+                beta_i: np.ndarray) -> tuple:
+    """(spherical, rho, dim_s, dim_s_witness_beta) from ``_spectrum`` and
+    ``_endpoints``: the sphericity flags and radii (2, k) at beta_u and beta_l,
+    the radii NaN where not spherical, also where a faulty row's spectrum
+    makes the EDM there no EDM, and dim_S with its witness.
+
+    A z - mu z = (w_j - mu) z + e q_j/n for a lifted eigenvector z = V u_j,
+    so an endpoint is spherical when q vanishes on its eigenspace. Each
+    column's largest |entry| is at its largest or smallest z; on a group
+    of one eigenvalue w_j - mu is 0, and the residual is |q_j|/n. With
+    q = 0 it is at most the group's spread, which the merge check bounds.
+    """
+    k, n = w.shape[0], w.shape[-1] + 1
     resid = np.zeros((2, k))
     if basis is not None:
         off = (w - grp.means[..., None]) * grp.masks
         resid = np.abs(q / n)
         if np.count_nonzero(off):
-            resid = np.abs(off[:, None] * np.array(lift_extremes(basis, v)) + q / n).max(axis=1)
+            resid = np.abs(off[:, None] * np.array(lift_extremes(basis, build_v(n)))
+                           + q / n).max(axis=1)
         resid = linalg.reduce_last(np.maximum, resid * grp.masks)
-    spherical_u, spherical_l = spherical = has & (resid <= _merge_tol(n))
-    rho_u = radius(beta_u, grp.masks[0], spherical_u)
-    rho_l = radius(beta_l, grp.masks[1], spherical_l)
-
+    spherical = ~np.isnan(betas) & (resid <= _merge_tol(n))
+    rho = np.full((2, k), np.nan)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for side in (0, 1):
+            if np.count_nonzero(spherical[side]):
+                rho[side] = np.where(spherical[side], np.sqrt(
+                    _radius2(betas[side], w, q, mean_deg, grp.masks[side])), np.nan)
     # dim_S: the spherical endpoint of least dimension (the lower one on a
     # tie), else an interior beta in n - 1 dimensions.
-    d_u, d_l = np.where(spherical, r, n)
-    at_l = spherical_l & (d_l <= d_u)
-    at_u = spherical_u & ~at_l
-    dim_s = np.where(at_l, d_l, np.where(at_u, d_u, n - 1))
+    d_u, d_l = np.where(spherical, n - 1 - grp.counts, n)
+    at_l = spherical[1] & (d_l <= d_u)
+    at_u = spherical[0] & ~at_l
+    return (spherical, rho, np.where(at_l, d_l, np.where(at_u, d_u, n - 1)),
+            np.where(at_l, betas[1], np.where(at_u, betas[0], beta_i)))
 
+
+def _merged_error(st: _Stack, js: _JStack, i: int) -> edm.InternalConsistencyError:
+    """The fault of row i's top group of V.T A V if it merges distinct
+    eigenvalues, else of its bottom group."""
+    grp, side = st.groups, int(st.groups.spreads[1, i] > _merge_tol(st.n))
+    mean = _shown(grp.means[side, i], np.abs(st.eigenvalues[i]).max())
+    return edm.InternalConsistencyError(
+        f"extreme eigenvalue group of V.T A V ({mean:.6g}, multiplicity "
+        f"{grp.counts[side, i]}) merges eigenvalues {grp.spreads[side, i]:.3e} apart")
+
+
+#: The faults of the pass, in the order a row reports the first of them: a
+#: (where, error) pair of functions of the _Stack and its _JStack, the first
+#: giving the rows at fault and the second the error of row i.
+_FAULTS = (
+    (lambda st, js: np.logical_or(*(st.groups.spreads > _merge_tol(st.n))), _merged_error),
+    # mu_max = 0 exactly for complete multipartite graphs and mu_min = -1
+    # exactly for cluster graphs; a clustering that breaks this is a fault
+    (lambda st, js: ((st.mu_max > 1e-9) == st.classes.is_multipartite)
+     | ((st.mu_min < -1.0 - 1e-9) == st.classes.is_cluster),
+     lambda st, js, i: edm.InternalConsistencyError(
+         f"projected spectrum (mu_min={st.mu_min[i]:.6g}, mu_max={st.mu_max[i]:.6g}) "
+         f"contradicts the class {str(st.classes.tag[i])!r}")),
+    (lambda st, js: js.bad, lambda st, js, i: js.error(i)),
+    (lambda st, js: (st.dim_e < lower_bounds(st.n)[0] - 1e-9) | (st.dim_e > st.dim_s)
+     | (st.dim_s > st.dim_j),
+     lambda st, js, i: edm.InternalConsistencyError(
+         f"dimensions break lower_bound_e <= dim_e <= dim_s <= dim_j: "
+         f"{lower_bounds(st.n)[0]:.4f}, {st.dim_e[i]}, {st.dim_s[i]}, {st.dim_j[i]}")),
+)
+
+
+def _analyze_stack(adj: np.ndarray, tol: float = linalg.EIG_TOL,
+                   vectors: bool = False) -> _Stack:
+    """The analysis of every graph in a (k, n, n) boolean adjacency stack, in
+    stages: the class test, one stacked O(n^3) decomposition of V.T A V
+    (``_spectrum``), then array operations (``_endpoints``, ``_sphericity``
+    and ``_j_arrowhead``). Each fault of ``_FAULTS`` becomes a per-row error,
+    so one graph's fault leaves the other rows untouched. A stack of only
+    complete and null graphs has no answer to compute: it runs the class test
+    alone, its float columns NaN and its sphericity flags False.
+    """
+    adj = np.asarray(adj, dtype=bool)
+    k, n = adj.shape[0], adj.shape[-1]
+    classes = class_stack(adj)
+    nondeg = ~classes.degenerate
+    if not np.count_nonzero(nondeg):  # one node is the complete graph
+        no = np.zeros(k, dtype=bool)
+        return _Stack(n, classes, np.full(k, None, dtype=object),
+                      **{**dict.fromkeys(_COLUMNS, np.full(k, np.nan)),
+                         "spherical_at_l": no, "spherical_at_u": no})
+    w, basis, q, mean_deg = _spectrum(adj, vectors)
+    grp, betas, dim_e, dim_e_witness, beta_i = _endpoints(w, classes, tol)
+    spherical, rho, dim_s, dim_s_witness = _sphericity(w, basis, q, mean_deg, grp, betas,
+                                                       beta_i)
     # In the orthonormal basis [e/sqrt(n), V U], Abar = J - I - A is the
     # arrowhead [[n - 1 - 2|E|/n, -q.T/sqrt(n)], [-q/sqrt(n), -I - diag(w)]].
     js = _j_arrowhead(adj, n - 1.0 - mean_deg, -q / math.sqrt(n), -1.0 - w, tol)
     delta = js.delta
-
-    # The faults, in the order a row reports the first of them.
-    merged = grp.spreads > _merge_tol(n)
-    lb_e = lower_bounds(n)[0]
-
-    def merged_group(side):
-        return merged[side], lambda i: edm.InternalConsistencyError(
-            f"extreme eigenvalue group of V.T A V ({_shown(grp.means[side, i], np.abs(w[i]).max()):.6g}, "
-            f"multiplicity {grp.counts[side, i]}) merges eigenvalues {grp.spreads[side, i]:.3e} apart")
-    faults = (
-        merged_group(1), merged_group(0),
-        # mu_max = 0 exactly for complete multipartite graphs and mu_min = -1
-        # exactly for cluster graphs; a clustering that breaks this is a fault
-        (((mu_max > 1e-9) == classes.is_multipartite) | ((mu_min < -1.0 - 1e-9) == classes.is_cluster),
-         lambda i: edm.InternalConsistencyError(
-             f"projected spectrum (mu_min={mu_min[i]:.6g}, mu_max={mu_max[i]:.6g}) "
-             f"contradicts the class {str(classes.tag[i])!r}")),
-        (js.bad, js.error),
-        ((dim_e < lb_e - 1e-9) | (dim_e > dim_s) | (dim_s > js.dim_j),
-         lambda i: edm.InternalConsistencyError(
-             f"dimensions break lower_bound_e <= dim_e <= dim_s <= dim_j: "
-             f"{lb_e:.4f}, {dim_e[i]}, {dim_s[i]}, {js.dim_j[i]}")))
-    clean = nondeg.copy()
-    if np.count_nonzero(nondeg & np.logical_or.reduce([mask for mask, _ in faults])):
-        for mask, fault in faults:
-            for i in np.flatnonzero(mask & clean):
-                errors[i] = fault(i)
-                clean[i] = False
-    return _Stack(
-        n, classes, errors, mu_min=mu_min, mu_max=mu_max, m_min=m_min, m_max=m_max,
-        beta_l=beta_l, beta_u=beta_u, dim_e=dim_e,
-        dim_e_witness_beta=np.where(use_l, beta_l, beta_u),
-        dim_s=dim_s, dim_s_witness_beta=np.where(at_l, beta_l, np.where(at_u, beta_u, beta_i)),
-        spherical_at_l=spherical_l, spherical_at_u=spherical_u, rho_l=rho_l, rho_u=rho_u,
+    st = _Stack(
+        n, classes, None, mu_min=grp.means[0], mu_max=grp.means[1], m_min=grp.counts[0],
+        m_max=grp.counts[1], beta_l=betas[1], beta_u=betas[0], dim_e=dim_e,
+        dim_e_witness_beta=dim_e_witness, dim_s=dim_s, dim_s_witness_beta=dim_s_witness,
+        spherical_at_l=spherical[1], spherical_at_u=spherical[0], rho_l=rho[1], rho_u=rho[0],
         delta=delta, beta_j=2.0 + 2.0 * delta, dim_j=js.dim_j,
         eigenvalues=w, groups=grp, beta_i=beta_i, basis=basis, q=q)
+    faults = [(where(st, js), partial(error, st, js)) for where, error in _FAULTS]
+    return st._replace(errors=edm.first_faults(faults, nondeg))
 
 
 def _analyze_single(g: Graph, vectors: bool = False) -> _Stack:

@@ -264,3 +264,17 @@ class TestOneGramReading:
             else:
                 with pytest.raises(edm.FullDimensionError):
                     edm.gale_matrix(d)
+
+
+def test_first_faults_first_wins():
+    # each marked row takes the error of its first fault; unmarked rows and
+    # rows with no fault take None, and a later fault never overwrites
+    made = []
+
+    def error(name):
+        return lambda i: made.append((name, i)) or f"{name}{i}"
+    faults = [(np.array([False, True, True, False, False]), error("a")),
+              (np.array([True, True, False, True, False]), error("b"))]
+    got = edm.first_faults(faults, np.array([True, True, True, False, True]))
+    assert got.tolist() == ["b0", "a1", "a2", None, None]
+    assert made == [("a", 1), ("a", 2), ("b", 0)]

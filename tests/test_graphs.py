@@ -112,6 +112,16 @@ class TestEdgeListParsing:
         ("3\n0 a\n", "line 2"),
         ("3\n1 1\n", "loop"),
         ("3\n0 5\n", "out of range"),
+        ("3\n0 -1\n", "out of range"),
+        ("-3\n", "must be positive"),
+        # only ASCII digits with an optional leading minus are integers
+        ("1_0\n0 9\n", "line 1: expected node count"),
+        ("+3\n0 1\n", "line 1: expected node count"),
+        ("\u0663\n0 1\n", "line 1: expected node count"),
+        ("3\n0 1_0\n", "line 2: non-integer"),
+        ("3\n+0 2\n", "line 2: non-integer"),
+        ("3\n0 \u0662\n", "line 2: non-integer"),
+        ("3\n- 2\n", "line 2: non-integer"),
     ])
     def test_errors_carry_line_info(self, text, fragment):
         with pytest.raises(GraphFormatError, match=fragment):

@@ -4,53 +4,53 @@ import pytest
 from twodist import linalg
 
 
-def random_symmetric(rng, n):
-    m = rng.standard_normal((n, n))
-    return 0.5 * (m + m.T)
-
-
 def random_psd(rng, n, rank):
     f = rng.standard_normal((n, rank))
     return f @ f.T
 
 
-class TestEigh:
-    def test_reconstruction_random(self, rng):
-        for _ in range(200):
-            n = int(rng.integers(1, 21))
-            m = random_symmetric(rng, n)
-            spec = linalg.eigh(m)
-            assert sum(grp.multiplicity for grp in spec.groups) == n
-            rebuilt = sum(grp.value * grp.basis @ grp.basis.T for grp in spec.groups)
-            assert np.allclose(rebuilt, m, atol=1e-10 * max(1.0, abs(m).max()))
-            vals = [grp.value for grp in spec.groups]
-            assert vals == sorted(vals, reverse=True)
-
-    def test_bases_orthonormal(self, rng):
-        m = random_symmetric(rng, 12)
-        spec = linalg.eigh(m)
-        stacked = np.hstack([g.basis for g in spec.groups])
-        assert np.allclose(stacked.T @ stacked, np.eye(12), atol=1e-12)
-
-    def test_clusters_repeated_eigenvalues(self, rng):
-        # projector onto a random 3-space has eigenvalues {1 x3, 0 x5}
+class TestExtremeGroups:
+    def test_projector_groups(self, rng):
+        # projector onto a random 3-space has eigenvalues {0 x5, 1 x3}
         q, _ = np.linalg.qr(rng.standard_normal((8, 3)))
-        spec = linalg.eigh(q @ q.T)
-        assert [g.multiplicity for g in spec.groups] == [3, 5]
-        assert spec.max_value == pytest.approx(1.0)
-        assert spec.groups[-1].value == pytest.approx(0.0)
+        grp = linalg.extreme_groups(np.linalg.eigvalsh(q @ q.T), linalg.EIG_TOL)
+        assert grp.counts.tolist() == [5, 3]
+        assert grp.masks.tolist() == [[True] * 5 + [False] * 3, [False] * 5 + [True] * 3]
+        assert grp.means.tolist() == pytest.approx([0.0, 1.0], abs=1e-12)
+        assert grp.spreads.max() < 1e-12
 
     def test_two_group_matrix(self):
-        # -(E - I)/3 on 4 nodes: eigenvalues -1 (x1) and 1/3 (x3)
-        m = -(np.full((4, 4), 1.0) - np.eye(4)) / 3.0
-        spec = linalg.eigh(m)
-        assert [grp.value for grp in spec.groups] == pytest.approx([1.0 / 3.0, -1.0])
-        assert [g.multiplicity for g in spec.groups] == [3, 1]
+        # -(J - I)/3 on 4 nodes: eigenvalues -1 (x1) and 1/3 (x3)
+        w = np.linalg.eigvalsh(-(np.full((4, 4), 1.0) - np.eye(4)) / 3.0)
+        grp = linalg.extreme_groups(w, linalg.EIG_TOL)
+        assert grp.counts.tolist() == [1, 3]
+        assert grp.means.tolist() == pytest.approx([-1.0, 1.0 / 3.0])
 
-    def test_empty_and_nonfinite(self):
-        assert linalg.eigh(np.zeros((0, 0))).groups == ()
-        with pytest.raises(linalg.NotFiniteError):
-            linalg.eigh(np.array([[np.nan, 0.0], [0.0, 1.0]]))
+    @pytest.mark.parametrize("k,m", [(500, 5), (3, 12)])
+    def test_stack_matches_rows(self, rng, k, m):
+        # rounded spectra, their ties split by noise within or beyond the gap,
+        # in stacks with more and with fewer rows than eigenvalues per row;
+        # each row's groups are the ones it gets alone, bit for bit
+        w = np.round(rng.standard_normal((k, m)) * 2.0) / 2.0
+        w += rng.choice([0.0, 1e-11, 1e-3], (k, m)) * rng.standard_normal((k, m))
+        w.sort(axis=-1)
+        w[:, 1] = w[:, 0] + 1e-11  # every bottom group merges two or more
+        w.sort(axis=-1)
+        got = linalg.extreme_groups(w, linalg.EIG_TOL)
+        assert (got.counts[0] >= 2).all() and (got.spreads > 0.0).any()
+        for i in range(k):
+            alone = linalg.extreme_groups(w[i], linalg.EIG_TOL)
+            for field, want in zip(got, alone):
+                assert np.array_equal(field[:, i], want)
+
+    def test_one_eigenvalue(self):
+        # n = 2: V.T A V is 1 x 1, and both extreme groups are its eigenvalue
+        w = np.array([[-1.0], [0.0], [2.5]])
+        grp = linalg.extreme_groups(w, linalg.EIG_TOL)
+        assert grp.masks.all()
+        assert grp.counts.tolist() == [[1, 1, 1], [1, 1, 1]]
+        assert np.array_equal(grp.means, [w[:, 0], w[:, 0]])
+        assert not grp.spreads.any()
 
 
 class TestPinvAndSolve:

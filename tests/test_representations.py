@@ -543,6 +543,23 @@ class TestAnalyzeGraph:
         assert [c[0] for c in calls].count("_radius2") == radii
         assert {c[0] for c in calls} - {"_radius2"} == {"_analyze_stack"}
 
+    @pytest.mark.parametrize("tol", [linalg.EIG_TOL, 0.9])
+    def test_each_stage_once(self, tol, monkeypatch):
+        # a pass over a stack runs each stage once, in order, whether or not
+        # its rows fault, as many order-5 graphs do at tol 0.9
+        stages = ["class_stack", "_spectrum", "_endpoints", "_sphericity", "_j_arrowhead"]
+        calls = []
+        for fn in stages:
+            orig = getattr(reps, fn)
+
+            def counted(*args, _fn=fn, _orig=orig, **kwargs):
+                calls.append(_fn)
+                return _orig(*args, **kwargs)
+            monkeypatch.setattr(reps, fn, counted)
+        st = reps._analyze_stack(mask_stack(5, np.arange(1 << 10)), tol)
+        assert calls == stages
+        assert (st.errors != None).any() == (tol == 0.9)  # noqa: E711
+
     def test_class_contradiction_raises(self, monkeypatch):
         # C5's mu_min < -1 contradicts a cluster tag
         monkeypatch.setattr(reps, "class_stack",

@@ -9,7 +9,7 @@ import twodist
 #: module constant (linalg.EIG_TOL, linalg.RESIDUAL_TOL, oracle.VERIFY_TOL, ...).
 TOL_EIG_PATH = {
     "representations.analyze_graph", "representations._analyze_stack",
-    "representations._j_arrowhead", "representations._j_stack",
+    "representations._endpoints", "representations._j_arrowhead", "representations._j_stack",
     "linalg.extreme_groups", "linalg.cluster_gap",
 }
 
