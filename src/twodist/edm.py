@@ -19,7 +19,7 @@ from typing import NamedTuple, Optional, Tuple
 import numpy as np
 
 from . import linalg
-from .centering import build_v, lift, projected_gram
+from .centering import build_v, lift, project_adjacency
 
 class NotEdmError(ValueError):
     """Input matrix is not a Euclidean distance matrix."""
@@ -98,10 +98,11 @@ def _validate_hollow(d: np.ndarray) -> np.ndarray:
 
 
 def _gram(d: np.ndarray) -> tuple:
-    """The projected Grams -1/2 V.T D V of a (k, n, n) stack, n >= 2: their
-    ascending eigenvalues w (k, n-1), eigenvectors u, and the (negative,
-    positive) masks of w under ``linalg.sign_masks``; the rest are zero."""
-    w, u = np.linalg.eigh(projected_gram(d, build_v(d.shape[-1])))
+    """The projected Grams -1/2 V.T D V of a (k, n, n) stack of hollow
+    matrices, n >= 2: their ascending eigenvalues w (k, n-1), eigenvectors u,
+    and the (negative, positive) masks of w under ``linalg.sign_masks``; the
+    rest are zero."""
+    w, u = np.linalg.eigh(-0.5 * project_adjacency(d, build_v(d.shape[-1])))
     return (w, u, *linalg.sign_masks(w))
 
 
@@ -172,7 +173,7 @@ class SphereStack(NamedTuple):
 
 
 def sphere_stack(d: np.ndarray) -> SphereStack:
-    """Sphericity of a (k, n, n) stack of hollow symmetric matrices.
+    """Sphericity of a (k, n, n) stack of hollow, exactly symmetric matrices.
 
     The EDM test and embedding dimension r come from ``_gram``; one eigh of
     D gives w = pinv(D) e, which solves Dw = e, and rank(D), the count of its
@@ -181,7 +182,6 @@ def sphere_stack(d: np.ndarray) -> SphereStack:
     Gram's null space) and the sign of e.T w cross-check the rank test: only
     clear contradictions are errors.
     """
-    d = 0.5 * (d + d.swapaxes(-1, -2))
     k, n = d.shape[0], d.shape[-1]
     _, xu, neg, pos = gram = _gram(d)
     r = np.count_nonzero(pos, axis=-1)

@@ -122,12 +122,14 @@ def _integer(token: str) -> int:
 
 
 def parse_edge_list(text: str) -> Graph:
-    """Parse the edge-list format: first line n, then one "u v" pair per line."""
-    lines = text.splitlines()
+    """Parse the edge-list format: first line n, then one "u v" pair per line.
+    Lines end at "\n", a trailing "\r" dropped, and fields are separated by
+    ASCII spaces and tabs: str.splitlines and str.split would also break at
+    other Unicode separators."""
     n = None
     pairs = []
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.strip()
+    for lineno, raw in enumerate(text.split("\n"), start=1):
+        line = raw.removesuffix("\r").strip(" \t")
         if not line:
             continue
         if n is None:
@@ -137,7 +139,7 @@ def parse_edge_list(text: str) -> Graph:
                 raise GraphFormatError(f"line {lineno}: expected node count, got {line!r}")
             _check_order(n, f"line {lineno}: ")
             continue
-        parts = line.split()
+        parts = [field for field in line.replace("\t", " ").split(" ") if field]
         if len(parts) != 2:
             raise GraphFormatError(f"line {lineno}: expected 'u v', got {line!r}")
         try:

@@ -110,11 +110,14 @@ def arrowhead_top(corner: np.ndarray, z: np.ndarray, d: np.ndarray) -> np.ndarra
     """
     scale = np.fmax(np.abs(corner), reduce_last(np.maximum, np.abs(d), initial=0.0))
     coupled = np.abs(z) > ROUNDING * scale[:, None]
-    z2 = np.where(coupled, z * z, 0.0)
-    poles = np.where(coupled, d, -np.inf)  # a decoupled term is 0/inf
+    every = np.count_nonzero(coupled) == coupled.size
+    z2, poles = z * z, d
+    if not every:  # a decoupled term is 0/inf
+        z2, poles = np.where(coupled, z2, 0.0), np.where(coupled, d, -np.inf)
     c = corner[:, None]  # x, c and size are (rows, 1) columns
     half = 0.5 * (c - d)
-    x = c + reduce_last(np.maximum, np.where(coupled, np.sqrt(half * half + z2) - half, 0.0),
+    above = np.sqrt(half * half + z2) - half  # each 2x2 block's top eigenvalue, less c
+    x = c + reduce_last(np.maximum, above if every else np.where(coupled, above, 0.0),
                         keepdims=True, initial=0.0)
     top = np.full_like(corner, np.nan)
     rows, size = None, np.abs(c)  # rows: the stack rows still iterated, None for all
@@ -141,7 +144,7 @@ def arrowhead_top(corner: np.ndarray, z: np.ndarray, d: np.ndarray) -> np.ndarra
             rows = keep if rows is None else rows.take(keep)
             x, c, size, z2, poles = (a.take(keep, axis=0) for a in (x, c, size, z2, poles))
             r = np.empty((2,) + z2.shape)
-    if np.count_nonzero(coupled) == coupled.size:
+    if every:
         return top
     # a decoupled d_j is an eigenvalue exactly; NaN stays NaN
     return np.maximum(top, reduce_last(np.maximum, np.where(coupled, -np.inf, d),

@@ -44,12 +44,13 @@ class VerificationReport(NamedTuple):
 
 def _pair_sq_distances(points: np.ndarray) -> np.ndarray:
     """Squared distances of the pairs u < v (triu_pairs order) of
-    configurations of shape (..., n, r)."""
+    configurations of shape (..., n, r): |p_u|^2 + |p_v|^2 - 2 p_u . p_v,
+    formed on those pairs only."""
     sq = np.einsum("...ij,...ij->...i", points, points)
-    with np.errstate(over="ignore", invalid="ignore"):  # the unread diagonal may overflow
-        d = sq[..., :, None] + sq[..., None, :] - 2.0 * (points @ points.swapaxes(-1, -2))
+    gram = points @ points.swapaxes(-1, -2)
     iu, ju = triu_pairs(points.shape[-2])
-    return np.maximum(d[..., iu, ju], 0.0)
+    with np.errstate(over="ignore", invalid="ignore"):  # huge points give inf, which fails
+        return np.maximum(sq[..., iu] + sq[..., ju] - 2.0 * gram[..., iu, ju], 0.0)
 
 
 def verify_two_distance(config: Configuration, g: Graph, alpha: float,
@@ -78,7 +79,8 @@ def _verify_stack(points: np.ndarray, adj: np.ndarray, alpha,
     targets = np.where(adj[:, iu, ju], np.asarray(alpha)[..., None], beta[:, None])
     max_dev = linalg.reduce_last(np.maximum, np.abs(values - targets))
     values = np.sort(values, axis=-1)
-    breaks = linalg.reduce_last(np.add, np.diff(values, axis=-1) > VERIFY_TOL, dtype=np.intp)
+    breaks = linalg.reduce_last(np.add, values[..., 1:] - values[..., :-1] > VERIFY_TOL,
+                                dtype=np.intp)
     return max_dev, (breaks == 1) & (max_dev <= VERIFY_TOL), values
 
 
@@ -228,10 +230,10 @@ def _sweep_stack(summary: SweepSummary, adj: np.ndarray, comp: np.ndarray,
     # not at all for a stack with none, from one lift of the pass's
     # eigenvectors: the configurations at each endpoint and at the interior
     # beta (the spherical witness is one of these), the J-spherical
-    # configuration's distances and unit rows; and the circumradius of the
-    # configuration at a spherical upper endpoint, for the radius check. The
-    # J points are a closed form in the pass's eigenpairs, q and delta: their
-    # unit rows check delta and their distances dim_J.
+    # configuration's distances and unit rows; and, where the upper endpoint
+    # is spherical, the circumradius of its configuration, for the radius
+    # check. The J points are a closed form in the pass's eigenpairs, q and
+    # delta: their unit rows check delta and their distances dim_J.
     # dim_j_connected_complement checks dim_J with no eigensolver.
     config_dev, config_ok = np.zeros(k), np.ones(k, dtype=bool)
     row_norm_err, radius_err = np.zeros(k), np.full(k, np.nan)
@@ -240,14 +242,16 @@ def _sweep_stack(summary: SweepSummary, adj: np.ndarray, comp: np.ndarray,
         lifted = lift(st.basis[sel], build_v(n))
         sub, dev, ok = adj[sel], np.zeros(sel.size), np.ones(sel.size, dtype=bool)
         at_u = st.spherical_at_u[sel]
-        for side, alpha, beta, has in (("l", 1.0, st.beta_l, has_l), ("u", 1.0, st.beta_u, has_u),
-                                       ("i", 1.0, st.beta_i, live), ("j", 2.0, st.beta_j, live)):
+        # beta_l and beta_u count where that endpoint exists, beta_i and beta_j on every row
+        for side, alpha, beta, has in (("l", 1.0, st.beta_l, has_l[sel]),
+                                       ("u", 1.0, st.beta_u, has_u[sel]),
+                                       ("i", 1.0, st.beta_i, np.True_), ("j", 2.0, st.beta_j, np.True_)):
             points = st.configuration(side, sel, lifted)
             d, passed, _ = _verify_stack(points, sub, alpha, beta[sel])
-            dev = np.where(has[sel], np.fmax(dev, d), dev)
-            ok &= ~has[sel] | passed
+            dev = np.where(has, np.fmax(dev, d), dev)
+            ok &= ~has | passed
             if side == "u":
-                witness = reps._witness_radius(points[at_u]) ** 2
+                points_u = points
         config_dev[sel], config_ok[sel] = dev, ok
         row_norm_err[sel] = linalg.reduce_last(
             np.maximum, np.abs(np.einsum("kij,kij->ki", points, points) - 1.0))
@@ -256,13 +260,15 @@ def _sweep_stack(summary: SweepSummary, adj: np.ndarray, comp: np.ndarray,
         # radius (the closed form) and that circumradius vs the Dw = e radius.
         if np.count_nonzero(at_u):
             rad = sel[at_u]
+            witness = reps._witness_radius(points_u[at_u]) ** 2
             abar = complement_adjacency(adj[rad]).astype(float)
             sphere = edm.sphere_stack(adj[rad] + st.beta_u[rad, None, None] * abar)
             errors[rad] = sphere.errors
             rho2_w = sphere.radius ** 2
             radius_err[rad] = np.maximum(np.abs(witness - rho2_w),
                                          np.abs(st.rho_u[rad] ** 2 - rho2_w))
-    live &= errors == None  # noqa: E711
+    failed = errors != None  # noqa: E711
+    live &= ~failed
 
     # the roots only feed checks recorded for the rows in ``checked``, not
     # for a sampled graph's complement
@@ -274,23 +280,23 @@ def _sweep_stack(summary: SweepSummary, adj: np.ndarray, comp: np.ndarray,
     root_err = np.fmax(np.where(has_l & ~np.isnan(t1), np.abs(t1 - st.beta_l), 0.0),
                        np.where(has_u & ~np.isnan(t2), np.abs(t2 - st.beta_u), 0.0))
 
-    failed = errors != None  # noqa: E711
-
-    def c(x):
-        """The complement's value of each row."""
-        return x[comp]
+    # the value of each row's complement, gathered once per kind of column
+    c_failed, c_deg, c_connected, c_has_u, c_sph_u = np.array(
+        [failed, deg, connected_stack(adj), has_u, st.spherical_at_u])[:, comp]
+    cols = np.array([st.mu_min, st.mu_max, st.m_min, st.m_max, st.dim_e, st.dim_s])
+    c_mu_min, c_mu_max, c_m_min, c_m_max, c_dim_e, c_dim_s = cols[:, comp]
 
     mu_min, mu_max = st.mu_min, st.mu_max
     near_m1, near_0 = np.abs(mu_min + 1.0) <= 1e-7, np.abs(mu_max) <= 1e-7
     lb_e, lb_s = reps.lower_bounds(n)
-    pair = ~failed & ~deg & ~c(failed)   # single-graph and complement checks
-    dual = pair & ~c(deg)
-    mu_err = np.fmax(np.abs(c(mu_min) - (-1.0 - mu_max)), np.abs(c(mu_max) - (-1.0 - mu_min)))
+    pair = ~(failed | deg | c_failed)   # single-graph and complement checks
+    dual = pair & ~c_deg
+    mu_err = np.fmax(np.abs(c_mu_min - (-1.0 - mu_max)), np.abs(c_mu_max - (-1.0 - mu_min)))
     checks = [
         _Check("no_internal_error", failed, ~failed,
                detail=lambda i: f"{type(errors[i]).__name__}: {errors[i]}"),
         _Check("degenerate_complement", ~failed & deg,
-               c(deg) & (c(st.classes.tag) != st.classes.tag) if n > 1 else np.ones(k, bool)),
+               c_deg & (st.classes.tag[comp] != st.classes.tag) if n > 1 else np.ones(k, bool)),
         _Check("cluster_iff_mu_min_-1", pair, st.classes.is_cluster == near_m1,
                detail=lambda i: f"mu_min={float(mu_min[i])}"),
         _Check("multipartite_iff_mu_max_0", pair, st.classes.is_multipartite == (mu_max <= 1e-7),
@@ -301,17 +307,17 @@ def _sweep_stack(summary: SweepSummary, adj: np.ndarray, comp: np.ndarray,
         _Check("dim_chain", pair, (st.dim_e <= st.dim_s) & (st.dim_s <= st.dim_j),
                detail=lambda i: f"{st.dim_e[i]},{st.dim_s[i]},{st.dim_j[i]}"),
         _Check("dim_e_at_most_n-2", pair, st.dim_e <= n - 2),
-        _Check("dim_j_connected_complement", pair & c(connected_stack(adj)), st.dim_j == n - 1,
+        _Check("dim_j_connected_complement", pair & c_connected, st.dim_j == n - 1,
                detail=lambda i: f"dim_j={st.dim_j[i]}"),
         _Check("lower_bounds", pair, (st.dim_e >= lb_e - 1e-9) & (st.dim_s >= lb_s - 1e-9),
                detail=lambda i: f"dims=({st.dim_e[i]},{st.dim_s[i]}) lbs=({lb_e:.4f},{lb_s:.4f})"),
-        _Check("dim_e_complement", dual, st.dim_e == c(st.dim_e)),
-        _Check("dim_s_complement", dual, st.dim_s == c(st.dim_s)),
+        _Check("dim_e_complement", dual, st.dim_e == c_dim_e),
+        _Check("dim_s_complement", dual, st.dim_s == c_dim_s),
         _Check("mu_complement_relation", dual,
-               (mu_err <= 1e-9) & (c(st.m_min) == st.m_max) & (c(st.m_max) == st.m_min),
+               (mu_err <= 1e-9) & (c_m_min == st.m_max) & (c_m_max == st.m_min),
                mu_err, lambda i: f"err={mu_err[i]:.2e}"),
-        _Check("endpoint_sphericity_duality", dual & has_l & c(has_u),
-               st.spherical_at_l == c(st.spherical_at_u)),
+        _Check("endpoint_sphericity_duality", dual & has_l & c_has_u,
+               st.spherical_at_l == c_sph_u),
         _Check("dispoly_roots_exist", pair, root_presence_ok),
         _Check("dispoly_roots_match", pair, root_err <= SWEEP_TOL, root_err,
                lambda i: f"err={root_err[i]:.2e}"),
@@ -322,19 +328,22 @@ def _sweep_stack(summary: SweepSummary, adj: np.ndarray, comp: np.ndarray,
                radius_err <= SWEEP_TOL, radius_err, lambda i: f"err={radius_err[i]:.2e}"),
     ]
     # one (checks, rows) table: the rows each check records, those it fails
-    # and their largest error (a NaN error fails its check but, as in max(),
-    # never becomes the largest)
+    # and, for the checks with an error, their largest one (a NaN error fails
+    # its check but, as in max(), never becomes the largest)
     rows = np.array([chk.applies for chk in checks]) & checked
     bad = rows & ~np.array([chk.ok for chk in checks])
-    errs = np.array([np.zeros(k) if chk.error is None else chk.error for chk in checks])
-    largest = np.fmax.reduce(np.where(rows, errs, 0.0), axis=1, initial=0.0).tolist()
-    for chk, count, err in zip(checks, np.count_nonzero(rows, axis=1).tolist(), largest):
+    measured = [j for j, chk in enumerate(checks) if chk.error is not None]
+    largest = dict(zip(measured, np.fmax.reduce(
+        np.where(rows[measured], [checks[j].error for j in measured], 0.0),
+        axis=1, initial=0.0).tolist()))
+    for j, count in enumerate(linalg.reduce_last(np.add, rows, dtype=np.intp).tolist()):
         if count:
-            summary.tally(chk.name, count, None if chk.error is None else err)
-    for i, order in np.argwhere(bad.T).tolist():
-        summary.violations.append({"check": checks[order].name,
-                                   "graph6": encode_graph6(Graph(n, adj[i])),
-                                   "detail": checks[order].detail(i)})
+            summary.tally(checks[j].name, count, largest.get(j))
+    if np.count_nonzero(bad):
+        for i, order in np.argwhere(bad.T).tolist():
+            summary.violations.append({"check": checks[order].name,
+                                       "graph6": encode_graph6(Graph(n, adj[i])),
+                                       "detail": checks[order].detail(i)})
     n_checked = int(np.count_nonzero(checked))
     summary.graphs_checked += n_checked
     summary.per_n[n] = summary.per_n.get(n, 0) + n_checked

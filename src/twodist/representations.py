@@ -171,7 +171,8 @@ def _radius2(beta: np.ndarray, w: np.ndarray, q: np.ndarray, mean_deg: np.ndarra
              skip: np.ndarray) -> np.ndarray:
     """Squared circumradii of the EDMs A + beta*Abar of k graphs of order n,
     in closed form from the eigenpairs (w, U) of V.T A V (w of shape (k, n-1)),
-    q = U.T V.T d for the degree vector d, and mean_deg = 2|E|/n:
+    q = U.T V.T d for the degree vector d, and mean_deg = 2|E|/n, for betas
+    of shape (..., k):
 
         rho^2 = [beta (n-1) + (1 - beta)(2|E|/n + sum_j (q_j^2/n) / (x* - w_j))] / (2n),
 
@@ -183,7 +184,7 @@ def _radius2(beta: np.ndarray, w: np.ndarray, q: np.ndarray, mean_deg: np.ndarra
     if q vanishes on it.
     """
     n = w.shape[-1] + 1
-    x_star = (beta / (1.0 - beta))[:, None]
+    x_star = (beta / (1.0 - beta))[..., None]
     terms = np.where(skip, 0.0, q * q / (x_star - w))  # callers ignore division faults
     return (beta * (n - 1) + (1.0 - beta) * (mean_deg + terms.sum(axis=-1) / n)) / (2.0 * n)
 
@@ -249,17 +250,23 @@ def _j_arrowhead(adj: np.ndarray, corner: np.ndarray, z: np.ndarray, d: np.ndarr
     interlacing lambda_2 <= max d, and Abar >= 0 makes lambda_max its largest
     |eigenvalue|, so the top group is lambda_max alone (spread 0, dim_J =
     n - 1). Only the other rows, among them any that Newton gave up on, run
-    an eigvalsh of Abar and ``_j_stack``.
+    an eigvalsh of Abar and ``_j_stack``, but a complete graph's, whose
+    Abar is 0.
     """
     k, n = d.shape[0], d.shape[-1] + 1
     top = linalg.arrowhead_top(corner, z, d)
     spread, dim_j, scale = np.zeros(k), np.full(k, n - 1), top
     uncertified = ~(top - d[:, 0] > tol * np.maximum(1.0, top))  # and NaN rows
     if np.count_nonzero(uncertified):
-        rest = np.flatnonzero(uncertified)
-        js = _j_stack(np.linalg.eigvalsh(complement_adjacency(adj[rest]).astype(float)), tol)
         top, scale = top.copy(), top.copy()
-        top[rest], spread[rest], dim_j[rest], scale[rest] = js.top, js.spread, js.dim_j, js.scale
+        # corner, the mean degree of the complement, is 0 only for a complete
+        # graph: its Abar = 0 has the one eigenvalue 0, n times
+        complete = uncertified & (corner == 0.0)
+        top[complete] = scale[complete] = dim_j[complete] = 0
+        rest = np.flatnonzero(uncertified & ~complete)
+        if rest.size:
+            js = _j_stack(np.linalg.eigvalsh(complement_adjacency(adj[rest]).astype(float)), tol)
+            top[rest], spread[rest], dim_j[rest], scale[rest] = js.top, js.spread, js.dim_j, js.scale
     return _JStack(n, top, spread, dim_j, scale)
 
 
@@ -438,8 +445,9 @@ class _Stack(NamedTuple):
                 head = np.divide(delta * self.q[rows], self.n * gram, out=np.zeros_like(gram),
                                  where=keep)
             return _points(lifted + head[..., None, :], gram, ~keep)
-        beta = {"l": self.beta_l, "u": self.beta_u, "i": self.beta_i}[side][rows, None]
-        zero = {"l": self.groups.masks[1][rows], "u": self.groups.masks[0][rows]}.get(side, False)
+        end = "ul".find(side)  # the extreme group that vanishes there, -1 for "i"
+        beta = (self.beta_u, self.beta_l, self.beta_i)[end][rows, None]
+        zero = self.groups.masks[end][rows] if end >= 0 else False
         return _points(lifted, 0.5 * (beta + (beta - 1.0) * w), zero)
 
     def report(self, i: int) -> ReprReport:
@@ -511,23 +519,25 @@ def _sphericity(w: np.ndarray, basis: Optional[np.ndarray], q: np.ndarray,
     column's largest |entry| is at its largest or smallest z; on a group
     of one eigenvalue w_j - mu is 0, and the residual is |q_j|/n. With
     q = 0 it is at most the group's spread, which the merge check bounds.
+    So only the rows whose spread is not 0 read the lifted eigenvectors.
     """
     k, n = w.shape[0], w.shape[-1] + 1
     resid = np.zeros((2, k))
     if basis is not None:
-        off = (w - grp.means[..., None]) * grp.masks
-        resid = np.abs(q / n)
-        if np.count_nonzero(off):
-            resid = np.abs(off[:, None] * np.array(lift_extremes(basis, build_v(n)))
-                           + q / n).max(axis=1)
-        resid = linalg.reduce_last(np.maximum, resid * grp.masks)
+        resid = linalg.reduce_last(np.maximum, np.abs(q / n) * grp.masks)
+        rows = np.flatnonzero(np.logical_or(*grp.spreads))
+        if rows.size:
+            masks = grp.masks[:, rows]
+            off = (w[rows] - grp.means[:, rows, None]) * masks
+            ext = np.array(lift_extremes(basis[rows], build_v(n)))
+            resid[:, rows] = linalg.reduce_last(
+                np.maximum, np.abs(off[:, None] * ext + q[rows] / n).max(axis=1) * masks)
     spherical = ~np.isnan(betas) & (resid <= _merge_tol(n))
     rho = np.full((2, k), np.nan)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for side in (0, 1):
-            if np.count_nonzero(spherical[side]):
-                rho[side] = np.where(spherical[side], np.sqrt(
-                    _radius2(betas[side], w, q, mean_deg, grp.masks[side])), np.nan)
+    if np.count_nonzero(spherical):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            rho = np.where(spherical, np.sqrt(_radius2(betas, w, q, mean_deg, grp.masks)),
+                           np.nan)
     # dim_S: the spherical endpoint of least dimension (the lower one on a
     # tie), else an interior beta in n - 1 dimensions.
     d_u, d_l = np.where(spherical, n - 1 - grp.counts, n)

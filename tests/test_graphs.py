@@ -104,6 +104,10 @@ class TestEdgeListParsing:
         g = parse_edge_list("\n4\n\n0 1\n\n")
         assert g.n == 4 and g.edges == {(0, 1)}
 
+    def test_crlf_tabs_and_padding(self):
+        g = parse_edge_list("4\r\n\t0\t 1 \r\n \r\n2  3\n")
+        assert g.n == 4 and g.edges == {(0, 1), (2, 3)}
+
     @pytest.mark.parametrize("text,fragment", [
         ("", "empty"),
         ("x\n", "line 1"),
@@ -122,6 +126,11 @@ class TestEdgeListParsing:
         ("3\n+0 2\n", "line 2: non-integer"),
         ("3\n0 \u0662\n", "line 2: non-integer"),
         ("3\n- 2\n", "line 2: non-integer"),
+        # lines end at "\n" only and fields split at ASCII spaces and tabs only
+        ("3\x1c0 1\n", "line 1: expected node count"),
+        ("3\u20280 1\n", "line 1: expected node count"),
+        ("3\n0\u30001\n", "line 2: expected 'u v'"),
+        ("3\n0\xa01\n", "line 2: expected 'u v'"),
     ])
     def test_errors_carry_line_info(self, text, fragment):
         with pytest.raises(GraphFormatError, match=fragment):

@@ -523,9 +523,9 @@ class TestAnalyzeGraph:
     ])
     def test_one_stacked_pass(self, name, radii, bow_tie, monkeypatch):
         # analyze_graph is the stacked pass on a stack of one: one closed-form
-        # radius per spherical endpoint, and no lifted
-        # eigenvectors, configurations or circumcenters, and none of the
-        # single-graph helpers
+        # radius call, for both endpoints, if either is spherical, and no
+        # lifted eigenvectors, configurations or circumcenters, and none of
+        # the single-graph helpers
         g = {"c9": cycle_graph(9), "bow_tie": bow_tie,
              "p3_k1": Graph.from_edges(4, [(0, 1), (0, 2)])}[name]
         calls = []
@@ -540,7 +540,7 @@ class TestAnalyzeGraph:
             monkeypatch.setattr(reps, fn, counted)
         reps.analyze_graph(g)
         assert [c for c in calls if c[0] == "_analyze_stack"] == [("_analyze_stack", (1, g.n, g.n))]
-        assert [c[0] for c in calls].count("_radius2") == radii
+        assert [c for c in calls if c[0] == "_radius2"] == [("_radius2", (2, 1))] * (radii > 0)
         assert {c[0] for c in calls} - {"_radius2"} == {"_analyze_stack"}
 
     @pytest.mark.parametrize("tol", [linalg.EIG_TOL, 0.9])
@@ -668,6 +668,36 @@ class TestAnalyzeStack:
                     assert str(st.errors[i]) == str(exc)
                 else:
                     _assert_same_report(st.report(i), want)
+
+    @pytest.mark.parametrize("vectors", [False, True])
+    @pytest.mark.parametrize("tol", [1e-9, 0.1, 0.9])
+    def test_stack_equals_its_rows(self, tol, vectors):
+        # every labelled graph on 3-5 nodes (those on 2 are degenerate): each
+        # non-degenerate row of its order's stack against that graph's pass
+        # alone. Integer and flag columns and fault texts are identical;
+        # floats agree within 1e-12 (1 + |value|) but not bit for bit, since
+        # project_adjacency's c = au @ u rounds differently on a stack than
+        # on one graph
+        for n in range(3, 6):
+            adj = mask_stack(n, np.arange(1 << (n * (n - 1) // 2)))
+            st = reps._analyze_stack(adj, tol, vectors)
+            rows = np.flatnonzero(~st.classes.degenerate)
+            ones = [reps._analyze_stack(adj[i:i + 1], tol, vectors) for i in rows]
+            assert [repr(e) for e in st.errors[rows]] == [repr(one.errors[0]) for one in ones]
+            for name in reps._COLUMNS:
+                got = getattr(st, name)[rows]
+                want = np.array([getattr(one, name)[0] for one in ones])
+                if got.dtype.kind == "f":
+                    assert np.allclose(got, want, rtol=1e-12, atol=1e-12, equal_nan=True), name
+                else:
+                    assert got.dtype == want.dtype and np.array_equal(got, want), name
+
+    def test_complete_graph_row_decomposes_nothing(self, decompositions):
+        # on the order-3 stack only K3 leaves Newton uncertified: its Abar is
+        # 0, so its J columns are read off without an eigvalsh of Abar
+        st = reps._analyze_stack(mask_stack(3, np.arange(8)), vectors=True)
+        assert decompositions == ["eigh"]
+        assert st.delta[7] == np.inf and st.dim_j[7] == 0
 
     @pytest.mark.parametrize("tol", [1e-9, 0.1, 0.9])
     def test_j_points_change_no_answer(self, tol):
