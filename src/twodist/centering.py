@@ -82,11 +82,3 @@ def project_adjacency(a: np.ndarray, v: VBasis) -> np.ndarray:
     out += c[..., None, None]
     return out
 
-
-def projected_gram(d: np.ndarray, v: VBasis) -> np.ndarray:
-    """Projected Gram matrix -1/2 V.T @ d @ V of a symmetric zero-diagonal matrix (stack) d."""
-    d = np.asarray(d, dtype=float)
-    _check_shape(d, v)
-    if np.max(np.abs(np.diagonal(d, axis1=-2, axis2=-1))) > 0:
-        raise ValueError("matrix has nonzero diagonal")
-    return -0.5 * project_adjacency(d, v)

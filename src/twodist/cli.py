@@ -42,7 +42,7 @@ def _load_graph(args) -> Graph:
         with open(args.edges, "r", encoding="utf-8") as fh:
             text = fh.read()
     except OSError as exc:
-        raise GraphFormatError(str(exc))
+        raise GraphFormatError(f"cannot read {args.edges}: {exc.strerror or exc}")
     except UnicodeDecodeError as exc:
         raise GraphFormatError(f"{args.edges}: not UTF-8 text ({exc.reason})")
     return parse_edge_list(text)

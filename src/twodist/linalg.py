@@ -55,7 +55,8 @@ def cluster_gap(w: np.ndarray, tol: float) -> np.ndarray:
     """Largest gap between neighbouring eigenvalues of one group, per sorted
     spectrum along the last axis: ``tol * max(1, max|lambda|)``."""
     ends = w[..., ::max(w.shape[-1] - 1, 1)]  # the first and last eigenvalue
-    return tol * reduce_last(np.maximum, np.abs(ends), initial=1.0)
+    with np.errstate(over="ignore"):  # a huge tol gives an infinite gap: one group
+        return tol * reduce_last(np.maximum, np.abs(ends), initial=1.0)
 
 
 class ExtremeGroups(NamedTuple):

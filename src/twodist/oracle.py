@@ -271,11 +271,18 @@ def _sweep_stack(summary: SweepSummary, adj: np.ndarray, comp: np.ndarray,
     live &= ~failed
 
     # the roots only feed checks recorded for the rows in ``checked``, not
-    # for a sampled graph's complement
+    # for a sampled graph's complement. Where both graphs of a complementary
+    # pair need them, the first row leads: M0 and M1 swap for the complement,
+    # so its pencil is t D(1/t) and its roots are (1/t2, 1/t1) of the
+    # leader's. The probes agree too: lambda_min of the pencil is concave in
+    # t and positive at 1, every t2 <= 4 and every t1 >= 1/4.
     t1, t2 = np.full(k, np.nan), np.full(k, np.nan)
     roots = live & checked
-    if roots.any():
-        t1[roots], t2[roots] = _roots_stack(adj[roots])
+    partner = roots & roots[comp] & (comp < np.arange(k))
+    lead = roots & ~partner
+    if lead.any():
+        t1[lead], t2[lead] = _roots_stack(adj[lead])
+        t1[partner], t2[partner] = 1.0 / t2[comp[partner]], 1.0 / t1[comp[partner]]
     root_presence_ok = (np.isnan(t1) == ~has_l) & (np.isnan(t2) == ~has_u)
     root_err = np.fmax(np.where(has_l & ~np.isnan(t1), np.abs(t1 - st.beta_l), 0.0),
                        np.where(has_u & ~np.isnan(t2), np.abs(t2 - st.beta_u), 0.0))

@@ -256,7 +256,8 @@ def _j_arrowhead(adj: np.ndarray, corner: np.ndarray, z: np.ndarray, d: np.ndarr
     k, n = d.shape[0], d.shape[-1] + 1
     top = linalg.arrowhead_top(corner, z, d)
     spread, dim_j, scale = np.zeros(k), np.full(k, n - 1), top
-    uncertified = ~(top - d[:, 0] > tol * np.maximum(1.0, top))  # and NaN rows
+    with np.errstate(over="ignore"):  # a huge tol gives an infinite gap: uncertified
+        uncertified = ~(top - d[:, 0] > tol * np.maximum(1.0, top))  # and NaN rows
     if np.count_nonzero(uncertified):
         top, scale = top.copy(), top.copy()
         # corner, the mean degree of the complement, is 0 only for a complete

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from twodist.centering import build_v, lift, project_adjacency, projected_gram
+from twodist.centering import build_v, lift, project_adjacency
 from twodist.graphs import adjacency_matrix, cycle_graph, from_mask
 
 
@@ -66,15 +66,6 @@ class TestProjection:
         lam = np.linalg.eigvalsh(a)
         assert np.allclose(np.sort(mu), np.sort(lam)[:-1], atol=1e-9)
 
-    def test_projected_gram_sign(self):
-        d = np.array([[0.0, 1.0], [1.0, 0.0]])
-        x = projected_gram(d, build_v(2))
-        assert x.shape == (1, 1)
-        assert x[0, 0] == pytest.approx(0.5)  # two points at distance 1
-
-    def test_projected_gram_rejects_bad_input(self):
-        v = build_v(3)
-        with pytest.raises(ValueError, match="diagonal"):
-            projected_gram(np.eye(3), v)
+    def test_project_adjacency_rejects_order_mismatch(self):
         with pytest.raises(ValueError, match="order mismatch"):
-            projected_gram(np.zeros((4, 4)), v)
+            project_adjacency(np.zeros((4, 4)), build_v(3))

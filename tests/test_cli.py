@@ -63,8 +63,30 @@ class TestAnalyze:
         assert code == 2 and "error" in err
 
     def test_missing_file_exits_2(self, capsys):
-        code, _, _ = run(["analyze", "--edges", "/nonexistent/g.txt"], capsys)
-        assert code == 2
+        # a read failure names its path, as a write failure does
+        code, out, err = run(["analyze", "--edges", "/nonexistent/g.txt"], capsys)
+        assert code == 2 and out == ""
+        assert err == "error: cannot read /nonexistent/g.txt: No such file or directory\n"
+
+    def test_directory_exits_2(self, tmp_path, capsys):
+        code, _, err = run(["analyze", "--edges", str(tmp_path)], capsys)
+        assert code == 2 and err == f"error: cannot read {tmp_path}: Is a directory\n"
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("g6,group", [("DUW", "(-0.5, multiplicity 4) merges eigenvalues "
+                                                  "1.118e+00"),
+                                          ("Dhc", "(-0.5, multiplicity 4) merges eigenvalues "
+                                                  "1.118e+00"),
+                                          ("E?Bw", "(-0.333333, multiplicity 5) merges "
+                                                   "eigenvalues 1.333e+00")],
+                             ids=["DUW", "Dhc", "E?Bw"])
+    def test_huge_tolerance_prints_only_the_diagnostic(self, g6, group, capsys):
+        # tol * max(1, |lambda|) overflows to an infinite clustering gap, which
+        # merges every group; that overflow is intended and warns nothing
+        code, out, err = run(["analyze", "--g6", g6, "--tol-eig", "1e308"], capsys)
+        assert code == 3 and out == ""
+        assert err == ("internal consistency diagnostic: extreme eigenvalue group of V.T A V "
+                       f"{group} apart\n")
 
     def test_non_utf8_file_exits_2(self, tmp_path, capsys):
         path = tmp_path / "bad.txt"

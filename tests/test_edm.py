@@ -3,7 +3,7 @@ import pytest
 from scipy.linalg import lapack
 
 from twodist import edm, linalg, representations as reps
-from twodist.centering import build_v, projected_gram
+from twodist.centering import build_v, project_adjacency
 from twodist.graphs import (adjacency_matrix, complement_adjacency,
                             complete_multipartite_graph, cycle_graph, mask_stack)
 
@@ -60,7 +60,7 @@ class TestIsEdm:
         for _ in range(100):
             n = int(rng.integers(2, 16))
             d = random_edm(rng, n, int(rng.integers(1, n + 1)))
-            x = projected_gram(d, build_v(n))
+            x = -0.5 * project_adjacency(d, build_v(n))
             _, _, ref_rank, _ = lapack.dpstrf(x, tol=1e-9 * max(1.0, x.max()))
             chk = edm.is_edm(d)
             assert chk.is_edm and chk.embedding_dim == ref_rank

@@ -6,9 +6,9 @@ import pytest
 
 from twodist import linalg, oracle, representations as reps
 from twodist.edm import Configuration
-from twodist.graphs import (Graph, classify, cluster_graph, complement,
-                            complete_graph, complete_multipartite_graph,
-                            cycle_graph, from_mask, mask_stack, null_graph, parse_graph6)
+from twodist.graphs import (Graph, class_stack, classify, cluster_graph, complement,
+                            complete_graph, complete_multipartite_graph, cycle_graph,
+                            encode_graph6, from_mask, mask_stack, null_graph, parse_graph6)
 
 
 class TestVerifyTwoDistance:
@@ -110,6 +110,45 @@ class TestDiscriminatingRoots:
                     assert bt2 == pytest.approx(t2, abs=1e-9)
 
 
+class TestComplementRoots:
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_reversed_pencil(self, n):
+        # the complement's pencil is t D(1/t): its roots are the reciprocals
+        # of the graph's, swapped, and exist exactly where those do, which is
+        # what lets the sweep evaluate one pencil per complementary pair
+        full = (1 << (n * (n - 1) // 2)) - 1
+        masks = np.arange(full + 1)
+        masks = masks[~class_stack(mask_stack(n, masks)).degenerate]
+        t1, t2 = oracle._roots_stack(mask_stack(n, masks))
+        c1, c2 = oracle._roots_stack(mask_stack(n, full ^ masks))
+        assert np.array_equal(np.isnan(c1), np.isnan(t2))
+        assert np.array_equal(np.isnan(c2), np.isnan(t1))
+        assert (~np.isnan(t1)).any() and (~np.isnan(t2)).any()
+        np.testing.assert_allclose(c1, 1.0 / t2, rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(c2, 1.0 / t1, rtol=1e-12, atol=0.0)
+
+    def test_sweep_checks_partner_rows(self, monkeypatch):
+        # the row that takes its roots from its complement's pencil (the
+        # later row of each pair) is still compared with its own beta_l:
+        # perturbing only those rows' beta_l fails dispoly_roots_match there
+        n, real = 5, reps._analyze_stack
+        full = (1 << (n * (n - 1) // 2)) - 1
+        tampered = set()
+
+        def perturbed(adj, **kw):
+            st = real(adj, **kw)
+            if adj.shape[-1] != n:
+                return st
+            rows = np.arange(adj.shape[0])
+            partner = (rows > (full ^ rows)) & ~np.isnan(st.beta_l)
+            tampered.update(encode_graph6(Graph(n, adj[i])) for i in np.flatnonzero(partner))
+            return st._replace(beta_l=np.where(partner, st.beta_l + 1e-6, st.beta_l))
+        monkeypatch.setattr(reps, "_analyze_stack", perturbed)
+        summary = oracle.invariant_sweep(n)
+        flagged = [v["graph6"] for v in summary.violations if v["check"] == "dispoly_roots_match"]
+        assert tampered and len(flagged) == len(set(flagged)) and set(flagged) == tampered
+
+
 class TestPencil:
     def test_matches_triple_product(self):
         # the entrywise border against -F X F.T with F = [-e I], bit for bit
@@ -156,13 +195,21 @@ class TestNotPositiveDefinite:
         assert oracle._not_positive_definite(m).tolist() == [True, True, False]
 
     def test_sweep_probes_match_eigvalsh(self, monkeypatch):
-        # every pencil probe the sweep certifies its roots with
+        # every pencil probe the sweep certifies its roots with: six per
+        # pencil it evaluates, one per complementary pair on orders 3-6 and
+        # one per sampled graph on orders 7 and 8
         real, seen = oracle._not_positive_definite, []
+        real_roots, pencils = oracle._roots_stack, []
 
         def recorded(m):
             seen.append((m, real(m)))
             return seen[-1][1]
+
+        def counted(adj):
+            pencils.append(adj.shape[0])
+            return real_roots(adj)
         monkeypatch.setattr(oracle, "_not_positive_definite", recorded)
+        monkeypatch.setattr(oracle, "_roots_stack", counted)
         summary = oracle.invariant_sweep(6, 500, seed=0)
         probes = exceptions = 0
         for m, got in seen:
@@ -170,7 +217,10 @@ class TestNotPositiveDefinite:
             assert np.array_equal(got[clear], ref[clear])
             probes += clear.size
             exceptions += int(np.count_nonzero(~clear))
-        assert probes == 6 * summary.check_counts["dispoly_roots_exist"]
+        sampled = summary.per_n[7] + summary.per_n[8]
+        paired = summary.check_counts["dispoly_roots_exist"] - sampled
+        assert paired % 2 == 0 and sum(pencils) == paired // 2 + sampled
+        assert probes == 6 * sum(pencils)
         assert exceptions == 0, f"{exceptions} probes with |lambda_min| at rounding level"
 
     def test_roots_stack_decompositions(self, decompositions):
