@@ -5,9 +5,9 @@ gives the same projected spectra; the one used here is a first row of
 -1/sqrt(n) over an identity-plus-constant block, built in closed form.
 
 That V is a row selection plus a rank-one term, V = E + u 1.T with E = [0; I]
-and u = [y; x 1], so products with it take O(n^2) work instead of a dense
-O(n^3) product. Every function here accepts a stack of matrices or vectors
-along leading axes.
+and u = [y; x 1], so its three products, V x (``lift``), V.T y (``restrict``)
+and V.T A V (``project_adjacency``), take O(n^2) work instead of a dense
+O(n^3) product. Each accepts a stack of matrices or vectors along leading axes.
 """
 
 from __future__ import annotations
@@ -51,14 +51,6 @@ def lift(x: np.ndarray, v: VBasis) -> np.ndarray:
     """V @ x for x of shape (..., n-1, r): rows [y 1.T x; x + x_const 1 (1.T x)]."""
     colsum = x.sum(axis=-2, keepdims=True)
     return np.concatenate([v.u[0] * colsum, x + v.u[1] * colsum], axis=-2)
-
-
-def lift_extremes(x: np.ndarray, v: VBasis) -> tuple:
-    """(max, min) over the rows of V @ x for x of shape (..., n-1, r), read
-    off the column max, min and sum of x without forming V @ x."""
-    colsum = x.sum(axis=-2)
-    first, shift = v.u[0] * colsum, v.u[1] * colsum
-    return np.maximum(x.max(axis=-2) + shift, first), np.minimum(x.min(axis=-2) + shift, first)
 
 
 def restrict(y: np.ndarray, v: VBasis) -> np.ndarray:

@@ -24,6 +24,9 @@ EXIT_PARSE = 2
 EXIT_DIAGNOSTIC = 3
 EXIT_INFEASIBLE = 4
 
+#: Most random graphs ``sweep --samples`` draws; a sweep of that many peaks near 440 MB.
+MAX_SAMPLES = 65536
+
 #: What a command's exception means: its exit code and stderr prefix. ``main``
 #: is the one place that catches these; commands just raise.
 _FAILURES = {
@@ -190,6 +193,9 @@ def cmd_sweep(args) -> int:
         print(f"error: n_max too {'large' if args.n > 8 else 'small'} (must be 2..8)",
               file=sys.stderr)
         return EXIT_PARSE
+    if args.samples > MAX_SAMPLES:
+        print(f"error: samples too large (must be 0..{MAX_SAMPLES})", file=sys.stderr)
+        return EXIT_PARSE
     summary = oracle.invariant_sweep(min(args.n, 6), sample_7_8=args.samples if args.n >= 7 else 0,
                                      seed=args.seed)
     text = summary.to_json(indent=2)
@@ -234,8 +240,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_sw = sub.add_parser("sweep", help="run the exhaustive invariant sweep")
     p_sw.add_argument("--n", type=int, required=True, help="max node count N, 2..8: every graph "
                       "on up to min(N, 6) nodes; any N >= 7 also samples orders 7 and 8")
-    p_sw.add_argument("--samples", type=_nonnegative, default=200, help="random graphs at "
-                      "orders 7 and 8 when N >= 7: half at each, the odd one at 7")
+    p_sw.add_argument("--samples", type=_nonnegative, default=200,
+                      help=f"random graphs at orders 7 and 8 when N >= 7, 0..{MAX_SAMPLES}: "
+                           "half at each, the odd one at 7")
     p_sw.add_argument("--seed", type=_nonnegative, default=0, help="seed of the samples (>= 0)")
     p_sw.add_argument("--out", help="write the summary JSON to this path")
     p_sw.set_defaults(func=cmd_sweep)

@@ -30,7 +30,7 @@ from typing import NamedTuple, Optional, Tuple
 import numpy as np
 
 from . import edm, linalg
-from .centering import build_v, lift, lift_extremes, project_adjacency, restrict
+from .centering import build_v, lift, project_adjacency, restrict
 from .edm import Configuration, _circumcenter
 from .graphs import (ClassStack, Graph, GraphClass, adjacency_matrix, class_stack, complement,
                      complement_adjacency)
@@ -146,15 +146,14 @@ def _edm_at(g: Graph, beta: float) -> np.ndarray:
 
 def dim_spherical(g: Graph) -> Tuple[int, float, float]:
     """Minimal spherical dimension, witness beta and the witness radius: the
-    pass's rho_l or rho_u at an endpoint witness, else the circumradius of
-    the configuration at the interior witness beta_i. Only an irregular graph
-    has that witness (q = 0 makes a regular graph's endpoints spherical), so
-    the pass ran eigh there. Raises as ``dim_euclidean`` does.
+    pass's rho_l or rho_u at an endpoint witness, else ``_radius2`` at the
+    interior witness beta_i, where the EDM is full-dimensional and so
+    spherical. Raises as ``dim_euclidean`` does.
     """
     st = _analyze_single(g)
     beta = st.dim_s_witness_beta[0]
     rho = (st.rho_l if beta == st.beta_l[0] else st.rho_u if beta == st.beta_u[0]
-           else _witness_radius(st.configuration("i")))
+           else np.sqrt(_radius2(st.beta_i, st.eigenvalues, st.q, g.adj.sum() / g.n, False)))
     return int(st.dim_s[0]), float(beta), float(rho[0])
 
 
@@ -380,12 +379,13 @@ class _Stack(NamedTuple):
     a length-k array: float fields are NaN where they do not apply, and
     integer and flag fields are meaningless there.
     ``errors[i]`` is the InternalConsistencyError that ``analyze_graph`` raises
-    for graph i, or None. The spectrum, its eigenvectors (when the pass ran
-    eigh), q and an interior beta_i stay for the sweep, ``embed`` and
-    ``dim_spherical``, which build the configurations from them: those at
-    beta_l, beta_u and beta_i and, for the sweep, the J-spherical one, which
-    needs no decomposition of Abar since Perron-Frobenius makes
-    lambda_max(Abar) the root of its secular equation (see ``configuration``).
+    for graph i, or None. The spectrum, q and an interior beta_i stay for
+    ``dim_spherical``'s radius at beta_i and, with the eigenvectors (when the
+    pass ran eigh), for the sweep and ``embed``, which build the
+    configurations from them: those at beta_l, beta_u and beta_i and, for
+    the sweep, the J-spherical one, which needs no decomposition of Abar
+    since Perron-Frobenius makes lambda_max(Abar) the root of its secular
+    equation (see ``configuration``).
     """
 
     n: int
@@ -507,32 +507,22 @@ def _endpoints(w: np.ndarray, classes: ClassStack, tol: float) -> tuple:
             np.where(np.isnan(betas[1]), mid[0], mid[1]))
 
 
-def _sphericity(w: np.ndarray, basis: Optional[np.ndarray], q: np.ndarray,
-                mean_deg: np.ndarray, grp: linalg.ExtremeGroups, betas: np.ndarray,
-                beta_i: np.ndarray) -> tuple:
+def _sphericity(w: np.ndarray, q: np.ndarray, mean_deg: np.ndarray,
+                grp: linalg.ExtremeGroups, betas: np.ndarray, beta_i: np.ndarray) -> tuple:
     """(spherical, rho, dim_s, dim_s_witness_beta) from ``_spectrum`` and
     ``_endpoints``: the sphericity flags and radii (2, k) at beta_u and beta_l,
     the radii NaN where not spherical, also where a faulty row's spectrum
     makes the EDM there no EDM, and dim_S with its witness.
 
-    A z - mu z = (w_j - mu) z + e q_j/n for a lifted eigenvector z = V u_j,
-    so an endpoint is spherical when q vanishes on its eigenspace. Each
-    column's largest |entry| is at its largest or smallest z; on a group
-    of one eigenvalue w_j - mu is 0, and the residual is |q_j|/n. With
-    q = 0 it is at most the group's spread, which the merge check bounds.
-    So only the rows whose spread is not 0 read the lifted eigenvectors.
+    An endpoint is spherical when q vanishes on its extreme group: when the
+    largest |q_j|/n over the group is at most ``_merge_tol``. For a lifted
+    eigenvector z = V u_j, A z - mu z = (w_j - mu) z + e q_j/n, whose first
+    term is the group's spread, which the merge check bounds. z is orthogonal
+    to e, so it has entries of both signs, and the largest |entry| of that
+    residual, which ``endpoint_sphericity`` tests, is at least |q_j|/n.
     """
     k, n = w.shape[0], w.shape[-1] + 1
-    resid = np.zeros((2, k))
-    if basis is not None:
-        resid = linalg.reduce_last(np.maximum, np.abs(q / n) * grp.masks)
-        rows = np.flatnonzero(np.logical_or(*grp.spreads))
-        if rows.size:
-            masks = grp.masks[:, rows]
-            off = (w[rows] - grp.means[:, rows, None]) * masks
-            ext = np.array(lift_extremes(basis[rows], build_v(n)))
-            resid[:, rows] = linalg.reduce_last(
-                np.maximum, np.abs(off[:, None] * ext + q[rows] / n).max(axis=1) * masks)
+    resid = linalg.reduce_last(np.maximum, np.abs(q / n) * grp.masks)
     spherical = ~np.isnan(betas) & (resid <= _merge_tol(n))
     rho = np.full((2, k), np.nan)
     if np.count_nonzero(spherical):
@@ -600,8 +590,7 @@ def _analyze_stack(adj: np.ndarray, tol: float = linalg.EIG_TOL,
                          "spherical_at_l": no, "spherical_at_u": no})
     w, basis, q, mean_deg = _spectrum(adj, vectors)
     grp, betas, dim_e, dim_e_witness, beta_i = _endpoints(w, classes, tol)
-    spherical, rho, dim_s, dim_s_witness = _sphericity(w, basis, q, mean_deg, grp, betas,
-                                                       beta_i)
+    spherical, rho, dim_s, dim_s_witness = _sphericity(w, q, mean_deg, grp, betas, beta_i)
     # In the orthonormal basis [e/sqrt(n), V U], Abar = J - I - A is the
     # arrowhead [[n - 1 - 2|E|/n, -q.T/sqrt(n)], [-q/sqrt(n), -I - diag(w)]].
     js = _j_arrowhead(adj, n - 1.0 - mean_deg, -q / math.sqrt(n), -1.0 - w, tol)

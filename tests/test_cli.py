@@ -499,12 +499,29 @@ class TestSweep:
         code, out, err = run(["sweep", "--n", n], capsys)
         assert code == 2 and out == "" and "n_max too small" in err
 
-    @pytest.mark.parametrize("flag", ["--samples", "--seed"])
-    def test_rejects_negative_counts(self, flag, capsys):
-        with pytest.raises(SystemExit) as exc:
-            cli.main(["sweep", "--n", "7", flag, "-4"])
-        assert exc.value.code == 2
-        assert f"argument {flag}" in capsys.readouterr().err
+    @pytest.mark.parametrize("flag,value", [("--samples", "-4"), ("--seed", "-4"),
+                                            ("--samples", str(10 ** 20)), ("--samples", "65537")],
+                             ids=["--samples", "--seed", "--samples-1e20", "--samples-65537"])
+    def test_rejects_bad_counts(self, flag, value, capsys, monkeypatch):
+        # a negative count is a usage error; more samples than cli.MAX_SAMPLES
+        # are refused in one line. Neither runs a sweep.
+        def no_sweep(*args, **kwargs):
+            raise AssertionError("the sweep ran")
+        monkeypatch.setattr(oracle, "invariant_sweep", no_sweep)
+        if value == "-4":
+            with pytest.raises(SystemExit) as exc:
+                cli.main(["sweep", "--n", "7", flag, value])
+            assert exc.value.code == 2
+            assert f"argument {flag}" in capsys.readouterr().err
+        else:
+            code, out, err = run(["sweep", "--n", "7", flag, value], capsys)
+            assert (code, out) == (2, "")
+            assert err == f"error: samples too large (must be 0..{cli.MAX_SAMPLES})\n"
+
+    def test_samples_maximum_in_help(self, capsys):
+        with pytest.raises(SystemExit):
+            cli.main(["sweep", "--help"])
+        assert f"0..{cli.MAX_SAMPLES}" in capsys.readouterr().out
 
     def test_n7_samples_both_orders(self, capsys):
         # any --n >= 7 samples orders 7 and 8; an odd count puts the extra

@@ -245,15 +245,21 @@ class TestDimSpherical:
         assert rho == pytest.approx(1 / math.sqrt(3), abs=1e-12)
 
     def test_interior_fallback_when_no_endpoint_spherical(self):
-        # P3 plus an isolated node: neither endpoint EDM is spherical,
-        # so dim_S = n - 1 at an interior beta
-        g = Graph.from_edges(4, [(0, 1), (0, 2)])
-        assert not reps.endpoint_sphericity(g, reps.SIDE_LOWER)
-        assert not reps.endpoint_sphericity(g, reps.SIDE_UPPER)
-        r, beta, rho = reps.dim_spherical(g)
-        assert r == 3
-        info = edm.spherical_info(reps._edm_at(g, beta))
-        assert info is not None and rho == pytest.approx(info.radius, abs=1e-9)
+        # P3 plus an isolated node, then every order-5 graph with no spherical
+        # endpoint: dim_S = n - 1 at an interior beta, whose closed-form radius
+        # is the circumradius of the EDM there
+        graphs = [Graph.from_edges(4, [(0, 1), (0, 2)])]
+        assert not reps.endpoint_sphericity(graphs[0], reps.SIDE_LOWER)
+        assert not reps.endpoint_sphericity(graphs[0], reps.SIDE_UPPER)
+        st = reps._analyze_stack(mask_stack(5, np.arange(1 << 10)))
+        interior = ~(st.classes.degenerate | st.spherical_at_l | st.spherical_at_u)
+        graphs += [from_mask(5, int(mask)) for mask in np.flatnonzero(interior)]
+        assert len(graphs) == 1 + 650
+        for g in graphs:
+            r, beta, rho = reps.dim_spherical(g)
+            assert r == g.n - 1
+            info = edm.spherical_info(reps._edm_at(g, beta))
+            assert info is not None and rho == pytest.approx(info.radius, rel=1e-12), g
 
     def test_endpoint_sphericity_faults(self):
         with pytest.raises(ValueError, match="unknown side 'middle'"):
@@ -627,6 +633,17 @@ class TestAnalyzeGraph:
             reps.lower_bounds(1)
 
 
+def _windmill(r: int, k: int) -> Graph:
+    """k copies of K_r sharing node 0; r = 3 is the friendship graph F_k."""
+    blocks = [[0, *range(1 + c * (r - 1), 1 + (c + 1) * (r - 1))] for c in range(k)]
+    return Graph.from_edges(1 + k * (r - 1), [e for b in blocks for e in combinations(b, 2)])
+
+
+def _complete_split(a: int, b: int) -> Graph:
+    """A clique on a nodes joined to every node of an independent set of b."""
+    return Graph.from_edges(a + b, [(i, j) for i in range(a) for j in range(i + 1, a + b)])
+
+
 def _stack_graphs():
     """Every graph of order 5, then 50 seeded graphs each of orders 7 and 8."""
     rng = np.random.default_rng(8)
@@ -769,16 +786,20 @@ class TestAnalyzeStack:
         _assert_same_row(alone, mixed, 0)
 
     def test_sphericity_matches_direct_residual(self):
-        # the pass tests d . z = 0 for the lifted eigenvectors z; the direct
-        # test computes A z - mu z
-        graphs = next(_stack_graphs())
-        st = reps._analyze_stack(np.stack([g.adj for g in graphs]))
-        for i, g in enumerate(graphs):
-            rep = st.report(i)
-            for side, flag in ((reps.SIDE_LOWER, rep.spherical_at_l),
-                               (reps.SIDE_UPPER, rep.spherical_at_u)):
-                if flag is not None:
-                    assert flag == reps.endpoint_sphericity(g, side), (i, side)
+        # the pass tests q = 0 on the extreme group; the direct test computes
+        # A z - mu z for the lifted eigenvectors z. On the order-5 stack, then
+        # on large graphs whose repeated extreme eigenvalue comes out of eigh
+        # with a rounding-level spread, and their complements
+        families = [_windmill(3, 150), _windmill(4, 150), _complete_split(150, 300)]
+        stacks = [next(_stack_graphs())] + [[g] for f in families for g in (f, complement(f))]
+        for graphs in stacks:
+            st = reps._analyze_stack(np.stack([g.adj for g in graphs]))
+            for i, g in enumerate(graphs):
+                rep = st.report(i)
+                for side, flag in ((reps.SIDE_LOWER, rep.spherical_at_l),
+                                   (reps.SIDE_UPPER, rep.spherical_at_u)):
+                    if flag is not None:
+                        assert flag == reps.endpoint_sphericity(g, side), (g.n, i, side)
 
     @pytest.mark.parametrize("tol,clean", [(0.5, cycle_graph(5)), (5.0, complete_graph(5))],
                              ids=["0.5-c5", "5-k5"])
