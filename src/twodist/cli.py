@@ -16,6 +16,8 @@ import os
 import sys
 from typing import Optional
 
+import numpy as np
+
 from . import __version__, edm, linalg, representations as reps
 from .graphs import Graph, GraphFormatError, encode_graph6, parse_edge_list, parse_graph6
 
@@ -176,10 +178,12 @@ def cmd_embed(args) -> int:
         alpha, beta = 2.0, js.beta
         sidecar = {"mode": "jspherical", "alpha": alpha, "beta": beta,
                    "delta": js.delta, "radius": 1.0}
-    report = oracle.verify_two_distance(config, g, alpha, beta)
-    if not report.passed:
+    # verify_two_distance's check without its distinct-distance summary
+    max_dev, passed, _ = oracle._verify_stack(config.points[None], g.adj[None], alpha,
+                                              np.array([beta]))
+    if not passed[0]:
         print(f"error: configuration failed two-distance verification "
-              f"(max deviation {report.max_deviation:.3e})", file=sys.stderr)
+              f"(max deviation {max_dev[0]:.3e})", file=sys.stderr)
         return EXIT_DIAGNOSTIC
     if args.mode == "euclidean":  # the circumradius of a verified configuration, if spherical
         radius = float(reps._witness_radius(config.points))
@@ -257,7 +261,14 @@ def main(argv: Optional[list] = None) -> int:
     global _parser
     if _parser is None:
         _parser = build_parser()
-    args = _parser.parse_args(argv)
+    # an argv that names a command first goes to that command's parser alone;
+    # the top-level parser takes the rest and reports words a command leaves over
+    argv = sys.argv[1:] if argv is None else argv
+    command = _parser._subparsers._group_actions[0].choices.get(argv[0]) if argv else None
+    if command is not None:
+        args, extra = command.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+    if command is None or extra:
+        args = _parser.parse_args(argv)
     try:
         return args.func(args)
     except tuple(_FAILURES) as exc:

@@ -177,23 +177,20 @@ def parse_graph6(text: str) -> Graph:
         s = s[len(">>graph6<<"):]
     if not s:
         raise GraphFormatError("truncated graph6 string")
-    for ch in s:
-        if not (63 <= ord(ch) <= 126):
-            raise GraphFormatError(f"invalid graph6 character {ch!r}")
+    codes = np.frombuffer(s.encode("utf-32-le", "surrogatepass"), dtype="<u4") - 63
+    if codes.max() > 63:  # a code point below 63 wraps around
+        raise GraphFormatError(f"invalid graph6 character {s[(codes > 63).argmax()]!r}")
     n, head = _graph6_header(s)
     nbits = n * (n - 1) // 2
     nbytes = (nbits + 5) // 6
-    body = s[head:]
-    if len(body) < nbytes:
+    if codes.size - head < nbytes:
         raise GraphFormatError("truncated graph6 bit stream")
-    if len(body) > nbytes:
+    if codes.size - head > nbytes:
         raise GraphFormatError("trailing characters after graph6 bit stream")
-    vals = np.frombuffer(body.encode("ascii"), dtype=np.uint8) - 63
-    bits = np.unpackbits(vals[:, None], axis=1)[:, 2:].ravel()[:nbits].astype(bool)
-    adj = np.zeros((n, n), dtype=bool)
-    jj, ii = _graph6_order(n)
-    adj[ii[bits], jj[bits]] = True
-    return Graph(n, adj | adj.T)
+    bits = np.unpackbits(codes[head:, None].astype(np.uint8), axis=1)[:, 2:].ravel()[:nbits]
+    low = np.zeros((n, n), dtype=bool)
+    low[_lower_mask(n)] = bits
+    return Graph(n, low | low.T)
 
 
 def _read_only(*arrays) -> tuple:
@@ -203,10 +200,11 @@ def _read_only(*arrays) -> tuple:
 
 
 @lru_cache(maxsize=64)
-def _graph6_order(n: int) -> tuple:
-    """(j, i) index arrays of the pairs i < j in graph6 bit order: column by
-    column through the upper triangle. Cached and read-only."""
-    return _read_only(*np.tril_indices(n, k=-1))
+def _lower_mask(n: int) -> np.ndarray:
+    """The strict lower triangle as an n x n boolean mask: its row-major
+    order, row j through the pairs i < j, is graph6 bit order. Cached and
+    read-only."""
+    return _read_only(np.tri(n, k=-1, dtype=bool))[0]
 
 
 @lru_cache(maxsize=64)
@@ -222,8 +220,7 @@ def encode_graph6(g: Graph) -> str:
         raise GraphFormatError(f"graph6 8-byte form (n > {GRAPH6_MAX_N}) not supported")
     head = chr(g.n + 63) if g.n <= 62 else "~" + "".join(
         chr(((g.n >> shift) & 63) + 63) for shift in (12, 6, 0))
-    jj, ii = _graph6_order(g.n)
-    bits = g.adj[ii, jj]
+    bits = g.adj[_lower_mask(g.n)]
     bits = np.concatenate([bits, np.zeros(-bits.size % 6, dtype=bool)]).reshape(-1, 6)
     vals = bits @ np.array([32, 16, 8, 4, 2, 1]) + 63
     return head + vals.astype(np.uint8).tobytes().decode("ascii")

@@ -599,6 +599,59 @@ class TestParserReuse:
         assert texts[0] == texts[1] and "usage: twodist" in texts[0]
 
 
+class TestDispatch:
+    """main hands an argv that names a command to that command's parser, with
+    the top-level parser's outcome: namespace, stdout, stderr and exit code."""
+
+    ARGV = [[], ["-h"], ["bogus", "--g6", "Dug"], ["anal", "--g6", "Dug"],
+            ["analyze", "--g6", "Dug"], ["analyze", "--g6", "Dug", "extra"],
+            ["embed", "--g6", "Dug", "--mode", "jspherical", "--out", "x.csv"],
+            ["embed", "--g6", "Dug", "--mode", "jspherical", "--out", "x.csv", "extra", "-z"],
+            ["sweep", "--n", "3"], ["sweep", "--n", "3", "extra"],
+            ["--"], ["--", "analyze", "--g6", "Dug"], ["analyze", "--", "--g6", "Dug"],
+            ["analyze", "--g6=Dug"], ["analyze", "--g6", "Dug", "--tol", "1e-8"],
+            ["embed", "--g6", "Dug", "--mode", "bogus", "--out", "x.csv"],
+            ["analyze", "--g6", "Dug", "--tol-eig", "nan"],
+            ["embed", "--g6", "Dug", "--mode", "euclidean", "--beta", "-2.5", "--out", "x.csv"],
+            ["analyze", "--g6", "Dug", "--edges", "g.txt"], ["sweep", "--n"],
+            ["analyze", "--g6", "Dug", "-h"]]
+
+    @pytest.fixture
+    def recorded(self, monkeypatch):
+        """The namespaces the commands receive: each records its own and
+        returns 0 in a parser built afresh."""
+        seen = []
+        for name in ("cmd_analyze", "cmd_embed", "cmd_sweep"):
+            monkeypatch.setattr(cli, name, lambda args: seen.append(args) or 0)
+        monkeypatch.setattr(cli, "_parser", None)
+        return seen
+
+    @pytest.mark.parametrize("argv", ARGV, ids=[" ".join(a) or "none" for a in ARGV])
+    def test_main_parses_as_the_parser(self, argv, recorded, capsys):
+        assert cli.main(["analyze", "--g6", "DUW"]) == 0  # the parser has served a command
+        recorded.clear()
+        outcomes = []
+        for parse in (cli.main, cli.build_parser().parse_args):
+            try:
+                result = parse(list(argv))
+            except SystemExit as exc:
+                result = exc.code
+            outcomes.append([result, *capsys.readouterr()])
+        if isinstance(outcomes[1][0], argparse.Namespace):
+            assert outcomes[0][0] == 0 and recorded == [outcomes[1][0]]
+            outcomes[1][0] = 0
+        assert outcomes[0] == outcomes[1]
+
+    def test_command_argv_parsed_once(self, monkeypatch, capsys):
+        assert cli.main(["analyze", "--g6", "Dug"]) == 0
+        parsed = []
+        real = argparse.ArgumentParser.parse_known_args
+        monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args",
+                            lambda self, *a, **k: parsed.append(self.prog) or real(self, *a, **k))
+        assert cli.main(["analyze", "--g6", "Dug"]) == 0
+        assert parsed == ["twodist analyze"]
+
+
 def _csv_reference(points: np.ndarray) -> str:
     """The CSV text of csv.writer with every value formatted by .17g."""
     buf = io.StringIO(newline="")

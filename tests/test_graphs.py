@@ -159,15 +159,35 @@ class TestGraph6:
         with pytest.raises(GraphFormatError):
             parse_graph6(bad)
 
-    @pytest.mark.parametrize("n", [62, 63, 64, 600])
+    @pytest.mark.parametrize("n", [62, 63, 64, 300, 600, 1000])
     def test_long_form_round_trip(self, n, rng):
         # n >= 63 takes the header ~ plus n in three 6-bit bytes
         g = random_graph(rng, n, p=0.3)
         s = encode_graph6(g)
         assert s.startswith("~") == (n >= 63)
         assert parse_graph6(s) == g
+        assert encode_graph6(parse_graph6(s)) == s
         ref = nx.to_graph6_bytes(nx.from_graph6_bytes(s.encode()), header=False)
         assert ref.strip().decode() == s
+
+    @pytest.mark.parametrize("text,message", [
+        ("!ug", "invalid graph6 character '!'"),  # header
+        ("~?\x7f~" + "?" * 326, "invalid graph6 character '\\x7f'"),  # long-form header
+        ("Du\x7f", "invalid graph6 character '\\x7f'"),  # last body character
+        ("D u!", "invalid graph6 character ' '"),  # the first of two
+        ("Duü", "invalid graph6 character 'ü'"),
+        ("Du\udcff", "invalid graph6 character '\\udcff'"),  # a byte argv could not decode
+        ("Du", "truncated graph6 bit stream"),
+        ("~??~" + "?" * 325, "truncated graph6 bit stream"),  # n = 63 takes 326
+        ("DugA", "trailing characters after graph6 bit stream"),
+        ("~??~" + "?" * 327, "trailing characters after graph6 bit stream"),
+        ("~?", "truncated graph6 header"),
+        (">>graph6<<", "truncated graph6 string"),
+    ])
+    def test_error_text(self, text, message):
+        with pytest.raises(GraphFormatError) as exc:
+            parse_graph6(text)
+        assert str(exc.value) == message
 
     def test_rejects_large_n(self):
         # the 8-byte form (n > 258047) is not supported, in either direction
