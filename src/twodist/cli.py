@@ -19,7 +19,7 @@ from typing import Optional
 import numpy as np
 
 from . import __version__, edm, linalg, representations as reps
-from .graphs import Graph, GraphFormatError, encode_graph6, parse_edge_list, parse_graph6
+from .graphs import Graph, GraphFormatError, _integer, encode_graph6, parse_edge_list, parse_graph6
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -53,9 +53,17 @@ def _load_graph(args) -> Graph:
     return parse_edge_list(text)
 
 
+def _real(text: str) -> float:
+    """float(text) for ASCII text, else ValueError: float() itself also reads
+    non-ASCII digits, as int() does (see ``graphs._integer``)."""
+    if not text.isascii():
+        raise ValueError(text)
+    return float(text)
+
+
 def _tolerance(text: str) -> float:
     """argparse type for a finite, positive tolerance."""
-    value = float(text)
+    value = _real(text)
     if not (math.isfinite(value) and value > 0.0):
         raise argparse.ArgumentTypeError(f"must be finite and positive, got {text!r}")
     return value
@@ -63,7 +71,7 @@ def _tolerance(text: str) -> float:
 
 def _nonnegative(text: str) -> int:
     """argparse type for an integer >= 0."""
-    value = int(text)
+    value = _integer(text)
     if value < 0:
         raise argparse.ArgumentTypeError(f"must be >= 0, got {text!r}")
     return value
@@ -71,7 +79,7 @@ def _nonnegative(text: str) -> int:
 
 def _finite(text: str) -> float:
     """argparse type for a finite number."""
-    value = float(text)
+    value = _real(text)
     if not math.isfinite(value):
         raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
     return value
@@ -242,8 +250,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_em.set_defaults(func=cmd_embed)
 
     p_sw = sub.add_parser("sweep", help="run the exhaustive invariant sweep")
-    p_sw.add_argument("--n", type=int, required=True, help="max node count N, 2..8: every graph "
-                      "on up to min(N, 6) nodes; any N >= 7 also samples orders 7 and 8")
+    p_sw.add_argument("--n", type=_integer, required=True,
+                      help="max node count N, 2..8: every graph on up to min(N, 6) nodes; "
+                           "any N >= 7 also samples orders 7 and 8")
     p_sw.add_argument("--samples", type=_nonnegative, default=200,
                       help=f"random graphs at orders 7 and 8 when N >= 7, 0..{MAX_SAMPLES}: "
                            "half at each, the odd one at 7")

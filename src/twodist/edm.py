@@ -19,7 +19,7 @@ from typing import NamedTuple, Optional, Tuple
 import numpy as np
 
 from . import linalg
-from .centering import build_v, lift, project_adjacency
+from .centering import lift, project_adjacency
 
 class NotEdmError(ValueError):
     """Input matrix is not a Euclidean distance matrix."""
@@ -102,7 +102,7 @@ def _gram(d: np.ndarray) -> tuple:
     matrices, n >= 2: their ascending eigenvalues w (k, n-1), eigenvectors u,
     and the (negative, positive) masks of w under ``linalg.sign_masks``; the
     rest are zero."""
-    w, u = np.linalg.eigh(-0.5 * project_adjacency(d, build_v(d.shape[-1])))
+    w, u = np.linalg.eigh(-0.5 * project_adjacency(d))
     return (w, u, *linalg.sign_masks(w))
 
 
@@ -120,7 +120,7 @@ def _centroid_points(w: np.ndarray, u: np.ndarray, pos: np.ndarray) -> np.ndarra
     """Points P = V U sqrt(L) from one projected Gram U L U.T's positive
     eigenpairs, columns by decreasing eigenvalue, without the n x n Gram."""
     keep = np.flatnonzero(pos)[::-1]
-    return lift(u[:, keep] * np.sqrt(w[keep]), build_v(w.size + 1))
+    return lift(u[:, keep] * np.sqrt(w[keep]))
 
 
 def _circumcenter(p: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -156,7 +156,7 @@ def gale_matrix(d: np.ndarray) -> GaleMatrix:
             raise NotEdmError("Gale matrix requires an EDM")
         zero = ~neg[0] & ~pos[0]
         if zero.any():
-            return GaleMatrix(lift(u[0][:, zero], build_v(d.shape[0])))
+            return GaleMatrix(lift(u[0][:, zero]))
     raise FullDimensionError("full embedding dimension: empty Gale space")
 
 
@@ -189,7 +189,7 @@ def sphere_stack(d: np.ndarray) -> SphereStack:
     ew = w.sum(axis=-1)
     full = r == n - 1
     spherical = full | (rank_d == r + 1)
-    z = lift((~neg & ~pos)[:, None, :] * xu, build_v(n))
+    z = lift((~neg & ~pos)[:, None, :] * xu)
     dz = np.abs(d @ z).max(axis=(-2, -1))
     scale = np.maximum(1.0, np.abs(d).max(axis=(-2, -1)))
     faults = (

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import edm, linalg, representations as reps
 from .edm import Configuration
-from .centering import build_v, lift
+from .centering import lift
 from .graphs import (Graph, class_stack, complement_adjacency, connected_stack, encode_graph6,
                      mask_stack, triu_pairs)
 
@@ -239,7 +239,7 @@ def _sweep_stack(summary: SweepSummary, adj: np.ndarray, comp: np.ndarray,
     row_norm_err, radius_err = np.zeros(k), np.full(k, np.nan)
     sel = np.flatnonzero(live & checked)
     if sel.size:
-        lifted = lift(st.basis[sel], build_v(n))
+        lifted = lift(st.basis[sel])
         sub, dev, ok = adj[sel], np.zeros(sel.size), np.ones(sel.size, dtype=bool)
         at_u = st.spherical_at_u[sel]
         # beta_l and beta_u count where that endpoint exists, beta_i and beta_j on every row

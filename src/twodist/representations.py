@@ -30,7 +30,7 @@ from typing import NamedTuple, Optional, Tuple
 import numpy as np
 
 from . import edm, linalg
-from .centering import build_v, lift, project_adjacency, restrict
+from .centering import lift, project_adjacency, restrict
 from .edm import Configuration, _circumcenter
 from .graphs import (ClassStack, Graph, GraphClass, adjacency_matrix, class_stack, complement,
                      complement_adjacency)
@@ -121,8 +121,7 @@ def endpoint_sphericity(g: Graph, side: str) -> bool:
     of ``linalg.extreme_groups``."""
     if side not in (SIDE_LOWER, SIDE_UPPER):
         raise ValueError(f"unknown side {side!r}")
-    v = build_v(g.n)
-    w, u = np.linalg.eigh(project_adjacency(g.adj, v))
+    w, u = np.linalg.eigh(project_adjacency(g.adj))
     grp = linalg.extreme_groups(w, linalg.EIG_TOL)
     end = 1 if side == SIDE_LOWER else 0
     mu = grp.means[end]
@@ -130,7 +129,7 @@ def endpoint_sphericity(g: Graph, side: str) -> bool:
         raise EndpointError("lower endpoint requires mu_max > 0")
     if side == SIDE_UPPER and mu > -1.0 - 1e-9:
         raise EndpointError("upper endpoint requires mu_min < -1")
-    z = lift(u[:, grp.masks[end]], v)
+    z = lift(u[:, grp.masks[end]])
     return float(np.max(np.abs(adjacency_matrix(g) @ z - mu * z))) <= _merge_tol(g.n)
 
 
@@ -319,7 +318,7 @@ def euclidean_representation(g: Graph, beta: float) -> Configuration:
         raise InfeasibleBetaError(beta, float(x.min()))
     if beta > 1.0:  # x ascends with w
         x, u = x[::-1], u[:, ::-1]
-    points = _points(lift(u, build_v(g.n)), x, ~linalg.sign_masks(x)[1])
+    points = _points(lift(u), x, ~linalg.sign_masks(x)[1])
     return Configuration(points[:, points.any(axis=0)])
 
 
@@ -436,7 +435,7 @@ class _Stack(NamedTuple):
         and the head term delta q/(n g) is formed only on the other columns.
         """
         if lifted is None:
-            lifted = lift(self.basis[rows], build_v(self.n))
+            lifted = lift(self.basis[rows])
         w = self.eigenvalues[rows]
         if side == "j":
             delta = self.delta[rows, None]
@@ -476,11 +475,10 @@ def _spectrum(adj: np.ndarray, vectors: bool) -> tuple:
     configurations need.
     """
     n = adj.shape[-1]
-    v = build_v(n)
-    vav = project_adjacency(adj, v)
+    vav = project_adjacency(adj)
     deg = adj.sum(axis=-1, dtype=float)
     mean_deg = deg.sum(axis=-1) / n
-    s = restrict(deg - mean_deg[:, None], v)
+    s = restrict(deg - mean_deg[:, None])
     if vectors or np.count_nonzero(s):
         w, basis = np.linalg.eigh(vav)
         return w, basis, np.einsum("ki,kij->kj", s, basis), mean_deg

@@ -642,6 +642,20 @@ class TestDispatch:
             outcomes[1][0] = 0
         assert outcomes[0] == outcomes[1]
 
+    NON_ASCII = [["sweep", "--n", "３"], ["sweep", "--n", "7", "--samples", "1_0"],
+                 ["sweep", "--n", "7", "--seed", "٣"],
+                 ["analyze", "--g6", "Dug", "--tol-eig", "１e-9"],
+                 ["embed", "--g6", "Dug", "--mode", "euclidean", "--out", "x.csv", "--beta", "２.5"]]
+
+    @pytest.mark.parametrize("argv", NON_ASCII, ids=[" ".join(a[-2:]) for a in NON_ASCII])
+    def test_numeric_flags_read_ascii_only(self, argv, recorded, capsys):
+        # int() and float() also read non-ASCII digits and int() reads 1_0;
+        # these flags read numbers as the graph parsers do, and no command runs
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2 and recorded == []
+        assert f"argument {argv[-2]}: invalid" in capsys.readouterr().err
+
     def test_command_argv_parsed_once(self, monkeypatch, capsys):
         assert cli.main(["analyze", "--g6", "Dug"]) == 0
         parsed = []
