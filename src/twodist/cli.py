@@ -37,6 +37,7 @@ _FAILURES = {
     reps.InfeasibleBetaError: (EXIT_INFEASIBLE, "error"),
     reps.DegenerateGraphError: (EXIT_INFEASIBLE, "error"),
     reps.EndpointError: (EXIT_INFEASIBLE, "error"),
+    MemoryError: (EXIT_PARSE, "error"),  # a graph too large to hold
 }
 
 

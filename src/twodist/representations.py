@@ -303,7 +303,7 @@ def euclidean_representation(g: Graph, beta: float) -> Configuration:
     eigh of V.T A V: a column per eigenvalue of X(beta) = (beta I + (beta - 1)
     V.T A V)/2 that ``linalg.sign_masks`` counts positive, in decreasing order."""
     _require_nondegenerate(class_stack(g.adj[None]))
-    (w,), (u,), _, _ = _spectrum(g.adj[None], vectors=True)
+    w, u = np.linalg.eigh(project_adjacency(g.adj))
     # x = (beta + (beta - 1) w)/2 is the spectrum of X(beta). Above beta = 1
     # it is beta/2 times y = 1 + (1 - 1/beta) w, which has x's signs and does
     # not overflow: where x does, y's signs decide, as an infinite cut would
@@ -470,9 +470,10 @@ def _spectrum(adj: np.ndarray, vectors: bool) -> tuple:
     U.T V.T (d - mean d) for the degree vector d (0 without U), and 2|E|/n.
 
     V.T (d - mean d) is exactly 0 for a regular graph, whose degrees are
-    integers, and q is all the pass reads of U. So a stack of regular graphs
-    runs eigvalsh, unless ``vectors`` asks for the eigenvectors that
-    configurations need.
+    integers, and q is all the pass reads of U. So the route is each row's
+    own: the irregular rows, and every row when ``vectors`` asks for the
+    eigenvectors that configurations need, run one stacked eigh; the other
+    rows take their eigenvalues from an eigvalsh, as they do alone.
     """
     n = adj.shape[-1]
     vav = project_adjacency(adj)
@@ -481,6 +482,9 @@ def _spectrum(adj: np.ndarray, vectors: bool) -> tuple:
     s = restrict(deg - mean_deg[:, None])
     if vectors or np.count_nonzero(s):
         w, basis = np.linalg.eigh(vav)
+        regular = False if vectors else ~s.any(axis=-1)  # they keep eigh's U
+        if np.count_nonzero(regular):
+            w[regular] = np.linalg.eigvalsh(vav[regular])
         return w, basis, np.einsum("ki,kij->kj", s, basis), mean_deg
     return np.linalg.eigvalsh(vav), None, np.zeros_like(s), mean_deg
 

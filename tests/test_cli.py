@@ -739,3 +739,21 @@ def test_analysis_does_not_load_the_oracle():
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_graph_too_large_to_hold_exits_2(tmp_path):
+    # a 60,000-node graph needs a 3.35 GiB adjacency matrix: in a 2 GiB
+    # address space its allocation fails, and the command exits 2 with one
+    # line, as other too-large inputs do, not with a traceback
+    resource = pytest.importorskip("resource")
+    edges = tmp_path / "big.txt"
+    edges.write_text("60000\n0 1\n")
+    limit = 2 << 30
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
+           "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run([sys.executable, "-m", "twodist.cli", "analyze", "--edges", str(edges)],
+                          env=env, capture_output=True, text=True,
+                          preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)))
+    assert proc.returncode == cli.EXIT_PARSE, proc.stderr
+    assert proc.stdout == "" and proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1

@@ -1,3 +1,4 @@
+import json
 import math
 from itertools import combinations
 
@@ -653,65 +654,63 @@ def _stack_graphs():
 
 
 def _assert_same_report(got, want):
-    """Integer, flag and class fields equal; float fields within 1e-12."""
+    """Every field equal and of the same type: floats bit for bit."""
     for name in want._fields:
         a, b = getattr(got, name), getattr(want, name)
-        if isinstance(b, float):
-            assert a == pytest.approx(b, abs=1e-12), name
-        else:
-            assert type(a) is type(b) and a == b, name
+        assert type(a) is type(b) and a == b, name
 
 
-def _assert_same_row(st1, st2, i):
-    """Row i of two passes: the same fault text, or the same report."""
-    if st1.errors[i] is not None:
-        assert str(st1.errors[i]) == str(st2.errors[i])
+def _assert_same_row(st, i, one):
+    """Row i of a pass against the pass of that graph alone: the same fault
+    text, or the same report."""
+    if st.errors[i] is not None:
+        assert str(st.errors[i]) == str(one.errors[0])
     else:
-        _assert_same_report(st1.report(i), st2.report(i))
+        _assert_same_report(st.report(i), one.report(0))
+
+
+def _assert_routes_agree(adj):
+    """The regular graphs of a stack through both routes of V.T A V: eigvalsh
+    (vectors=False) and eigh (vectors=True). The same fault texts, integers
+    and flags, and floats within 1e-12 (1 + |value|), the rounding gap
+    between the two LAPACK routes."""
+    by_values, by_pairs = (reps._analyze_stack(adj, vectors=v) for v in (False, True))
+    assert [str(e) for e in by_values.errors] == [str(e) for e in by_pairs.errors]
+    clean = (by_values.errors == None) & ~by_values.classes.degenerate  # noqa: E711
+    for name in reps._COLUMNS:
+        got, want = getattr(by_values, name)[clean], getattr(by_pairs, name)[clean]
+        if got.dtype.kind == "f":
+            assert np.allclose(got, want, rtol=1e-12, atol=1e-12, equal_nan=True), name
+        else:
+            assert np.array_equal(got, want), name
 
 
 class TestAnalyzeStack:
-    @pytest.mark.parametrize("tol", [1e-9, 0.1])
-    def test_stacking_changes_no_answer(self, tol):
-        # a tolerance or max taken over the whole stack instead of per row
-        # would make a graph's answers depend on its neighbours; at tol 0.1
-        # the clustering gap, scaled per graph, decides many answers and faults
-        for graphs in _stack_graphs():
-            st = reps._analyze_stack(np.stack([g.adj for g in graphs]), tol)
-            for i, g in enumerate(graphs):
-                try:
-                    want = reps.analyze_graph(g, tol)
-                except edm.InternalConsistencyError as exc:
-                    assert str(st.errors[i]) == str(exc)
-                else:
-                    _assert_same_report(st.report(i), want)
-
     @pytest.mark.parametrize("vectors", [False, True])
     @pytest.mark.parametrize("tol", [1e-9, 0.1, 0.9])
     def test_stack_equals_its_rows(self, tol, vectors):
-        # every labelled graph on 3-5 nodes (those on 2 are degenerate): each
-        # non-degenerate row of its order's stack against that graph's pass
-        # alone. Fault texts and columns are identical, floats bit for bit,
-        # except on the regular rows of a vectors=False stack: alone they run
-        # eigvalsh, in a stack with an irregular graph eigh, whose eigenvalues
-        # differ in the last bits; there floats agree within 1e-12 (1 + |value|)
-        for n in range(3, 6):
-            adj = mask_stack(n, np.arange(1 << (n * (n - 1) // 2)))
+        # every labelled graph on 3-5 nodes (those on 2 are degenerate), then
+        # the seeded order-7 and order-8 stacks: each row of its stack against
+        # that graph's pass alone, bit for bit. A tolerance or max taken over
+        # the whole stack, or a decomposition route chosen for it, would make
+        # a graph's answers depend on its neighbours; at tol 0.1 and 0.9 the
+        # clustering gap, scaled per graph, decides many answers and faults
+        stacks = [mask_stack(n, np.arange(1 << (n * (n - 1) // 2))) for n in range(3, 6)]
+        stacks += [np.stack([g.adj for g in graphs]) for graphs in list(_stack_graphs())[1:]]
+        for adj in stacks:
             st = reps._analyze_stack(adj, tol, vectors)
+            ones = [reps._analyze_stack(adj[i:i + 1], tol, vectors) for i in range(len(adj))]
+            assert [repr(e) for e in st.errors] == [repr(one.errors[0]) for one in ones]
             rows = np.flatnonzero(~st.classes.degenerate)
-            ones = [reps._analyze_stack(adj[i:i + 1], tol, vectors) for i in rows]
-            assert [repr(e) for e in st.errors[rows]] == [repr(one.errors[0]) for one in ones]
-            deg = adj[rows].sum(axis=-1)
-            exact = vectors | (deg != deg[:, :1]).any(axis=-1)
             for name in reps._COLUMNS:
                 got = getattr(st, name)[rows]
-                want = np.array([getattr(one, name)[0] for one in ones])
+                want = np.array([getattr(ones[i], name)[0] for i in rows])
                 assert got.dtype == want.dtype, name
-                if got.dtype.kind == "f":
-                    assert np.array_equal(got[exact], want[exact], equal_nan=True), name
-                    assert np.allclose(got, want, rtol=1e-12, atol=1e-12, equal_nan=True), name
-                else:
-                    assert np.array_equal(got, want), name
+                assert np.array_equal(got, want, equal_nan=got.dtype.kind == "f"), name
+            assert all(np.array_equal(st.eigenvalues[i], ones[i].eigenvalues[0]) for i in rows)
+            for i in np.flatnonzero(st.errors == None):  # noqa: E711
+                assert (json.dumps(st.report(i).to_dict())
+                        == json.dumps(ones[i].report(0).to_dict())), i
 
     def test_complete_graph_row_decomposes_nothing(self, decompositions):
         # on the order-3 stack only K3 leaves Newton uncertified: its Abar is
@@ -766,17 +765,18 @@ class TestAnalyzeStack:
 
     @pytest.mark.parametrize("n", [3, 4, 5, 6])
     def test_regular_eigvalsh_path_matches_eigh_path(self, n):
-        # a stack of regular graphs decomposes V.T A V by eigvalsh (q = 0);
-        # one irregular graph in the stack makes the pass run eigh: every
-        # regular graph of order n gets the same answers and faults either way
+        # a regular graph (q = 0) decomposes V.T A V by eigvalsh unless the
+        # pass asks for eigenvectors: every regular graph of order n gets the
+        # same answers and faults either way. In a stack with an irregular
+        # graph, which runs eigh, its row is still its own eigvalsh pass
         adj = mask_stack(n, np.arange(1 << (n * (n - 1) // 2)))
         deg = adj.sum(axis=-1)
         regular = adj[(deg == deg[:, :1]).all(axis=-1)]
-        alone = reps._analyze_stack(regular)
+        _assert_routes_agree(regular)
         mixed = reps._analyze_stack(np.concatenate([regular, from_mask(n, 1).adj[None]]))
-        assert alone.basis is None and mixed.basis is not None
+        assert mixed.basis is not None
         for i in range(len(regular)):
-            _assert_same_row(alone, mixed, i)
+            _assert_same_row(mixed, i, reps._analyze_stack(regular[i:i + 1]))
 
     @pytest.mark.parametrize("name", ["c600", "paley601", "triangular35", "kneser35"])
     def test_regular_eigvalsh_path_at_large_n(self, name):
@@ -784,10 +784,10 @@ class TestAnalyzeStack:
              "triangular35": lambda: triangular_graph(35),
              "kneser35": lambda: kneser_graph(35)}[name]()
         chord = Graph.from_edges(g.n, [(i, (i + 1) % g.n) for i in range(g.n)] + [(0, 2)])
-        alone = reps._analyze_stack(g.adj[None])
+        _assert_routes_agree(g.adj[None])
         mixed = reps._analyze_stack(np.stack([g.adj, chord.adj]))
-        assert alone.basis is None and mixed.basis is not None
-        _assert_same_row(alone, mixed, 0)
+        assert mixed.basis is not None
+        _assert_same_row(mixed, 0, reps._analyze_stack(g.adj[None]))
 
     def test_sphericity_matches_direct_residual(self):
         # the pass tests q = 0 on the extreme group; the direct test computes
