@@ -686,6 +686,21 @@ def _assert_routes_agree(adj):
 
 
 class TestAnalyzeStack:
+    @pytest.mark.parametrize("tol", [1e-9, 0.1])
+    def test_stacking_changes_no_answer(self, tol):
+        # a tolerance or max taken over the whole stack instead of per row
+        # would make a graph's answers depend on its neighbours; at tol 0.1
+        # the clustering gap, scaled per graph, decides many answers and faults
+        for graphs in _stack_graphs():
+            st = reps._analyze_stack(np.stack([g.adj for g in graphs]), tol)
+            for i, g in enumerate(graphs):
+                try:
+                    want = reps.analyze_graph(g, tol)
+                except edm.InternalConsistencyError as exc:
+                    assert str(st.errors[i]) == str(exc)
+                else:
+                    _assert_same_report(st.report(i), want)
+
     @pytest.mark.parametrize("vectors", [False, True])
     @pytest.mark.parametrize("tol", [1e-9, 0.1, 0.9])
     def test_stack_equals_its_rows(self, tol, vectors):
