@@ -1,7 +1,7 @@
 """Command-line front end: analyze graphs, emit coordinate files, run sweeps.
 
 Exit codes: 0 success, 2 parse/usage failure (including an unwritable
-output path), 3 internal consistency diagnostic (including a sweep that finds
+output path and a graph too large to hold), 3 internal consistency diagnostic (including a sweep that finds
 violations), 4 infeasible request (bad beta, degenerate graph, non-spherical
 endpoint). ``_FAILURES`` maps each exception a command raises to its code.
 """
@@ -283,7 +283,7 @@ def main(argv: Optional[list] = None) -> int:
         return args.func(args)
     except tuple(_FAILURES) as exc:
         code, prefix = next(v for k, v in _FAILURES.items() if isinstance(exc, k))
-        print(f"{prefix}: {exc}", file=sys.stderr)
+        print(f"{prefix}: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return code
 
 

@@ -461,6 +461,13 @@ class TestFailureTable:
         assert (code, err) == (failure[0], f"{failure[1]}: {exc}\n")
         assert out == "" and not any(tmp_path.iterdir())
 
+    def test_exception_without_message_names_its_class(self, capsys, monkeypatch):
+        # numpy's allocation failure carries a message; a bare MemoryError has none
+        def fail(*args, **kwargs):
+            raise MemoryError()
+        monkeypatch.setattr(reps, "analyze_graph", fail)
+        assert run(["analyze", "--g6", "DqK"], capsys) == (cli.EXIT_PARSE, "", "error: MemoryError\n")
+
 
 class TestSweep:
     def test_small_sweep(self, tmp_path, capsys):

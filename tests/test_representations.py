@@ -670,11 +670,12 @@ def _assert_same_row(st, i, one):
 
 
 def _assert_routes_agree(adj):
-    """The regular graphs of a stack through both routes of V.T A V: eigvalsh
-    (vectors=False) and eigh (vectors=True). The same fault texts, integers
+    """A stack of regular graphs through both routes of V.T A V: eigvalsh
+    alone (vectors=False) and eigh (vectors=True). The same fault texts, integers
     and flags, and floats within 1e-12 (1 + |value|), the rounding gap
     between the two LAPACK routes."""
     by_values, by_pairs = (reps._analyze_stack(adj, vectors=v) for v in (False, True))
+    assert by_values.basis is None  # the regular rows alone run eigvalsh, never eigh
     assert [str(e) for e in by_values.errors] == [str(e) for e in by_pairs.errors]
     clean = (by_values.errors == None) & ~by_values.classes.degenerate  # noqa: E711
     for name in reps._COLUMNS:
