@@ -164,9 +164,9 @@ def cmd_embed(args) -> int:
         alpha, beta = 1.0, args.beta
         sidecar = {"mode": "euclidean", "alpha": alpha, "beta": beta, "radius": None}
     elif args.mode == "spherical":
-        # the analysis pass answers every question here, as for analyze;
-        # its eigh gives the points, also for a regular graph
-        st = reps._analyze_single(g, vectors=True)
+        # the analysis pass answers every question here, as for analyze; for
+        # a regular graph, whose pass runs eigvalsh, the points run one eigh
+        st = reps._analyze_single(g)
         side = args.side
         beta, spherical, radius = {
             "lower": (st.beta_l, st.spherical_at_l, st.rho_l),

@@ -21,7 +21,6 @@ import numpy as np
 
 from . import edm, linalg, representations as reps
 from .edm import Configuration
-from .centering import lift
 from .graphs import (Graph, class_stack, complement_adjacency, connected_stack, encode_graph6,
                      mask_stack, triu_pairs)
 
@@ -220,7 +219,7 @@ def _sweep_stack(summary: SweepSummary, adj: np.ndarray, comp: np.ndarray,
     """Analyse one stack of graphs of order n and record every invariant for
     the rows in ``checked``; ``comp[i]`` is the row of graph i's complement."""
     k, n = adj.shape[0], adj.shape[-1]
-    st = reps._analyze_stack(adj, vectors=True)
+    st = reps._analyze_stack(adj)
     errors = st.errors.copy()
     deg = st.classes.degenerate
     has_l, has_u = ~np.isnan(st.beta_l), ~np.isnan(st.beta_u)
@@ -239,7 +238,7 @@ def _sweep_stack(summary: SweepSummary, adj: np.ndarray, comp: np.ndarray,
     row_norm_err, radius_err = np.zeros(k), np.full(k, np.nan)
     sel = np.flatnonzero(live & checked)
     if sel.size:
-        lifted = lift(st.basis[sel])
+        lifted = st.lifted(sel)
         sub, dev, ok = adj[sel], np.zeros(sel.size), np.ones(sel.size, dtype=bool)
         at_u = st.spherical_at_u[sel]
         # beta_l and beta_u count where that endpoint exists, beta_i and beta_j on every row

@@ -379,8 +379,8 @@ class _Stack(NamedTuple):
     integer and flag fields are meaningless there.
     ``errors[i]`` is the InternalConsistencyError that ``analyze_graph`` raises
     for graph i, or None. The spectrum, q and an interior beta_i stay for
-    ``dim_spherical``'s radius at beta_i and, with the eigenvectors (when the
-    pass ran eigh), for the sweep and ``embed``, which build the
+    ``dim_spherical``'s radius at beta_i and, with the eigenvectors
+    (``lifted``), for the sweep and ``embed``, which build the
     configurations from them: those at beta_l, beta_u and beta_i and, for
     the sweep, the J-spherical one, which needs no decomposition of Abar
     since Perron-Frobenius makes lambda_max(Abar) the root of its secular
@@ -412,15 +412,22 @@ class _Stack(NamedTuple):
     beta_i: np.ndarray = None
     basis: Optional[np.ndarray] = None  # eigenvectors U of V.T A V, if the pass ran eigh
     q: np.ndarray = None  # U.T V.T (d - mean d) for the degree vector d; 0 without U
+    adj: np.ndarray = None  # the (k, n, n) boolean adjacency stack
+
+    def lifted(self, rows=slice(None)) -> np.ndarray:
+        """V U of the graphs ``rows``: U from the pass's eigh or, for a stack of
+        regular graphs, whose pass ran eigvalsh alone, from an eigh of their V.T A V."""
+        if self.basis is None:
+            return lift(np.linalg.eigh(project_adjacency(self.adj[rows]))[1])
+        return lift(self.basis[rows])
 
     def configuration(self, side: str, rows=slice(None), lifted=None) -> np.ndarray:
         """(k, n, n-1) configurations of the graphs ``rows`` (all by default):
         the centroid-centered ones at beta_l, beta_u or beta_i (side "l", "u"
         or "i"), whose projected Gram X(beta) = (beta I + (beta - 1) V.T A V)/2
         vanishes on the extreme group at its endpoint, or the J-spherical one
-        (side "j"). ``lifted`` is V U of those rows, for a caller that builds
-        several. Needs the eigenvectors: a pass run with ``vectors=True``, or
-        on a stack with an irregular graph.
+        (side "j"). ``lifted`` is ``self.lifted(rows)``, for a caller that
+        builds several.
 
         The J points come from the same eigensystem. In the basis
         [e/sqrt(n), V U], the Gram matrix I - delta Abar is I - delta H for
@@ -435,7 +442,7 @@ class _Stack(NamedTuple):
         and the head term delta q/(n g) is formed only on the other columns.
         """
         if lifted is None:
-            lifted = lift(self.basis[rows])
+            lifted = self.lifted(rows)
         w = self.eigenvalues[rows]
         if side == "j":
             delta = self.delta[rows, None]
@@ -464,25 +471,25 @@ class _Stack(NamedTuple):
                           *lower_bounds(max(self.n, 2)))
 
 
-def _spectrum(adj: np.ndarray, vectors: bool) -> tuple:
+def _spectrum(adj: np.ndarray) -> tuple:
     """(w, basis, q, mean_deg) of a (k, n, n) boolean adjacency stack: the
     ascending eigenvalues w of V.T A V, its eigenvectors U or None, q =
     U.T V.T (d - mean d) for the degree vector d (0 without U), and 2|E|/n.
 
     V.T (d - mean d) is exactly 0 for a regular graph, whose degrees are
     integers, and q is all the pass reads of U. So the route is each row's
-    own: the irregular rows, and every row when ``vectors`` asks for the
-    eigenvectors that configurations need, run one stacked eigh; the other
-    rows take their eigenvalues from an eigvalsh, as they do alone.
+    own: the irregular rows run one stacked eigh, and the regular rows take
+    their eigenvalues from an eigvalsh, as they do alone. A stack of only
+    regular rows runs no eigh.
     """
     n = adj.shape[-1]
     vav = project_adjacency(adj)
     deg = adj.sum(axis=-1, dtype=float)
     mean_deg = deg.sum(axis=-1) / n
     s = restrict(deg - mean_deg[:, None])
-    if vectors or np.count_nonzero(s):
+    if np.count_nonzero(s):
         w, basis = np.linalg.eigh(vav)
-        regular = False if vectors else ~s.any(axis=-1)  # they keep eigh's U
+        regular = ~s.any(axis=-1)  # they keep eigh's U
         if np.count_nonzero(regular):
             w[regular] = np.linalg.eigvalsh(vav[regular])
         return w, basis, np.einsum("ki,kij->kj", s, basis), mean_deg
@@ -571,8 +578,7 @@ _FAULTS = (
 )
 
 
-def _analyze_stack(adj: np.ndarray, tol: float = linalg.EIG_TOL,
-                   vectors: bool = False) -> _Stack:
+def _analyze_stack(adj: np.ndarray, tol: float = linalg.EIG_TOL) -> _Stack:
     """The analysis of every graph in a (k, n, n) boolean adjacency stack, in
     stages: the class test, one stacked O(n^3) decomposition of V.T A V
     (``_spectrum``), then array operations (``_endpoints``, ``_sphericity``
@@ -589,8 +595,8 @@ def _analyze_stack(adj: np.ndarray, tol: float = linalg.EIG_TOL,
         no = np.zeros(k, dtype=bool)
         return _Stack(n, classes, np.full(k, None, dtype=object),
                       **{**dict.fromkeys(_COLUMNS, np.full(k, np.nan)),
-                         "spherical_at_l": no, "spherical_at_u": no})
-    w, basis, q, mean_deg = _spectrum(adj, vectors)
+                         "spherical_at_l": no, "spherical_at_u": no, "adj": adj})
+    w, basis, q, mean_deg = _spectrum(adj)
     grp, betas, dim_e, dim_e_witness, beta_i = _endpoints(w, classes, tol)
     spherical, rho, dim_s, dim_s_witness = _sphericity(w, q, mean_deg, grp, betas, beta_i)
     # In the orthonormal basis [e/sqrt(n), V U], Abar = J - I - A is the
@@ -603,14 +609,14 @@ def _analyze_stack(adj: np.ndarray, tol: float = linalg.EIG_TOL,
         dim_e_witness_beta=dim_e_witness, dim_s=dim_s, dim_s_witness_beta=dim_s_witness,
         spherical_at_l=spherical[1], spherical_at_u=spherical[0], rho_l=rho[1], rho_u=rho[0],
         delta=delta, beta_j=2.0 + 2.0 * delta, dim_j=js.dim_j,
-        eigenvalues=w, groups=grp, beta_i=beta_i, basis=basis, q=q)
+        eigenvalues=w, groups=grp, beta_i=beta_i, basis=basis, q=q, adj=adj)
     faults = [(where(st, js), partial(error, st, js)) for where, error in _FAULTS]
     return st._replace(errors=edm.first_faults(faults, nondeg))
 
 
-def _analyze_single(g: Graph, vectors: bool = False) -> _Stack:
+def _analyze_single(g: Graph) -> _Stack:
     """The pass on a stack of one non-degenerate graph, raising its fault."""
-    st = _analyze_stack(g.adj[None], vectors=vectors)
+    st = _analyze_stack(g.adj[None])
     _require_nondegenerate(st.classes)
     if st.errors[0] is not None:
         raise st.errors[0]

@@ -22,6 +22,11 @@ def run(args, capsys):
     return code, captured.out, captured.err
 
 
+#: Paley graph P(13): i ~ j iff j - i is a nonzero square mod 13
+PALEY13 = graphs.Graph.from_edges(13, [(i, j) for i in range(13) for j in range(i + 1, 13)
+                                       if (j - i) % 13 in {1, 3, 4, 9, 10, 12}])
+
+
 class TestAnalyze:
     def test_c5_json(self, capsys):
         code, out, _ = run(["analyze", "--g6", encode_graph6(cycle_graph(5))], capsys)
@@ -175,11 +180,15 @@ class TestEmbed:
         else:
             assert radius == pytest.approx(info.radius, abs=1e-9)
 
-    def test_spherical_mode_decompositions(self, tmp_path, capsys, decompositions):
-        code, _, _ = run(["embed", "--g6", encode_graph6(cycle_graph(9)), "--mode", "spherical",
-                          "--out", str(tmp_path / "x.csv")], capsys)
-        # C9 is regular, but the pass runs eigh: its eigenvectors give the points
-        assert code == 0 and decompositions == ["eigh"]
+    def test_spherical_mode_decompositions(self, tmp_path, capsys, bow_tie, decompositions):
+        # C9 is regular: its pass runs eigvalsh, as for analyze, and its
+        # configuration an eigh for the points. The bow tie's pass runs eigh,
+        # whose eigenvectors give the points
+        for g, want in ((cycle_graph(9), ["eigvalsh", "eigh"]), (bow_tie, ["eigh"])):
+            decompositions.clear()
+            code, _, _ = run(["embed", "--g6", encode_graph6(g), "--mode", "spherical",
+                              "--side", "lower", "--out", str(tmp_path / "x.csv")], capsys)
+            assert code == 0 and decompositions == want
 
     def test_spherical_mode(self, tmp_path, capsys, bow_tie):
         out = tmp_path / "bt.csv"
@@ -193,21 +202,24 @@ class TestEmbed:
         assert oracle.verify_two_distance(config, bow_tie, 1.0, 0.5).passed
 
     @pytest.mark.parametrize("side", ["lower", "upper"])
-    def test_spherical_mode_matches_analyze(self, side, tmp_path, capsys):
-        # C_9 is regular, so both endpoints are spherical
-        g6 = encode_graph6(cycle_graph(9))
+    @pytest.mark.parametrize("name", [f"c{n}" for n in range(5, 41)] + ["paley13"])
+    def test_spherical_mode_matches_analyze(self, name, side, tmp_path, capsys):
+        # a regular graph's endpoints are all spherical, and both commands run
+        # the same eigvalsh pass, so they print the same bits
+        g = PALEY13 if name == "paley13" else cycle_graph(int(name[1:]))
+        g6 = encode_graph6(g)
         _, out, _ = run(["analyze", "--g6", g6], capsys)
         doc = json.loads(out)
-        csv_path = tmp_path / "c9.csv"
+        csv_path = tmp_path / "x.csv"
         code, _, _ = run(["embed", "--g6", g6, "--mode", "spherical", "--side", side,
                           "--out", str(csv_path)], capsys)
         assert code == 0
-        sidecar = json.loads((tmp_path / "c9.csv.json").read_text())
+        sidecar = json.loads((tmp_path / "x.csv.json").read_text())
         key = side[0]
         assert sidecar["beta"] == doc[f"beta_{key}"] and sidecar["radius"] == doc[f"rho_{key}"]
         config = self.read_config(csv_path)
-        assert config.dim == 8 - doc["m_max" if side == "lower" else "m_min"]
-        assert oracle.verify_two_distance(config, cycle_graph(9), 1.0, sidecar["beta"]).passed
+        assert config.dim == g.n - 1 - doc["m_max" if side == "lower" else "m_min"]
+        assert oracle.verify_two_distance(config, g, 1.0, sidecar["beta"]).passed
 
     def test_jspherical_mode(self, tmp_path, capsys, bow_tie):
         out = tmp_path / "btj.csv"

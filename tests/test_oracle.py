@@ -320,13 +320,15 @@ class TestInvariantSweep:
         assert summary.per_n == {2: 2} and summary.degenerate == 2 and summary.ok
 
     def test_benchmark_call_decompositions(self, decompositions):
-        # 20 = an eigh of V.T A V and the roots' eigvalsh at each of orders 3,
-        # 4, 5, 7 and 8 (10), the radius references' eighs of the projected
+        # 23 = an eigh of V.T A V and the roots' eigvalsh at each of orders 3,
+        # 4, 5, 7 and 8 (10), an eigvalsh of V.T A V for the regular rows at
+        # orders 3, 4 and 5 (3), the radius references' eighs of the projected
         # Gram and of D at orders 4, 5, 7 and 8 (8), and an eigvalsh of Abar
         # for the rows Newton leaves at orders 4 and 5 (2). Order 3 leaves
-        # only K3, whose Abar is 0; order 2 is all degenerate
+        # only K3, whose Abar is 0; order 2 is all degenerate, and the
+        # sampled order-7 and 8 stacks hold no regular graph
         assert oracle.invariant_sweep(5, sample_7_8=100, seed=1).ok
-        assert len(decompositions) == 20
+        assert len(decompositions) == 23
 
     @pytest.mark.parametrize("args,kwargs,counts,per_n", [
         ((4,), {}, {"degenerate_complement": 6, "endpoint_sphericity_duality": 52,

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import twodist
-from twodist import edm, linalg, representations as reps
+from twodist import edm, linalg, oracle, representations as reps
 from twodist.centering import project_adjacency
 from twodist.graphs import (Graph, adjacency_matrix, class_stack, classify, cluster_graph,
                             complement, complement_adjacency, complete_graph,
@@ -115,15 +115,15 @@ class TestProjectedSpectrum:
             st = reps._analyze_stack(g.adj[None])
             direct = np.linalg.eigvalsh(project_adjacency(adjacency_matrix(g)))
             assert np.allclose(st.eigenvalues[0], direct, atol=1e-9)
-            u = reps._analyze_stack(g.adj[None], vectors=True).basis[0]
-            assert np.allclose(u.T @ u, np.eye(g.n - 1), atol=1e-9)
+            z = st.lifted()[0]
+            assert np.allclose(z.T @ z, np.eye(g.n - 1), atol=1e-9)
 
     def test_eigenvectors_actually_project(self):
         g = cycle_graph(6)
-        st = reps._analyze_stack(g.adj[None], vectors=True)
-        m = project_adjacency(adjacency_matrix(g))
-        u, w = st.basis[0], st.eigenvalues[0]
-        assert np.allclose(m @ u, u * w, atol=1e-9)
+        st = reps._analyze_stack(g.adj[None])
+        a, z, w = adjacency_matrix(g), st.lifted()[0], st.eigenvalues[0]
+        # z = V u for V.T A V u = w u; A e = 2 e for C6, so A z = w z
+        assert np.allclose(a @ z, z * w, atol=1e-9)
 
     def test_degenerate_rejected_downstream(self):
         # the pass-based answers and the single-graph constructions refuse a
@@ -385,7 +385,7 @@ class TestJSpherical:
         # finite points and raise no floating-point warning
         for n in range(3, 6):
             adj = mask_stack(n, np.arange(1 << (n * (n - 1) // 2)))
-            st = reps._analyze_stack(adj, vectors=True)
+            st = reps._analyze_stack(adj)
             with np.errstate(all="raise"):
                 points = st.configuration("j")
             assert np.isfinite(points).all()
@@ -669,21 +669,27 @@ def _assert_same_row(st, i, one):
         _assert_same_report(st.report(i), one.report(0))
 
 
-def _assert_routes_agree(adj):
-    """A stack of regular graphs through both routes of V.T A V: eigvalsh
-    alone (vectors=False) and eigh (vectors=True). The same fault texts, integers
-    and flags, and floats within 1e-12 (1 + |value|), the rounding gap
-    between the two LAPACK routes."""
-    by_values, by_pairs = (reps._analyze_stack(adj, vectors=v) for v in (False, True))
-    assert by_values.basis is None  # the regular rows alone run eigvalsh, never eigh
-    assert [str(e) for e in by_values.errors] == [str(e) for e in by_pairs.errors]
-    clean = (by_values.errors == None) & ~by_values.classes.degenerate  # noqa: E711
-    for name in reps._COLUMNS:
-        got, want = getattr(by_values, name)[clean], getattr(by_pairs, name)[clean]
-        if got.dtype.kind == "f":
-            assert np.allclose(got, want, rtol=1e-12, atol=1e-12, equal_nan=True), name
-        else:
-            assert np.array_equal(got, want), name
+def _assert_regular_route(regular, irregular, decompositions):
+    """A stack of regular graphs runs eigvalsh alone (no basis), and
+    ``lifted`` then one eigh; the configuration at each existing endpoint
+    verifies; and each row of the stack with the irregular graph appended
+    equals its own pass, bit for bit."""
+    st = reps._analyze_stack(regular)
+    # eigvalsh of V.T A V, and of Abar where Newton leaves lambda_max uncertified
+    assert "eigh" not in decompositions and st.basis is None
+    ran = len(decompositions)
+    lifted = st.lifted()
+    assert decompositions[ran:] == ["eigh"]
+    clean = st.errors == None  # noqa: E711
+    for side, beta in (("l", st.beta_l), ("u", st.beta_u)):
+        rows = np.flatnonzero(clean & ~np.isnan(beta))
+        if rows.size:  # at order 3 the regular graphs, the null graph and K3, have none
+            points = st.configuration(side, rows, lifted[rows])
+            assert oracle._verify_stack(points, regular[rows], 1.0, beta[rows])[1].all(), side
+    mixed = reps._analyze_stack(np.concatenate([regular, irregular[None]]))
+    assert mixed.basis is not None
+    for i in range(len(regular)):
+        _assert_same_row(mixed, i, reps._analyze_stack(regular[i:i + 1]))
 
 
 class TestAnalyzeStack:
@@ -710,12 +716,14 @@ class TestAnalyzeStack:
         # that graph's pass alone, bit for bit. A tolerance or max taken over
         # the whole stack, or a decomposition route chosen for it, would make
         # a graph's answers depend on its neighbours; at tol 0.1 and 0.9 the
-        # clustering gap, scaled per graph, decides many answers and faults
+        # clustering gap, scaled per graph, decides many answers and faults.
+        # With ``vectors``, the eigenvectors V U of each clean row (the stack's
+        # eigh, or lifted's own for a regular row alone) and its J points too
         stacks = [mask_stack(n, np.arange(1 << (n * (n - 1) // 2))) for n in range(3, 6)]
         stacks += [np.stack([g.adj for g in graphs]) for graphs in list(_stack_graphs())[1:]]
         for adj in stacks:
-            st = reps._analyze_stack(adj, tol, vectors)
-            ones = [reps._analyze_stack(adj[i:i + 1], tol, vectors) for i in range(len(adj))]
+            st = reps._analyze_stack(adj, tol)
+            ones = [reps._analyze_stack(adj[i:i + 1], tol) for i in range(len(adj))]
             assert [repr(e) for e in st.errors] == [repr(one.errors[0]) for one in ones]
             rows = np.flatnonzero(~st.classes.degenerate)
             for name in reps._COLUMNS:
@@ -727,12 +735,23 @@ class TestAnalyzeStack:
             for i in np.flatnonzero(st.errors == None):  # noqa: E711
                 assert (json.dumps(st.report(i).to_dict())
                         == json.dumps(ones[i].report(0).to_dict())), i
+            if vectors:
+                clean = np.flatnonzero((st.errors == None) & ~st.classes.degenerate)  # noqa: E711
+                lifted = st.lifted(clean)
+                points = st.configuration("j", clean, lifted)
+                for k, i in enumerate(clean):
+                    assert np.array_equal(lifted[k], ones[i].lifted()[0]), i
+                    assert np.array_equal(points[k], ones[i].configuration("j")[0]), i
 
-    def test_complete_graph_row_decomposes_nothing(self, decompositions):
+    def test_complete_graph_row_decomposes_nothing(self, decomposition_inputs):
         # on the order-3 stack only K3 leaves Newton uncertified: its Abar is
-        # 0, so its J columns are read off without an eigvalsh of Abar
-        st = reps._analyze_stack(mask_stack(3, np.arange(8)), vectors=True)
-        assert decompositions == ["eigh"]
+        # 0, so its J columns are read off without an eigvalsh of Abar. The
+        # one eigvalsh is of V.T A V for the regular rows, the null graph and K3
+        adj = mask_stack(3, np.arange(8))
+        st = reps._analyze_stack(adj)
+        assert [fn for fn, _ in decomposition_inputs] == ["eigh", "eigvalsh"]
+        m = decomposition_inputs[1][1]
+        assert m.shape == (2, 2, 2) and np.array_equal(m, project_adjacency(adj[[0, 7]]))
         assert st.delta[7] == np.inf and st.dim_j[7] == 0
 
     @pytest.mark.parametrize("tol", [1e-9, 0.1, 0.9])
@@ -780,30 +799,23 @@ class TestAnalyzeStack:
         assert np.allclose(st.delta[ok], js.delta[ok], rtol=1e-12, atol=0.0)
 
     @pytest.mark.parametrize("n", [3, 4, 5, 6])
-    def test_regular_eigvalsh_path_matches_eigh_path(self, n):
-        # a regular graph (q = 0) decomposes V.T A V by eigvalsh unless the
-        # pass asks for eigenvectors: every regular graph of order n gets the
-        # same answers and faults either way. In a stack with an irregular
-        # graph, which runs eigh, its row is still its own eigvalsh pass
+    def test_regular_eigvalsh_path_matches_eigh_path(self, n, decompositions):
+        # a stack of regular graphs (q = 0) decomposes V.T A V by eigvalsh
+        # alone; its configurations ask for the eigenvectors, and in a stack
+        # with an irregular graph, which runs eigh, each regular row is still
+        # its own eigvalsh pass
         adj = mask_stack(n, np.arange(1 << (n * (n - 1) // 2)))
         deg = adj.sum(axis=-1)
-        regular = adj[(deg == deg[:, :1]).all(axis=-1)]
-        _assert_routes_agree(regular)
-        mixed = reps._analyze_stack(np.concatenate([regular, from_mask(n, 1).adj[None]]))
-        assert mixed.basis is not None
-        for i in range(len(regular)):
-            _assert_same_row(mixed, i, reps._analyze_stack(regular[i:i + 1]))
+        _assert_regular_route(adj[(deg == deg[:, :1]).all(axis=-1)], from_mask(n, 1).adj,
+                              decompositions)
 
     @pytest.mark.parametrize("name", ["c600", "paley601", "triangular35", "kneser35"])
-    def test_regular_eigvalsh_path_at_large_n(self, name):
+    def test_regular_eigvalsh_path_at_large_n(self, name, decompositions):
         g = {"c600": lambda: cycle_graph(600), "paley601": lambda: paley_graph(601),
              "triangular35": lambda: triangular_graph(35),
              "kneser35": lambda: kneser_graph(35)}[name]()
         chord = Graph.from_edges(g.n, [(i, (i + 1) % g.n) for i in range(g.n)] + [(0, 2)])
-        _assert_routes_agree(g.adj[None])
-        mixed = reps._analyze_stack(np.stack([g.adj, chord.adj]))
-        assert mixed.basis is not None
-        _assert_same_row(mixed, 0, reps._analyze_stack(g.adj[None]))
+        _assert_regular_route(g.adj[None], chord.adj, decompositions)
 
     def test_sphericity_matches_direct_residual(self):
         # the pass tests q = 0 on the extreme group; the direct test computes
