@@ -153,11 +153,10 @@ def arrowhead_top(corner: np.ndarray, z: np.ndarray, d: np.ndarray) -> np.ndarra
 
 
 def sign_masks(w: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """(negative, positive) masks of eigenvalues w (..., m): those beyond
-    ``EIG_TOL * max(1, max|lambda|)`` from 0, the zero threshold of every PSD,
-    rank and pseudoinverse decision; the rest count as zero."""
-    cut = EIG_TOL * np.maximum(1.0, reduce_last(np.maximum, np.abs(w), keepdims=True,
-                                                 initial=0.0))
+    """(negative, positive) masks of sorted eigenvalues w (..., m), ascending or
+    descending: those beyond ``cluster_gap(w, EIG_TOL)`` from 0, the zero threshold
+    of every PSD, rank and pseudoinverse decision; the rest count as zero."""
+    cut = cluster_gap(w, EIG_TOL)[..., None]
     return w < -cut, w > cut
 
 

@@ -14,7 +14,6 @@ import json
 import math
 import time
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
@@ -120,15 +119,6 @@ def _not_positive_definite(m: np.ndarray) -> np.ndarray:
     return bad
 
 
-@lru_cache(maxsize=128)
-def _ones_cholesky_inverse(p: int) -> np.ndarray:
-    """L^-1 for the Cholesky factor L of I + J of order p; cached per order
-    and read-only."""
-    l_inv = np.linalg.inv(np.linalg.cholesky(np.eye(p) + 1.0))
-    l_inv.flags.writeable = False
-    return l_inv
-
-
 def _roots_stack(adj: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """(t1, t2) for a (k, n, n) stack of non-degenerate graphs, NaN where absent.
 
@@ -140,7 +130,7 @@ def _roots_stack(adj: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     each sign is read off the Cholesky pivots of the pencil.
     """
     m0, m1 = _pencil(adj)
-    l_inv = _ones_cholesky_inverse(adj.shape[-1] - 1)
+    l_inv = np.linalg.inv(np.linalg.cholesky(np.eye(adj.shape[-1] - 1) + 1.0))
     nu = np.linalg.eigvalsh(l_inv @ m1 @ l_inv.T)
     with np.errstate(divide="ignore"):
         t1, t2 = 1.0 - 1.0 / nu[:, -1], 1.0 - 1.0 / nu[:, 0]

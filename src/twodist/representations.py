@@ -32,7 +32,7 @@ import numpy as np
 from . import edm, linalg
 from .centering import lift, project_adjacency, restrict
 from .edm import Configuration, _circumcenter
-from .graphs import (ClassStack, Graph, GraphClass, adjacency_matrix, class_stack, complement,
+from .graphs import (ClassStack, Graph, GraphClass, adjacency_matrix, class_stack,
                      complement_adjacency)
 
 SIDE_LOWER = "lower"
@@ -131,16 +131,6 @@ def endpoint_sphericity(g: Graph, side: str) -> bool:
         raise EndpointError("upper endpoint requires mu_min < -1")
     z = lift(u[:, grp.masks[end]])
     return float(np.max(np.abs(adjacency_matrix(g) @ z - mu * z))) <= _merge_tol(g.n)
-
-
-def _adjacency_pair(g: Graph) -> Tuple[np.ndarray, np.ndarray]:
-    """(A, Abar) as float matrices."""
-    return adjacency_matrix(g), adjacency_matrix(complement(g))
-
-
-def _edm_at(g: Graph, beta: float) -> np.ndarray:
-    a, abar = _adjacency_pair(g)
-    return a + beta * abar
 
 
 def dim_spherical(g: Graph) -> Tuple[int, float, float]:
@@ -277,7 +267,7 @@ def j_spherical(g: Graph) -> JSpherical:
     in closed form (``_Stack.configuration("j")``, which the sweep builds);
     the tests compare the two."""
     _require_nondegenerate(class_stack(g.adj[None]))
-    w, q = np.linalg.eigh(adjacency_matrix(complement(g))[None])
+    w, q = np.linalg.eigh(complement_adjacency(g.adj[None]).astype(float))
     js = _j_stack(w, linalg.EIG_TOL).check()
     dim_j, delta = int(js.dim_j[0]), float(js.delta[0])
     # the Gram matrix I - delta*Abar has Abar's eigenvectors; it vanishes on the top group
@@ -293,7 +283,7 @@ def same_second_distance(g1: Graph, g2: Graph) -> bool:
     top = []
     for g in (g1, g2):
         _require_nondegenerate(class_stack(g.adj[None]))
-        w = np.linalg.eigvalsh(adjacency_matrix(complement(g))[None])
+        w = np.linalg.eigvalsh(complement_adjacency(g.adj[None]).astype(float))
         top.append(_j_stack(w, linalg.EIG_TOL).check().top[0])
     return abs(top[0] - top[1]) <= 1e-9
 

@@ -1,7 +1,12 @@
 import numpy as np
 import pytest
 
-from twodist.graphs import Graph
+from twodist.graphs import Graph, complement_adjacency
+
+
+def edm_at(g: Graph, beta: float) -> np.ndarray:
+    """The squared-distance matrix A + beta*Abar of g's representations at beta."""
+    return g.adj + beta * complement_adjacency(g.adj)
 
 
 @pytest.fixture

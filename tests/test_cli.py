@@ -11,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import edm_at
 from twodist import cli, edm, graphs, linalg, oracle, representations as reps
 from twodist.edm import Configuration
 from twodist.graphs import GRAPH6_MAX_N, cycle_graph, encode_graph6, parse_graph6
@@ -174,7 +175,7 @@ class TestEmbed:
                           "--beta", str(beta), "--out", str(out)], capsys)
         assert code == 0
         radius = json.loads((tmp_path / "x.csv.json").read_text())["radius"]
-        info = edm.spherical_info(reps._edm_at(g, beta))
+        info = edm.spherical_info(edm_at(g, beta))
         if name == "bow_tie" and beta == 3.5:
             assert info is None and radius is None
         else:

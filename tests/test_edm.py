@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy.linalg import lapack
 
+from conftest import edm_at
 from twodist import edm, linalg, representations as reps
 from twodist.centering import project_adjacency
 from twodist.graphs import (adjacency_matrix, complement_adjacency,
@@ -123,7 +124,7 @@ class TestGaleMatrix:
         # direction (node 0 is the shared center)
         for beta, target in ((0.5, [0.0, 1.0, -1.0, 1.0, -1.0]),
                              (3.5, [-4.0, 1.0, 1.0, 1.0, 1.0])):
-            d = reps._edm_at(bow_tie, beta)
+            d = edm_at(bow_tie, beta)
             z = edm.gale_matrix(d).z
             assert z.shape == (5, 1)
             t = np.asarray(target)
@@ -153,7 +154,7 @@ class TestSphericalInfo:
         assert edm.spherical_info(d) is None
 
     def test_bow_tie_upper_endpoint_not_spherical(self, bow_tie):
-        assert edm.spherical_info(reps._edm_at(bow_tie, 3.5)) is None
+        assert edm.spherical_info(edm_at(bow_tie, 3.5)) is None
 
     def test_zero_matrix(self):
         assert edm.spherical_info(np.zeros((3, 3))) is None
@@ -167,7 +168,7 @@ class TestSphericalInfo:
         sphere = edm_from_points(raw / np.linalg.norm(raw, axis=1, keepdims=True))
         collinear = edm_from_points(np.arange(5.0)[:, None])
         ds = np.concatenate([
-            [sphere, collinear, reps._edm_at(bow_tie, 3.5), reps._edm_at(bow_tie, 0.5),
+            [sphere, collinear, edm_at(bow_tie, 3.5), edm_at(bow_tie, 0.5),
              np.zeros((5, 5))],
             order5_edms(), [random_edm(rng, 5, dim) for dim in range(1, 6) for _ in range(10)]])
         st = edm.sphere_stack(ds)

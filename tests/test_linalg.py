@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
-from twodist import linalg
+from twodist import linalg, representations as reps
+from twodist.centering import project_adjacency
+from twodist.graphs import cycle_graph
 
 
 def random_psd(rng, n, rank):
@@ -87,6 +89,29 @@ def test_reduce_last_matches_numpy(rng, shape):
         want = ufunc.reduce(x, axis=-1, **kwargs)
         got = linalg.reduce_last(ufunc, x, **kwargs)
         assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+def test_sign_masks_on_sorted_spectra(rng, bow_tie):
+    # sign_masks reads its cut off the two ends of a sorted spectrum: on each
+    # kind it is given, either order gives the same masks, and the cut is
+    # EIG_TOL * max(1, max|w|) over the whole spectrum
+    scale = 10.0 ** rng.integers(-12, 4, (300, 1))
+    spectra = [np.sort(rng.standard_normal((300, 7)) * scale, axis=-1),
+               np.array([[-1e-9, -5e-10, 0.0, 1e-9, 0.5], [-3.0, -3e-9, 3e-9, 3.1e-9, 3.0]]),
+               np.array([[-1.0, 0.0, 1e-10, np.inf], [-np.inf, -1e-10, 0.0, 2.0],
+                         [-np.inf, 0.0, 0.0, np.inf]])]
+    for g in (bow_tie, cycle_graph(9)):
+        # X(beta) at the lower endpoint, descending, with a zero group
+        beta = reps.analyze_graph(g).beta_l
+        w = np.linalg.eigvalsh(project_adjacency(g.adj))
+        spectra.append(0.5 * (beta + (beta - 1.0) * w))
+    for w in spectra:
+        neg, pos = linalg.sign_masks(w)
+        cut = linalg.EIG_TOL * np.maximum(1.0, np.abs(w).max(axis=-1, keepdims=True))
+        assert np.array_equal(neg, w < -cut) and np.array_equal(pos, w > cut)
+        neg_r, pos_r = linalg.sign_masks(w[..., ::-1])
+        assert np.array_equal(neg_r, neg[..., ::-1]) and np.array_equal(pos_r, pos[..., ::-1])
+    assert not (neg | pos).all()  # C9's X(beta_l) has its zero group
 
 
 def _arrowhead(corner, z, d):

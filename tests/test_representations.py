@@ -5,6 +5,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
+from conftest import edm_at
 import twodist
 from twodist import edm, linalg, oracle, representations as reps
 from twodist.centering import project_adjacency
@@ -185,7 +186,7 @@ class TestDimEuclidean:
             r, beta = reps.dim_euclidean(g)
             assert r == brute_force_dim_e(g)
             # the witness itself achieves the minimum
-            chk = edm.is_edm(reps._edm_at(g, beta))
+            chk = edm.is_edm(edm_at(g, beta))
             assert chk.is_edm and chk.embedding_dim == r
 
     def test_complement_invariance(self, rng):
@@ -202,7 +203,7 @@ class TestEuclideanRepresentation:
         for beta in (0.5, 2.0, 3.5):
             config = reps.euclidean_representation(bow_tie, beta)
             assert verify_two_distance(config, bow_tie, 1.0, beta).passed
-            assert np.allclose(config.squared_distances(), reps._edm_at(bow_tie, beta), atol=1e-9)
+            assert np.allclose(config.squared_distances(), edm_at(bow_tie, beta), atol=1e-9)
 
     def test_infeasible_beta_raises(self, bow_tie):
         with pytest.raises(reps.InfeasibleBetaError) as exc:
@@ -259,7 +260,7 @@ class TestDimSpherical:
         for g in graphs:
             r, beta, rho = reps.dim_spherical(g)
             assert r == g.n - 1
-            info = edm.spherical_info(reps._edm_at(g, beta))
+            info = edm.spherical_info(edm_at(g, beta))
             assert info is not None and rho == pytest.approx(info.radius, rel=1e-12), g
 
     def test_endpoint_sphericity_faults(self):
@@ -302,7 +303,7 @@ class TestClosedFormRadius:
         g = cycle_graph(5)
         rep = reps.analyze_graph(g)
         assert rep.rho_u ** 2 == pytest.approx(2 / (5 - S5), abs=1e-12)
-        info = edm.spherical_info(reps._edm_at(g, rep.beta_u))
+        info = edm.spherical_info(edm_at(g, rep.beta_u))
         assert rep.rho_u ** 2 == pytest.approx(info.radius ** 2, abs=1e-10)
 
     def test_rejects_nonspherical_endpoint(self, bow_tie):
@@ -520,7 +521,7 @@ class TestAnalyzeGraph:
         rep = reps.analyze_graph(g)
         assert rep.spherical_at_l and rep.spherical_at_u
         for beta, rho in ((rep.beta_l, rep.rho_l), (rep.beta_u, rep.rho_u)):
-            info = edm.spherical_info(reps._edm_at(g, beta))
+            info = edm.spherical_info(edm_at(g, beta))
             assert rho == pytest.approx(info.radius, abs=1e-9)
 
     @pytest.mark.parametrize("name,radii", [
@@ -538,7 +539,7 @@ class TestAnalyzeGraph:
         calls = []
         for fn in ("_analyze_stack", "_radius2", "lift", "_points", "_circumcenter",
                    "_witness_radius", "_require_nondegenerate", "endpoint_sphericity",
-                   "euclidean_representation", "j_spherical", "_edm_at"):
+                   "euclidean_representation", "j_spherical"):
             orig = getattr(reps, fn)
 
             def counted(*args, _fn=fn, _orig=orig, **kwargs):
@@ -708,17 +709,16 @@ class TestAnalyzeStack:
                 else:
                     _assert_same_report(st.report(i), want)
 
-    @pytest.mark.parametrize("vectors", [False, True])
     @pytest.mark.parametrize("tol", [1e-9, 0.1, 0.9])
-    def test_stack_equals_its_rows(self, tol, vectors):
+    def test_stack_equals_its_rows(self, tol):
         # every labelled graph on 3-5 nodes (those on 2 are degenerate), then
         # the seeded order-7 and order-8 stacks: each row of its stack against
         # that graph's pass alone, bit for bit. A tolerance or max taken over
         # the whole stack, or a decomposition route chosen for it, would make
         # a graph's answers depend on its neighbours; at tol 0.1 and 0.9 the
         # clustering gap, scaled per graph, decides many answers and faults.
-        # With ``vectors``, the eigenvectors V U of each clean row (the stack's
-        # eigh, or lifted's own for a regular row alone) and its J points too
+        # The eigenvectors V U of each clean row (the stack's eigh, or
+        # lifted's own for a regular row alone) and its J points too
         stacks = [mask_stack(n, np.arange(1 << (n * (n - 1) // 2))) for n in range(3, 6)]
         stacks += [np.stack([g.adj for g in graphs]) for graphs in list(_stack_graphs())[1:]]
         for adj in stacks:
@@ -735,13 +735,12 @@ class TestAnalyzeStack:
             for i in np.flatnonzero(st.errors == None):  # noqa: E711
                 assert (json.dumps(st.report(i).to_dict())
                         == json.dumps(ones[i].report(0).to_dict())), i
-            if vectors:
-                clean = np.flatnonzero((st.errors == None) & ~st.classes.degenerate)  # noqa: E711
-                lifted = st.lifted(clean)
-                points = st.configuration("j", clean, lifted)
-                for k, i in enumerate(clean):
-                    assert np.array_equal(lifted[k], ones[i].lifted()[0]), i
-                    assert np.array_equal(points[k], ones[i].configuration("j")[0]), i
+            clean = np.flatnonzero((st.errors == None) & ~st.classes.degenerate)  # noqa: E711
+            lifted = st.lifted(clean)
+            points = st.configuration("j", clean, lifted)
+            for k, i in enumerate(clean):
+                assert np.array_equal(lifted[k], ones[i].lifted()[0]), i
+                assert np.array_equal(points[k], ones[i].configuration("j")[0]), i
 
     def test_complete_graph_row_decomposes_nothing(self, decomposition_inputs):
         # on the order-3 stack only K3 leaves Newton uncertified: its Abar is
@@ -799,7 +798,7 @@ class TestAnalyzeStack:
         assert np.allclose(st.delta[ok], js.delta[ok], rtol=1e-12, atol=0.0)
 
     @pytest.mark.parametrize("n", [3, 4, 5, 6])
-    def test_regular_eigvalsh_path_matches_eigh_path(self, n, decompositions):
+    def test_regular_stack_route(self, n, decompositions):
         # a stack of regular graphs (q = 0) decomposes V.T A V by eigvalsh
         # alone; its configurations ask for the eigenvectors, and in a stack
         # with an irregular graph, which runs eigh, each regular row is still
@@ -810,7 +809,7 @@ class TestAnalyzeStack:
                               decompositions)
 
     @pytest.mark.parametrize("name", ["c600", "paley601", "triangular35", "kneser35"])
-    def test_regular_eigvalsh_path_at_large_n(self, name, decompositions):
+    def test_regular_stack_route_at_large_n(self, name, decompositions):
         g = {"c600": lambda: cycle_graph(600), "paley601": lambda: paley_graph(601),
              "triangular35": lambda: triangular_graph(35),
              "kneser35": lambda: kneser_graph(35)}[name]()
