@@ -1,9 +1,10 @@
 """Command-line front end: analyze graphs, emit coordinate files, run sweeps.
 
 Exit codes: 0 success, 2 parse/usage failure (including an unwritable
-output path and a graph too large to hold), 3 internal consistency diagnostic (including a sweep that finds
-violations), 4 infeasible request (bad beta, degenerate graph, non-spherical
-endpoint). ``_FAILURES`` maps each exception a command raises to its code.
+output path or standard output and a graph too large to hold), 3 internal
+consistency diagnostic (including a sweep that finds violations), 4
+infeasible request (bad beta, degenerate graph, non-spherical endpoint).
+``_FAILURES`` maps each exception a command raises to its code.
 """
 
 from __future__ import annotations
@@ -95,28 +96,50 @@ def _report_document(g: Graph, args) -> dict:
     return doc
 
 
-def _emit(doc: dict, pretty: bool) -> None:
-    sys.stdout.write(json.dumps(doc, indent=2 if pretty else None) + "\n")
-
-
-def cmd_analyze(args) -> int:
-    _emit(_report_document(_load_graph(args), args), args.pretty)
+def _print(text: str) -> int:
+    """Write text to standard output and flush it: exit 0, or 2 with one
+    stderr line when it cannot be written. Standard output then points at
+    os.devnull, so that the interpreter's exit-time flush of what stayed
+    buffered has nothing to report."""
+    try:
+        sys.stdout.write(text)
+        sys.stdout.flush()
+    except OSError as exc:
+        try:
+            null = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(null, sys.stdout.fileno())
+            os.close(null)
+        except (OSError, ValueError):  # a stream without a descriptor holds nothing to flush
+            pass
+        print(f"error: cannot write standard output: {exc.strerror or exc}", file=sys.stderr)
+        return EXIT_PARSE
     return EXIT_OK
 
 
-def _write(texts: dict) -> int:
-    """Write each text to its path (through a symlink; only a regular file is
-    replaced) via a temporary name beside it. All move into place once every
-    write succeeded and every path was found replaceable, the first path
-    last, so a failure leaves every path as it was; a failure removes what
-    the command wrote and names its path: exit 0 or 2."""
-    real = {t: os.path.realpath(t) if os.path.islink(t) else t for t in texts}
+def cmd_analyze(args) -> int:
+    doc = _report_document(_load_graph(args), args)
+    return _print(json.dumps(doc, indent=2 if args.pretty else None) + "\n")
+
+
+def _write(data: dict) -> int:
+    """Write each path's bytes (through a symlink; only a regular file is
+    replaced) to a temporary name beside it, through a raw descriptor. All
+    move into place once every write succeeded and every path was found
+    replaceable, the first path last, so a failure leaves every path as it
+    was; a failure removes what the command wrote and names its path: exit 0 or 2."""
+    real = {t: os.path.realpath(t) if os.path.islink(t) else t for t in data}
     made = []  # temporaries, then the targets moved into place
     try:
         for target, dest in real.items():
-            with open(f"{dest}.{os.getpid()}.tmp", "w", newline="", encoding="utf-8") as fh:
-                made.append(fh.name)
-                fh.write(texts[target])
+            tmp = f"{dest}.{os.getpid()}.tmp"
+            fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666)
+            made.append(tmp)
+            try:
+                rest = memoryview(data[target])
+                while rest:  # a write may take fewer bytes than it is given
+                    rest = rest[os.write(fd, rest):]
+            finally:
+                os.close(fd)
         for target, dest in reversed(real.items()):
             if os.path.isfile(dest):
                 continue
@@ -137,10 +160,12 @@ def _write(texts: dict) -> int:
 
 def _write_coordinates(path: str, config: edm.Configuration, sidecar: dict) -> int:
     """The points as CSV rows of %.17g values ending in \\r\\n, as csv.writer
-    writes them, and the sidecar as indented JSON, one write per file: exit 0 or 2."""
-    row = ",".join(["%.17g"] * config.dim) + "\r\n"
-    return _write({path: "".join([row % tuple(r) for r in config.points.tolist()]),
-                   path + ".json": json.dumps(sidecar, indent=2) + "\n"})
+    writes them, formatted by one % over every value, and the sidecar as
+    indented JSON: exit 0 or 2."""
+    points = config.points
+    rows = (b",".join([b"%.17g"] * config.dim) + b"\r\n") * points.shape[0]
+    return _write({path: rows % tuple(points.ravel().tolist()),
+                   path + ".json": (json.dumps(sidecar, indent=2) + "\n").encode()})
 
 
 def cmd_embed(args) -> int:
@@ -211,11 +236,10 @@ def cmd_sweep(args) -> int:
         return EXIT_PARSE
     summary = oracle.invariant_sweep(min(args.n, 6), sample_7_8=args.samples if args.n >= 7 else 0,
                                      seed=args.seed)
-    text = summary.to_json(indent=2)
-    if not args.out:
-        print(text)
-    elif _write({args.out: text + "\n"}):
-        return EXIT_PARSE
+    text = summary.to_json(indent=2) + "\n"
+    code = _write({args.out: text.encode()}) if args.out else _print(text)
+    if code:
+        return code
     return EXIT_OK if summary.ok else EXIT_DIAGNOSTIC
 
 

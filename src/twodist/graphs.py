@@ -46,7 +46,8 @@ class Graph:
     """Simple graph on nodes 0..n-1.
 
     ``adj`` is a read-only n x n boolean adjacency matrix: symmetric with a
-    zero diagonal. The constructor validates it and stores a read-only copy.
+    zero diagonal. The constructor validates it and stores a read-only copy;
+    ``_trusted`` stores, unchecked, one that is valid by construction.
     Graphs compare and hash by value.
     """
 
@@ -62,6 +63,18 @@ class Graph:
             raise GraphFormatError("adjacency must be symmetric with a zero diagonal")
         adj.flags.writeable = False
         object.__setattr__(self, "adj", adj)
+
+    @classmethod
+    def _trusted(cls, adj: np.ndarray) -> "Graph":
+        """The graph of a boolean adjacency that is symmetric with a zero
+        diagonal by construction, and that no one else holds: made read-only
+        in place, without the constructor's copy and checks. The order is
+        still checked."""
+        _check_order(adj.shape[0])
+        g = object.__new__(cls)
+        object.__setattr__(g, "n", adj.shape[0])
+        object.__setattr__(g, "adj", _read_only(adj)[0])
+        return g
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Graph):
@@ -190,7 +203,7 @@ def parse_graph6(text: str) -> Graph:
     bits = np.unpackbits(codes[head:, None].astype(np.uint8), axis=1)[:, 2:].ravel()[:nbits]
     low = np.zeros((n, n), dtype=bool)
     low[_lower_mask(n)] = bits
-    return Graph(n, low | low.T)
+    return Graph._trusted(low | low.T)
 
 
 def _read_only(*arrays) -> tuple:
@@ -248,7 +261,7 @@ def connected_stack(adj: np.ndarray) -> np.ndarray:
 
 def complement(g: Graph) -> Graph:
     """Graph with an edge exactly where g has none."""
-    return Graph(g.n, complement_adjacency(g.adj))
+    return Graph._trusted(complement_adjacency(g.adj))
 
 
 def adjacency_matrix(g: Graph) -> np.ndarray:
@@ -357,4 +370,4 @@ def mask_stack(n: int, masks: np.ndarray) -> np.ndarray:
 
 def from_mask(n: int, mask: int) -> Graph:
     """Graph from an edge bitmask over combinations(range(n), 2) order."""
-    return Graph(n, mask_stack(n, np.array([mask], dtype=object))[0])
+    return Graph._trusted(mask_stack(n, np.array([mask], dtype=object))[0])

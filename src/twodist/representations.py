@@ -32,8 +32,8 @@ import numpy as np
 from . import edm, linalg
 from .centering import lift, project_adjacency, restrict
 from .edm import Configuration, _circumcenter
-from .graphs import (ClassStack, Graph, GraphClass, adjacency_matrix, class_stack,
-                     complement_adjacency)
+from .graphs import (TAG_COMPLETE, TAG_NULL, ClassStack, Graph, GraphClass, adjacency_matrix,
+                     class_stack, complement_adjacency)
 
 SIDE_LOWER = "lower"
 SIDE_UPPER = "upper"
@@ -88,10 +88,13 @@ def _shown(value: float, scale: float) -> float:
     return 0.0 if abs(value) <= linalg.ROUNDING * scale else value
 
 
-def _require_nondegenerate(classes: ClassStack) -> None:
-    """Refuse the first graph of ``classes`` if it is complete or null."""
-    if classes.degenerate[0]:
-        raise DegenerateGraphError(f"{classes.tag[0]} graph admits no two-distance representation")
+def _require_nondegenerate(g: Graph) -> None:
+    """Refuse a complete or null graph, told apart by its edge count alone;
+    complete is tested first, so that one node is complete, as ``classify`` says."""
+    full, edges = g.n * (g.n - 1), np.count_nonzero(g.adj)
+    if edges in (0, full):
+        tag = TAG_COMPLETE if edges == full else TAG_NULL
+        raise DegenerateGraphError(f"{tag} graph admits no two-distance representation")
 
 
 def beta_feasible_set(g: Graph) -> BetaIntervals:
@@ -266,7 +269,7 @@ def j_spherical(g: Graph) -> JSpherical:
     is cheaper than the analysis pass, whose eigenpairs give the same points
     in closed form (``_Stack.configuration("j")``, which the sweep builds);
     the tests compare the two."""
-    _require_nondegenerate(class_stack(g.adj[None]))
+    _require_nondegenerate(g)
     w, q = np.linalg.eigh(complement_adjacency(g.adj[None]).astype(float))
     js = _j_stack(w, linalg.EIG_TOL).check()
     dim_j, delta = int(js.dim_j[0]), float(js.delta[0])
@@ -282,7 +285,7 @@ def same_second_distance(g1: Graph, g2: Graph) -> bool:
     top group of Abar not one eigenvalue) but builds no J points."""
     top = []
     for g in (g1, g2):
-        _require_nondegenerate(class_stack(g.adj[None]))
+        _require_nondegenerate(g)
         w = np.linalg.eigvalsh(complement_adjacency(g.adj[None]).astype(float))
         top.append(_j_stack(w, linalg.EIG_TOL).check().top[0])
     return abs(top[0] - top[1]) <= 1e-9
@@ -292,7 +295,7 @@ def euclidean_representation(g: Graph, beta: float) -> Configuration:
     """A centroid-centered configuration realizing the EDM A + beta*Abar from one
     eigh of V.T A V: a column per eigenvalue of X(beta) = (beta I + (beta - 1)
     V.T A V)/2 that ``linalg.sign_masks`` counts positive, in decreasing order."""
-    _require_nondegenerate(class_stack(g.adj[None]))
+    _require_nondegenerate(g)
     w, u = np.linalg.eigh(project_adjacency(g.adj))
     # x = (beta + (beta - 1) w)/2 is the spectrum of X(beta). Above beta = 1
     # it is beta/2 times y = 1 + (1 - 1/beta) w, which has x's signs and does
@@ -606,8 +609,8 @@ def _analyze_stack(adj: np.ndarray, tol: float = linalg.EIG_TOL) -> _Stack:
 
 def _analyze_single(g: Graph) -> _Stack:
     """The pass on a stack of one non-degenerate graph, raising its fault."""
+    _require_nondegenerate(g)
     st = _analyze_stack(g.adj[None])
-    _require_nondegenerate(st.classes)
     if st.errors[0] is not None:
         raise st.errors[0]
     return st

@@ -1,5 +1,6 @@
 import argparse
 import csv
+import errno
 import io
 import json
 import math
@@ -429,6 +430,19 @@ class TestEmbed:
         assert err == "error: complete graph admits no two-distance representation\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("mode", list(MODES))
+    @pytest.mark.parametrize("g6,tag", [("@", "complete"), ("A?", "null"), ("A_", "complete"),
+                                        ("D??", "null"), ("D~{", "complete")],
+                             ids=["K1", "2K1", "K2", "5K1", "K5"])
+    def test_degenerate_by_edge_count(self, g6, tag, mode, tmp_path, capsys):
+        # a graph with no edge is null and one with every edge complete; one
+        # node has both, and is complete
+        out = tmp_path / "x.csv"
+        code, _, err = run(["embed", "--g6", g6, *self.MODES[mode], "--out", str(out)],
+                           capsys)
+        assert code == 4 and err == f"error: {tag} graph admits no two-distance representation\n"
+        assert list(tmp_path.iterdir()) == []
+
     def test_degenerate_euclidean_without_beta_exits_2(self, tmp_path, capsys):
         # the usage check comes before the graph's class test
         code, _, err = run(["embed", "--g6", "D~{", "--mode", "euclidean",
@@ -438,7 +452,9 @@ class TestEmbed:
     @pytest.mark.parametrize("mode", list(MODES))
     @pytest.mark.parametrize("g6", ["D~{", "DqK"])
     def test_one_class_test_per_mode(self, mode, g6, tmp_path, capsys, monkeypatch):
-        # classify and the analysis pass both run graphs.class_stack
+        # a degenerate graph is refused by its edge count before any class
+        # test: graphs.class_stack runs only inside the analysis pass, which
+        # the spherical mode alone runs, and only on a graph it does not refuse
         calls, real = [], graphs.class_stack
 
         def counted(adj):
@@ -447,7 +463,7 @@ class TestEmbed:
         monkeypatch.setattr(graphs, "class_stack", counted)
         monkeypatch.setattr(reps, "class_stack", counted)
         run(["embed", "--g6", g6, *self.MODES[mode], "--out", str(tmp_path / "x.csv")], capsys)
-        assert calls == [(1, 5, 5)]
+        assert calls == [(1, 5, 5)] * (mode == "spherical" and g6 == "DqK")
 
 
 class TestFailureTable:
@@ -722,6 +738,69 @@ class TestOutputText:
         want = io.StringIO()
         json.dump(doc, want, indent=2 if pretty else None)
         assert capsys.readouterr().out == want.getvalue() + "\n"
+
+
+class TestRawWrites:
+    """``cli._write`` writes each file through a raw descriptor, looping until
+    every byte is written."""
+
+    def test_short_writes(self, tmp_path, rng, monkeypatch):
+        # a write that takes at most 7 bytes still leaves every byte in place
+        real, calls = os.write, []
+
+        def short(fd, data):
+            calls.append(fd)
+            return real(fd, bytes(data[:7]))
+        monkeypatch.setattr(os, "write", short)
+        points = rng.standard_normal((9, 4))
+        sidecar = {"mode": "jspherical", "alpha": 2.0, "beta": 2.5, "delta": 0.25, "radius": 1.0}
+        path = tmp_path / "x.csv"
+        assert cli._write_coordinates(str(path), Configuration(points), sidecar) == 0
+        text = _csv_reference(points).encode("utf-8")
+        assert path.read_bytes() == text
+        want = io.StringIO()
+        json.dump(sidecar, want, indent=2)
+        side = (want.getvalue() + "\n").encode("utf-8")
+        assert (tmp_path / "x.csv.json").read_bytes() == side
+        assert len(calls) == math.ceil(len(text) / 7) + math.ceil(len(side) / 7)
+
+    def test_full_disk_on_sidecar_exits_2(self, tmp_path, capsys, monkeypatch):
+        # the sidecar's write fails: the message names the sidecar, no
+        # temporary file is left, and an earlier CSV keeps its bytes
+        real = os.write
+
+        def full(fd, data):
+            if bytes(data[:1]) == b"{":
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+            return real(fd, data)
+        monkeypatch.setattr(os, "write", full)
+        out = tmp_path / "x.csv"
+        for before in (None, b"0,1\r\n"):
+            if before is not None:
+                out.write_bytes(before)
+            code, _, err = run(["embed", "--g6", "DqK", "--mode", "jspherical",
+                                "--out", str(out)], capsys)
+            assert code == 2
+            assert err == f"error: cannot write {out}.json: {os.strerror(errno.ENOSPC)}\n"
+            assert (out.read_bytes() if out.exists() else None) == before
+            assert sorted(p.name for p in tmp_path.iterdir()) == ["x.csv"][before is None:]
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full on this platform")
+@pytest.mark.parametrize("argv", [["analyze", "--g6", "Dug"], ["sweep", "--n", "3"]],
+                         ids=["analyze", "sweep"])
+def test_full_stdout_exits_2(argv):
+    # a standard output that takes no byte is one stderr line and exit 2, and
+    # the interpreter's exit-time flush finds nothing left to report. Output
+    # stays buffered, as by default: unbuffered, nothing is left to flush
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run([sys.executable, "-m", "twodist.cli", *argv], env=env,
+                              stdout=full, stderr=subprocess.PIPE, text=True)
+    assert proc.returncode == cli.EXIT_PARSE
+    assert proc.stderr == f"error: cannot write standard output: {os.strerror(errno.ENOSPC)}\n"
 
 
 def test_no_scipy_at_runtime(tmp_path):

@@ -61,6 +61,25 @@ class TestGraphBasics:
         with pytest.raises(GraphFormatError):
             Graph(3, adj)
 
+    def test_trusted_constructions(self, rng):
+        # parse_graph6, from_mask and complement build a symmetric hollow
+        # adjacency themselves and skip the constructor's copy and checks:
+        # each graph equals the validated one and is read-only, while the
+        # public constructor still refuses an asymmetric or looped adjacency
+        for n in (1, 2, 5, 9):
+            mask = int(rng.integers(0, 1 << (n * (n - 1) // 2)))
+            g = from_mask(n, mask)
+            for h in (g, parse_graph6(encode_graph6(g)), complement(g)):
+                assert h == Graph(n, h.adj.copy()) and type(h.n) is int
+                assert h.adj.dtype == bool and not h.adj.flags.writeable
+                with pytest.raises(ValueError):
+                    h.adj[0, 0] = True
+        for bad in (np.triu(np.ones((4, 4), dtype=bool), 1), np.eye(4, dtype=bool)):
+            with pytest.raises(GraphFormatError, match="symmetric with a zero diagonal"):
+                Graph(4, bad)
+        with pytest.raises(GraphFormatError, match="node count must be positive"):
+            parse_graph6("?")
+
     def test_adjacency_matrix(self, bow_tie):
         a = adjacency_matrix(bow_tie)
         assert a.shape == (5, 5)
